@@ -18,11 +18,19 @@ per candidate distortion:
 
 For a fixed phase slope the objective is an exact cosine in the phase
 offset, so the offset is minimized in closed form and the numeric search
-runs over the slope axis only: a coarse grid, golden-section shrinking of
-the bracketing interval, and a final three-point parabolic polish (the
-valley is locally quadratic, and leaving the slope at golden-section
-resolution would leak into the offset estimate through the slope-offset
-coupling of the likelihood).
+runs over the slope axis only, in two stages:
+
+* a coarse grid of slopes, all candidates evaluated at once as one batched
+  matrix product against a precomputed phase table; its argmin locates the
+  likelihood's main lobe, provided the grid is finer than the lobe (the
+  configuration refuses coarser grids);
+* three Newton steps from the grid argmin, on the exact first and second
+  slope derivatives of the profiled objective, each clipped to the grid
+  cells on either side of that argmin.  Leaving the slope at grid
+  resolution would leak into the offset estimate through the slope-offset
+  coupling of the likelihood.  From within half a grid cell, three steps
+  bring the slope within 1e-6 rad of the minimizer (measured worst case
+  4e-7 rad, at 30 dB on the default grid) and usually within 1e-10.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ import numpy as np
 
 from .observation import PilotGrid, partial_dft
 
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Newton steps taken on the slope after the coarse grid.
+_NEWTON_STEPS = 3
 
 
 def _int_power(base: np.ndarray, k: int) -> np.ndarray:
@@ -60,6 +69,7 @@ class GridTables:
     chc: np.ndarray        # (L, L) C^H C
     chc_diag: np.ndarray   # (L,) real diagonal of C^H C
     q: np.ndarray          # (Q,) pilot indices as float
+    ramp_derivs: np.ndarray  # (3, Q) [1, -1j q, -q^2]: d^k/dx^k ramp = ramp * row k
     ramp_q0: int
     ramp_groups: tuple[tuple[int, np.ndarray], ...]
 
@@ -95,6 +105,8 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
         chc=np.ascontiguousarray(c.conj().T @ c),
         q=np.asarray(grid.pilot_indices, dtype=float),
     )
+    q = arrays["q"]
+    arrays["ramp_derivs"] = np.stack([np.ones_like(q), -1j * q, -q * q])
     for a in arrays.values():
         a.setflags(write=False)
     return GridTables(
@@ -201,6 +213,60 @@ def _candidate_objective(
     return quad + const - 2.0 * np.abs(zc), zc
 
 
+def _search_terms(
+    h_obs: np.ndarray, prep: StatePrep, tables: GridTables, cfg
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-observation inputs of :func:`_candidate_objective`: (w1, zvec, base_quad, const)."""
+    s2 = prep.noise_var
+    whitened = cfg.objective == "whitened"
+    zsrc = prep.w if whitened else prep.m
+    zvec = h_obs * zsrc.conj()
+    base_quad = np.einsum("tq,tq->t", h_obs.conj(), h_obs).real / s2
+    const = prep.m_quad if whitened else np.zeros_like(base_quad)
+    if cfg.include_log_det and prep.log_det is not None:
+        const = const + prep.log_det
+    w1 = tables.c_conj[None] * h_obs[:, :, None]
+    return w1, zvec, base_quad, const
+
+
+def _slope_derivatives(
+    ramp: np.ndarray,
+    w1: np.ndarray,
+    zvec: np.ndarray,
+    prep: StatePrep,
+    tables: GridTables,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second slope derivatives of :func:`_candidate_objective`.
+
+    With ``u = ramp``, ``u' = -1j q u`` and ``u'' = -q^2 u``, so
+    ``s = C^H (u h)`` and ``zc`` have the exact derivatives
+    ``s' = C^H (u' h)``, ``s'' = C^H (u'' h)`` (and likewise ``zc'``,
+    ``zc''``).  For ``f = base - s^H G s / s2^2 + const - 2|zc|`` that gives
+
+    * ``f'  = -2 Re(s'^H G s) / s2^2 - 2 Re(conj(zc) zc') / |zc|``
+    * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
+      - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
+
+    with ``G = prep.gs``.  Where ``zc = 0`` (a zero predicted mean makes
+    it vanish for every slope) the coupling terms are dropped.
+    """
+    s2sq = prep.noise_var * prep.noise_var
+    u = ramp[:, None, :] * tables.ramp_derivs                  # (T, 3, Q): u, u', u''
+    s = np.matmul(u, w1)                                      # (T, 3, L): s, s', s''
+    zc, zc1, zc2 = np.einsum("tkq,tq->kt", u, zvec)
+    g = np.matmul(s[:, :2], np.conj(prep.gs))                 # rows (G s)^T, (G s')^T
+    cross = np.einsum("tkl,tl->kt", s.conj(), g[:, 0]).real    # Re(s^H G s), Re(s'^H G s), ...
+    curv = np.einsum("tl,tl->t", s[:, 1].conj(), g[:, 1]).real
+    d1 = -2.0 * cross[1] / s2sq
+    d2 = -2.0 * (cross[2] + curv) / s2sq
+    abs_zc = np.abs(zc)
+    inv = np.divide(1.0, abs_zc, out=np.zeros_like(abs_zc), where=abs_zc > 0.0)
+    dabs = (zc.conj() * zc1).real * inv                        # d|zc|/dx; 0 where zc = 0
+    d1 -= 2.0 * dabs
+    d2 -= 2.0 * ((zc1.real**2 + zc1.imag**2 + (zc.conj() * zc2).real) * inv - dabs * dabs * inv)
+    return d1, d2
+
+
 # Real parameters phase_search fits on each packet, under either objective:
 # the phase offset and the phase slope.  Each absorbs one real degree of
 # freedom of the residual (see csiguard.detector.null_dof).
@@ -218,21 +284,19 @@ def phase_search(
 
     Minimizes the whitened residual energy (or, with
     ``cfg.objective == "paper-literal"``, the unwhitened cross-term
-    variant) over the slope grid, refines the bracket by golden section
-    to ``cfg.refine_tolerance``, polishes with a parabolic fit, and
-    recovers the offset in closed form.  Exact objective ties resolve
-    toward the smaller |slope|, then the smaller |offset|.
+    variant) with the offset profiled out in closed form.  The slope is
+    first the argmin of ``cfg.slope_grid_points`` equally spaced slopes
+    on ``[-cfg.slope_search_bound, cfg.slope_search_bound]``, then takes
+    three Newton steps on the exact derivatives
+    (:func:`_slope_derivatives`), each clipped to the grid cells on either
+    side of the grid argmin and skipped where the second derivative is not
+    positive.  The refined slope is kept only where it scores no worse
+    than the grid argmin.  The offset is recovered in closed form at the
+    final slope.  Exact objective ties on the grid resolve toward the
+    smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    whitened = cfg.objective == "whitened"
-    zsrc = prep.w if whitened else prep.m
-    zvec = h_obs * zsrc.conj()
-    base_quad = np.einsum("tq,tq->t", h_obs.conj(), h_obs).real / s2
-    const = prep.m_quad if whitened else np.zeros_like(base_quad)
-    if cfg.include_log_det and prep.log_det is not None:
-        const = const + prep.log_det
-    w1 = tables.c_conj[None] * h_obs[:, :, None]
-
+    w1, zvec, base_quad, const = _search_terms(h_obs, prep, tables, cfg)
     slopes, phi, phi_t = slope_tables(grid, cfg.slope_grid_points, cfg.slope_search_bound)
 
     # Coarse grid, all candidates at once.
@@ -243,56 +307,20 @@ def phase_search(
     obj = quad + const[:, None] - 2.0 * np.abs(zc)
 
     idx = _argmin_with_ties(obj, slopes, zc)
-    if cfg.refine_iterations <= 0:
-        slope = slopes[idx]
-        zc_star = np.take_along_axis(zc, idx[:, None], axis=1)[:, 0]
-        return _wrap_offset(np.angle(zc_star)), slope
+    x0 = slopes[idx]
+    lo = slopes[np.maximum(idx - 1, 0)]
+    hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
+    x = x0
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = _slope_derivatives(tables.ramp(x), w1, zvec, prep, tables)
+        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
+        x = np.minimum(np.maximum(x - step, lo), hi)
 
-    num_grid = len(slopes)
-    a = slopes[np.maximum(idx - 1, 0)]
-    b = slopes[np.minimum(idx + 1, num_grid - 1)]
-
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _candidate_objective(tables.ramp(x), w1, zvec, prep, base_quad, const)
-
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, _ = evaluate(c)
-    fd, _ = evaluate(d)
-    for _ in range(cfg.refine_iterations):
-        if np.max(b - a) <= cfg.refine_tolerance:
-            break
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - _INV_GOLDEN * (b - a)
-        d = a + _INV_GOLDEN * (b - a)
-        # After a left shrink the new d coincides with the old c (and
-        # symmetrically on the right), so only one fresh evaluation is needed.
-        x_new = np.where(left, c, d)
-        f_new, _ = evaluate(x_new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-
-    # Parabolic polish through (c, mid, d): equally spaced interior points
-    # of the final bracket.  The golden bracket alone leaves a slope error
-    # of order refine_tolerance, which the likelihood's slope-offset
-    # coupling would amplify into the offset by the mean pilot index.
-    mid = 0.5 * (a + b)
-    fm, _ = evaluate(mid)
-    denom = fc - 2.0 * fm + fd
-    half = mid - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = mid - 0.5 * half * (fd - fc) / denom
-    best_interior = np.where(np.minimum(fc, fd) < fm, np.where(fc < fd, c, d), mid)
-    vertex = np.where((denom > 0.0) & np.isfinite(vertex), vertex, best_interior)
-    slope = np.clip(vertex, a, b)
-    f_star, zc_star = evaluate(slope)
-    # Keep whichever of {vertex, best interior point} actually scored lower.
-    f_best = np.minimum(np.minimum(fc, fd), fm)
-    keep = f_star <= f_best
-    if not np.all(keep):
-        slope = np.where(keep, slope, best_interior)
-        _, zc_star = evaluate(slope)
+    f_star, zc_star = _candidate_objective(tables.ramp(x), w1, zvec, prep, base_quad, const)
+    f_grid = np.take_along_axis(obj, idx[:, None], axis=1)[:, 0]
+    keep = f_star <= f_grid
+    slope = np.where(keep, x, x0)
+    zc_star = np.where(keep, zc_star, np.take_along_axis(zc, idx[:, None], axis=1)[:, 0])
     return _wrap_offset(np.angle(zc_star)), slope
 
 

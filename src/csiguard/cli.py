@@ -10,7 +10,8 @@ Subcommands:
 
 Every subcommand accepts ``--config FILE`` plus flag overrides; any
 configuration key can be forced with ``--set key=value``.  Exit codes:
-0 success, 2 usage or configuration error, 3 numerical failure,
+0 success, 2 usage or configuration error (including too few steps to
+calibrate a detector), 3 numerical failure,
 4 I/O failure (selftest returns 1 when a criterion fails).
 """
 
@@ -27,7 +28,7 @@ from .config import (
     config_hash,
     parse_config_text,
 )
-from .errors import ConfigError, NumericalError
+from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import (
     RocResult,
     derive_trial_seed,
@@ -188,7 +189,7 @@ def cli_main(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -2,7 +2,7 @@
 
 Config files are UTF-8 text, one ``key = value`` pair per line, ``#``
 comments, with dotted prefixes for the nested sections
-(``channel.num_paths``, ``grid.pilot_spec``, ``search.refine_tol``, ...).
+(``channel.num_paths``, ``grid.pilot_spec``, ``search.slope_points``, ...).
 Command-line flags override file values; the effective configuration is
 hashed (sha256 over its canonical serialization) so result files can name
 the exact setup that produced them.
@@ -31,6 +31,13 @@ __all__ = [
 ]
 
 KNOWN_DETECTORS = ("kalman", "magnitude_diff")
+
+# Keys that earlier versions accepted; each names why it no longer exists.
+_REMOVED_KEYS = {
+    "search.offset_points": "the offset is always recovered in closed form",
+    "search.refine_iters": "the slope is refined by a fixed three Newton steps",
+    "search.refine_tol": "the slope is refined by a fixed three Newton steps",
+}
 
 
 @dataclass(frozen=True)
@@ -78,12 +85,28 @@ class ScenarioConfig:
         for name in self.detectors:
             if name not in KNOWN_DETECTORS:
                 raise ConfigError(f"unknown detector {name!r}")
-        num_pilots = len(resolve_pilot_spec(self.grid.pilot_spec, self.grid.dft_size))
-        if num_pilots < 2:
+        pilots = resolve_pilot_spec(self.grid.pilot_spec, self.grid.dft_size)
+        if len(pilots) < 2:
             raise ConfigError(
-                f"grid.pilot_spec {self.grid.pilot_spec!r} gives {num_pilots} pilot; "
+                f"grid.pilot_spec {self.grid.pilot_spec!r} gives {len(pilots)} pilot; "
                 "at least 2 are needed: with one pilot the fitted phase offset and "
                 "slope are the same phase and the residual keeps no degrees of freedom"
+            )
+        # The Newton refinement moves at most one grid step from the grid
+        # argmin, so the grid must sample the likelihood's main lobe, whose
+        # width in slope is 2*pi over the pilot span.
+        span = pilots[-1] - pilots[0]
+        bound = self.search.slope_search_bound
+        spacing = 2.0 * bound / (self.search.slope_grid_points - 1)
+        lobe = 2.0 * np.pi / span
+        if spacing > lobe:
+            needed = int(np.ceil(2.0 * bound / lobe)) + 1
+            raise ConfigError(
+                f"search.slope_points = {self.search.slope_grid_points} spaces the "
+                f"slope grid {spacing:.3g} rad apart, wider than the likelihood's "
+                f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
+                f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
+                "search.slope_bound"
             )
 
     def resolved_max_slope(self) -> float:
@@ -212,18 +235,14 @@ def config_from_mapping(
             grid = replace(grid, pilot_spec=value)
         elif key == "search.slope_points":
             search = replace(search, slope_grid_points=_parse(key, value, int))
-        elif key == "search.offset_points":
-            search = replace(search, offset_grid_points=_parse(key, value, int))
-        elif key == "search.refine_iters":
-            search = replace(search, refine_iterations=_parse(key, value, int))
-        elif key == "search.refine_tol":
-            search = replace(search, refine_tolerance=_parse(key, value, float))
         elif key == "search.slope_bound":
             search = replace(search, slope_search_bound=_parse(key, value, float))
         elif key == "search.objective":
             search = replace(search, objective=value)
         elif key == "search.include_log_det":
             search = replace(search, include_log_det=_parse(key, value, bool))
+        elif key in _REMOVED_KEYS:
+            raise ConfigError(f"config key {key!r} was removed: {_REMOVED_KEYS[key]}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
@@ -249,9 +268,6 @@ def format_config(cfg: ScenarioConfig) -> str:
         "grid.dft_size": str(cfg.grid.dft_size),
         "grid.pilot_spec": cfg.grid.pilot_spec,
         "search.slope_points": str(cfg.search.slope_grid_points),
-        "search.offset_points": str(cfg.search.offset_grid_points),
-        "search.refine_iters": str(cfg.search.refine_iterations),
-        "search.refine_tol": repr(cfg.search.refine_tolerance),
         "search.slope_bound": repr(cfg.search.slope_search_bound),
         "search.objective": cfg.search.objective,
         "search.include_log_det": str(cfg.search.include_log_det).lower(),

@@ -72,9 +72,14 @@ def _default_slope_bound() -> float:
 class PhaseSearchConfig:
     """Search strategy for the per-packet (offset, slope) estimate.
 
-    The offset axis is always minimized in closed form (the objective is
-    an exact cosine in the offset); ``offset_grid_points`` is kept for
-    configuration compatibility but does not drive the search.
+    The offset is always minimized in closed form (the objective is an
+    exact cosine in the offset).  The slope is located on a coarse grid of
+    ``slope_grid_points`` equally spaced values over
+    ``[-slope_search_bound, slope_search_bound]`` and then refined by three
+    Newton steps on the exact derivatives, confined to the grid cells on
+    either side of the grid argmin (see :func:`csiguard._kernels.phase_search`).
+    The grid must therefore be finer than the likelihood's main lobe, which
+    :class:`csiguard.config.ScenarioConfig` checks against its pilot grid.
     ``objective`` selects the whitened residual energy (default) or the
     literal unwhitened cross-term variant; ``include_log_det`` adds the
     log-determinant of the innovation covariance to reported objective
@@ -83,20 +88,13 @@ class PhaseSearchConfig:
     """
 
     slope_grid_points: int = 64
-    offset_grid_points: int = 64
-    refine_iterations: int = 20
-    refine_tolerance: float = 1e-5
     slope_search_bound: float = field(default_factory=_default_slope_bound)
     objective: str = "whitened"
     include_log_det: bool = False
 
     def __post_init__(self) -> None:
-        if self.slope_grid_points < 2 or self.offset_grid_points < 2:
-            raise ValueError("search grids need at least 2 points")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
-        if self.refine_tolerance <= 0.0:
-            raise ValueError("refine_tolerance must be > 0")
+        if self.slope_grid_points < 2:
+            raise ValueError("the slope grid needs at least 2 points")
         if self.slope_search_bound <= 0.0:
             raise ValueError("slope_search_bound must be > 0")
         if self.objective not in ("whitened", "paper-literal"):

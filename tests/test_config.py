@@ -12,6 +12,7 @@ from csiguard.config import (
     resolve_pilot_spec,
 )
 from csiguard.errors import ConfigError
+from csiguard.estimator import PhaseSearchConfig
 
 
 class TestPilotSpecs:
@@ -68,6 +69,30 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(grid=GridConfig(dft_size=16, pilot_spec="first:2"))
         assert cfg.pilot_grid().num_pilots == 2
 
+    def test_slope_grid_coarser_than_main_lobe_rejected(self):
+        # Default grid: spacing 2 * 0.196 / 1 = 0.39 rad against a main lobe
+        # of 2*pi/124 = 0.051 rad.
+        with pytest.raises(ConfigError, match="search.slope_points"):
+            ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=2))
+        with pytest.raises(ConfigError, match="search.slope_points"):
+            config_from_mapping({"search.slope_points": "2"})
+
+    def test_main_lobe_edge(self):
+        # 2*pi/124 main lobe at the default bound: 9 points space the grid
+        # 0.049 rad apart, 8 points 0.056.
+        assert ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=9))
+        with pytest.raises(ConfigError, match="at least 9 points"):
+            ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=8))
+
+    def test_fast_test_grids_accepted(self):
+        # The small scenario of the harness and CLI tests: spacing 0.051 rad
+        # against a main lobe of 2*pi/15 = 0.42 rad.
+        cfg = ScenarioConfig(
+            grid=GridConfig(dft_size=32, pilot_spec="first:16"),
+            search=PhaseSearchConfig(slope_grid_points=32, slope_search_bound=2 * np.pi * 4 / 32),
+        )
+        assert cfg.pilot_grid().num_pilots == 16
+
 
 class TestParsing:
     def test_parse_text(self):
@@ -94,19 +119,26 @@ class TestParsing:
                 "snr_db": "3.5",
                 "num_trials": "7",
                 "channel.num_paths": "4",
-                "search.refine_tol": "1e-6",
+                "search.slope_bound": "0.1",
                 "detectors": "kalman,magnitude_diff",
             }
         )
         assert cfg.snr_db == 3.5
         assert cfg.num_trials == 7
         assert cfg.channel.num_paths == 4
-        assert cfg.search.refine_tolerance == 1e-6
+        assert cfg.search.slope_search_bound == 0.1
         assert cfg.detectors == ("kalman", "magnitude_diff")
 
     def test_unknown_key_names_offender(self):
         with pytest.raises(ConfigError, match="grid.pilots"):
             config_from_mapping({"grid.pilots": "3"})
+
+    @pytest.mark.parametrize(
+        "key", ["search.offset_points", "search.refine_iters", "search.refine_tol"]
+    )
+    def test_removed_key_says_removed(self, key):
+        with pytest.raises(ConfigError, match=f"{key}' was removed"):
+            config_from_mapping({key: "20"})
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="num_trials"):

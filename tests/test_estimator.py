@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csiguard import _kernels
+from csiguard.acceptance import PHASE_RECOVERY_TOLERANCE
 from csiguard.channel import init_channel, make_profile, step_channel
 from csiguard.errors import NumericalError
 from csiguard.estimator import (
@@ -157,6 +158,82 @@ class TestProfiledObjectiveAgainstDense:
         assert np.allclose(tables.ramp(x), expected, atol=1e-12)
 
 
+def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8):
+    """Observations of rotated channels with a Kalman-like prediction of them.
+
+    With ``zero_mean`` the prediction is the prior (zero mean, stationary
+    covariance), the first filter step, where the offset coupling zc is 0.
+    """
+    profile = make_profile(num_paths, 1e-4, 0.5)
+    tables = _kernels.grid_tables(grid, num_paths)
+
+    def cgauss(shape, var):
+        return np.sqrt(var / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    h = cgauss((trials, num_paths), profile.pdp)
+    if zero_mean:
+        mean, cov = np.zeros_like(h), np.tile(profile.pdp, (trials, 1))
+    else:
+        mean, cov = h + cgauss(h.shape, 0.02 * profile.pdp), np.tile(0.02 * profile.pdp, (trials, 1))
+    s2 = 10.0 ** (-snr_db / 10.0)
+    bound = PhaseSearchConfig().slope_search_bound
+    offset = rng.uniform(-np.pi, np.pi, trials)
+    slope = rng.uniform(-bound, bound, trials)
+    rot = np.exp(1j * (offset[:, None] + slope[:, None] * tables.q))
+    obs = rot * (h @ tables.c_t) + cgauss((trials, grid.num_pilots), s2)
+    return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
+
+
+def _profiled_objective(obs, prep, tables, cfg):
+    """Slope -> offset-profiled objective per trial, as phase_search scores it."""
+    w1, zvec, base, const = _kernels._search_terms(obs, prep, tables, cfg)
+    return lambda x: _kernels._candidate_objective(tables.ramp(x), w1, zvec, prep, base, const)[0]
+
+
+class TestNewtonStage:
+    """The slope refinement after the coarse grid: exact derivatives, and a
+    result no worse than a fine sweep of the bracket it searches."""
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
+    def test_derivatives_match_central_differences(self, grid114, rng, objective, zero_mean):
+        # With a zero predicted mean, zc vanishes at every slope and the
+        # derivatives must drop its terms rather than divide by |zc| = 0.
+        cfg = PhaseSearchConfig(objective=objective)
+        obs, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
+        w1, zvec, _, _ = _kernels._search_terms(obs, prep, tables, cfg)
+        x = rng.uniform(-cfg.slope_search_bound, cfg.slope_search_bound, 8)
+        d1, d2 = _kernels._slope_derivatives(tables.ramp(x), w1, zvec, prep, tables)
+        f = _profiled_objective(obs, prep, tables, cfg)
+
+        def differences(step):
+            lo, mid, hi = f(x - step), f(x), f(x + step)
+            return (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2
+
+        # Richardson extrapolation of two central differences: O(step^4) error.
+        (a1, a2), (b1, b2) = differences(2e-4), differences(1e-4)
+        fd1, fd2 = (4 * b1 - a1) / 3, (4 * b2 - a2) / 3
+        assert np.allclose(d1, fd1, rtol=1e-6, atol=0)
+        assert np.allclose(d2, fd2, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+    def test_no_worse_than_fine_sweep_of_bracket(self, grid114, rng, snr_db, zero_mean):
+        cfg = PhaseSearchConfig()
+        obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
+        _, est_slope = _kernels.phase_search(obs, prep, grid114, tables, cfg)
+        f = _profiled_objective(obs, prep, tables, cfg)
+        slopes = _kernels.slope_tables(grid114, cfg.slope_grid_points, cfg.slope_search_bound)[0]
+        grid_obj = np.stack([f(np.full(len(obs), x)) for x in slopes], axis=1)
+        idx = np.argmin(grid_obj, axis=1)
+        lo = slopes[np.maximum(idx - 1, 0)]
+        hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
+        sweep = np.stack([f(lo + t * (hi - lo)) for t in np.linspace(0.0, 1.0, 1001)], axis=1)
+        best = sweep.min(axis=1)
+        assert np.all((est_slope >= lo) & (est_slope <= hi))
+        assert np.all(f(est_slope) <= best + 1e-9 * np.abs(best))
+
+
 class TestEstimatePhase:
     def test_identity_distortion_recovered(self, small_grid, rng):
         profile = make_profile(4, 1e-4, 0.5)
@@ -167,8 +244,8 @@ class TestEstimatePhase:
         )
         cfg = PhaseSearchConfig(slope_search_bound=0.3)
         d = estimate_phase(obs, pred, small_grid, 1e-12, cfg)
-        assert abs(d.offset) < cfg.refine_tolerance
-        assert abs(d.slope) < cfg.refine_tolerance
+        assert abs(d.offset) < PHASE_RECOVERY_TOLERANCE
+        assert abs(d.slope) < PHASE_RECOVERY_TOLERANCE
 
     def test_recovers_generating_pair(self, grid114, rng):
         profile = make_profile(8, 1e-4, 0.5)
@@ -180,8 +257,8 @@ class TestEstimatePhase:
         )
         cfg = PhaseSearchConfig()
         d = estimate_phase(obs, pred, grid114, 1e-12, cfg)
-        assert d.slope == pytest.approx(true.slope, abs=cfg.refine_tolerance)
-        assert d.offset == pytest.approx(true.offset, abs=cfg.refine_tolerance)
+        assert d.slope == pytest.approx(true.slope, abs=PHASE_RECOVERY_TOLERANCE)
+        assert d.offset == pytest.approx(true.offset, abs=PHASE_RECOVERY_TOLERANCE)
 
     def test_never_worse_than_grid_oracle(self, small_grid, rng):
         # The refined estimate must score at least as well as a brute-force
