@@ -7,8 +7,8 @@ innovation decides whether each observation came from the tracked
 transmitter.
 """
 
-from .channel import ChannelProfile, TimeChannel, init_channel, make_profile, step_channel
-from .config import ChannelConfig, GridConfig, ScenarioConfig
+from .channel import ChannelProfile, Link, make_profile, simulate
+from .config import ChannelConfig, GridConfig, PhaseSearchConfig, ScenarioConfig
 from .detector import (
     DetectionRecord,
     calibrate_empirical_threshold,
@@ -18,17 +18,6 @@ from .detector import (
     threshold,
 )
 from .errors import CalibrationError, ConfigError, NumericalError, SingularMatrixError
-from .estimator import (
-    KalmanState,
-    PhaseSearchConfig,
-    estimate_phase,
-    filter_step,
-    gain,
-    init_state,
-    negative_log_likelihood,
-    predict,
-    update,
-)
 from .harness import (
     RocResult,
     SweepPoint,
@@ -37,21 +26,11 @@ from .harness import (
     roc_curve,
     roc_points,
     run_batch,
-    run_trial,
     sweep,
     trial_records,
     write_csv,
 )
 from .numerics import bessel_j0, chi2_cdf, chi2_quantile, hermitian_solve
-from .observation import (
-    CsiObservation,
-    PhaseDistortion,
-    PilotGrid,
-    draw_phase_distortion,
-    observe,
-    partial_dft,
-    phase_error_matrix,
-    snr_to_noise_var,
-)
+from .observation import PilotGrid, partial_dft, snr_to_noise_var
 
 __version__ = "0.1.0"

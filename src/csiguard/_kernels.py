@@ -1,8 +1,7 @@
 """Batched numpy kernels behind the adaptive filter.
 
 Everything here carries a leading trial axis so that a whole Monte Carlo
-batch advances in lockstep; the single-instance operations in
-:mod:`csiguard.estimator` call these kernels with a batch of one.
+batch advances in lockstep; a single filter is a batch of one.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -144,7 +143,6 @@ class StatePrep:
     m: np.ndarray        # (T, Q) predicted DFT-domain channel C mu
     w: np.ndarray        # (T, Q) Sigma0^{-1} m
     m_quad: np.ndarray   # (T,) real m^H Sigma0^{-1} m
-    log_det: np.ndarray | None = None  # (T,) log det Sigma0 when requested
 
 
 def prepare_state(
@@ -152,24 +150,17 @@ def prepare_state(
     cov_diag: np.ndarray,
     noise_var: float,
     tables: GridTables,
-    include_log_det: bool = False,
 ) -> StatePrep:
     t, num_paths = mean.shape
     s2 = noise_var
     sp = np.sqrt(cov_diag)
     core = np.eye(num_paths)[None] + (sp[:, :, None] * sp[:, None, :]) * tables.chc[None] / s2
-    log_det = None
-    if include_log_det:
-        # det Sigma0 = s2^Q det(core); constant in the distortion since the
-        # phase rotation is unitary.
-        num_pilots = tables.c.shape[0]
-        log_det = num_pilots * np.log(s2) + np.linalg.slogdet(core)[1]
     gs = np.linalg.inv(core)
     gs *= sp[:, :, None] * sp[:, None, :]
     m = mean @ tables.c_t
     w = _apply_whitener(m, gs, s2, tables)
     m_quad = np.einsum("tq,tq->t", m.conj(), w).real
-    return StatePrep(noise_var=s2, gs=gs, m=m, w=w, m_quad=m_quad, log_det=log_det)
+    return StatePrep(noise_var=s2, gs=gs, m=m, w=w, m_quad=m_quad)
 
 
 def _apply_whitener(
@@ -223,8 +214,6 @@ def _search_terms(
     zvec = h_obs * zsrc.conj()
     base_quad = np.einsum("tq,tq->t", h_obs.conj(), h_obs).real / s2
     const = prep.m_quad if whitened else np.zeros_like(base_quad)
-    if cfg.include_log_det and prep.log_det is not None:
-        const = const + prep.log_det
     w1 = tables.c_conj[None] * h_obs[:, :, None]
     return w1, zvec, base_quad, const
 

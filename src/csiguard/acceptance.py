@@ -21,13 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .channel import make_profile
-from .config import ScenarioConfig
+from .channel import make_profile, simulate
+from .config import PhaseSearchConfig, ScenarioConfig
 from .detector import null_dof, threshold
-from .estimator import PhaseSearchConfig, filter_step, init_state
 from .harness import derive_trial_seed, run_batch
 from .numerics import bessel_j0, chi2_cdf, chi2_quantile
-from .observation import CsiObservation, PilotGrid
+from .observation import PilotGrid
 
 __all__ = ["CriterionResult", "run_all", "ALL_CRITERIA", "PHASE_RECOVERY_TOLERANCE"]
 
@@ -198,10 +197,11 @@ def criterion_6_phase_recovery() -> CriterionResult:
     and the predicted covariance is the one-step process covariance.  (In
     a closed filter loop the offset is only identified up to the global
     rotation shared with the channel estimate, so the oracle check pins
-    the prediction to the truth.)
+    the prediction to the truth.)  Each of the 1000 packets is the first
+    simulated step of alice's link in its own trial.
     """
     t0 = time.perf_counter()
-    steps = 1000
+    packets = 1000
     profile = make_profile(8, 1e-4, 0.5)
     grid = PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, 127)))
     # Near-noiseless, the likelihood valley narrows to ~1e-3 rad while
@@ -210,34 +210,22 @@ def criterion_6_phase_recovery() -> CriterionResult:
     cfg = PhaseSearchConfig(slope_grid_points=512)
     noise_var = 1e-13
     max_slope = 2.0 * np.pi * 4.0 / 128.0
-    rng = np.random.default_rng(derive_trial_seed(777, 0))
-
-    scale = np.sqrt(profile.pdp / 2.0)
-    h = scale * (
-        rng.standard_normal((steps, 8)) + 1j * rng.standard_normal((steps, 8))
-    )
-    offsets = rng.uniform(-np.pi, np.pi, steps)
-    slopes = rng.uniform(-max_slope, max_slope, steps)
     tables = _kernels.grid_tables(grid, 8)
-    q = tables.q
-    rot = np.exp(1j * (offsets[:, None] + slopes[:, None] * q[None, :]))
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal((steps, 114)) + 1j * rng.standard_normal((steps, 114))
-    )
-    obs = rot * (h @ tables.c_t) + noise
+    rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
+    alice, _ = next(simulate(profile, tables, noise_var, max_slope, rngs))
 
-    cov = np.tile(profile.process_noise_diag, (steps, 1))
-    prep = _kernels.prepare_state(h, cov, noise_var, tables)
-    est_offset, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg)
+    cov = np.tile(profile.process_noise_diag, (packets, 1))
+    prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
+    est_offset, est_slope = _kernels.phase_search(alice.obs, prep, grid, tables, cfg)
 
-    offset_err = np.abs((est_offset - offsets + np.pi) % (2 * np.pi) - np.pi)
-    slope_err = np.abs(est_slope - slopes)
+    offset_err = np.abs((est_offset - alice.offset + np.pi) % (2 * np.pi) - np.pi)
+    slope_err = np.abs(est_slope - alice.slope)
     tol = PHASE_RECOVERY_TOLERANCE
     hit = np.mean((offset_err <= tol) & (slope_err <= tol))
     checks = [
         (
             hit >= 0.99,
-            f"{hit*100:.1f}% of {steps} steps within {tol:g} rad "
+            f"{hit*100:.1f}% of {packets} packets within {tol:g} rad "
             f"(max offset err {offset_err.max():.2e}, max slope err {slope_err.max():.2e})",
         )
     ]
@@ -245,7 +233,11 @@ def criterion_6_phase_recovery() -> CriterionResult:
 
 
 def criterion_7_scalar_kalman() -> CriterionResult:
-    """Single-tap, single-pilot filter equals the textbook scalar recursion."""
+    """Single-tap, single-pilot filter equals the textbook scalar recursion.
+
+    The filter is the batched kernel path of every Monte Carlo run
+    (prepare_state, whitened_quadform, kalman_update) at identity phase.
+    """
     t0 = time.perf_counter()
     profile = make_profile(1, 0.05, 0.0)
     grid = PilotGrid(8, (0,))
@@ -262,14 +254,22 @@ def criterion_7_scalar_kalman() -> CriterionResult:
         w = math.sqrt(noise_var / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
         observations.append(h + w)
 
-    state = init_state(profile)
+    tables = _kernels.grid_tables(grid, 1)
+    state_mean = np.zeros((1, 1), dtype=np.complex128)
+    state_cov = profile.pdp[None, :]
     means = np.empty(steps, dtype=np.complex128)
     variances = np.empty(steps)
     for k, y in enumerate(observations):
-        obs = CsiObservation(values=np.array([y]), time_index=k + 1)
-        state, *_ = filter_step(state, obs, profile, grid, noise_var, None)
-        means[k] = state.mean[0]
-        variances[k] = state.cov_diag[0]
+        state_mean = profile.alpha * state_mean
+        state_cov = profile.alpha**2 * state_cov + profile.process_noise_diag
+        prep = _kernels.prepare_state(state_mean, state_cov, noise_var, tables)
+        residual = np.array([[y]]) - prep.m
+        whitened, _ = _kernels.whitened_quadform(residual, prep, tables)
+        state_mean, state_cov = _kernels.kalman_update(
+            state_mean, state_cov, residual, whitened, prep, tables
+        )
+        means[k] = state_mean[0, 0]
+        variances[k] = state_cov[0, 0]
 
     # Independent textbook recursion.
     mean, var = 0.0 + 0.0j, 1.0

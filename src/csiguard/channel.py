@@ -6,18 +6,20 @@ approximated by a first-order autoregressive recursion whose parameters
 come from the Yule-Walker fit: the tap correlation between consecutive
 symbols is J0(2*pi*fd*Ts), and the innovation variance per tap is
 (1 - alpha^2) times the tap power, which keeps every tap stationary at
-its profile power.
+its profile power.  :func:`simulate` draws both links of a trial and
+their distorted, noisy pilot observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .numerics import bessel_j0
 
-__all__ = ["ChannelProfile", "TimeChannel", "make_profile", "init_channel", "step_channel"]
+__all__ = ["ChannelProfile", "Link", "make_profile", "simulate"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +52,6 @@ class ChannelProfile:
             raise ValueError("process_noise_diag must equal (1 - alpha^2) * pdp")
 
 
-@dataclass(frozen=True, eq=False)
-class TimeChannel:
-    """Complex impulse response of one link at one time step."""
-
-    taps: np.ndarray
-    time_index: int
-
-
 def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) -> ChannelProfile:
     """Build a channel profile with an exponential power-delay profile.
 
@@ -67,8 +61,8 @@ def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) ->
     """
     if num_paths < 1:
         raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    if pdp_decay < 0.0:
-        raise ValueError(f"pdp_decay must be >= 0, got {pdp_decay}")
+    if not 0.0 <= pdp_decay < np.inf:
+        raise ValueError(f"pdp_decay must be finite and >= 0, got {pdp_decay}")
     if not (0.0 <= normalized_doppler < 0.5):
         raise ValueError(
             f"normalized Doppler must lie in [0, 0.5), got {normalized_doppler!r}"
@@ -85,26 +79,91 @@ def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) ->
     )
 
 
-def _complex_gaussian(rng: np.random.Generator, variances: np.ndarray) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian vector with given per-entry variances."""
-    scale = np.sqrt(variances / 2.0)
-    return scale * rng.standard_normal(len(variances)) + 1j * scale * rng.standard_normal(
-        len(variances)
+class Link(NamedTuple):
+    """One link at one step, batched over trials.
+
+    taps (T, L) is the true impulse response, obs (T, Q) its distorted,
+    noisy pilot observation, and offset, slope (T,) the phase distortion
+    applied to it.
+    """
+
+    taps: np.ndarray
+    obs: np.ndarray
+    offset: np.ndarray
+    slope: np.ndarray
+
+
+def simulate(
+    profile: ChannelProfile,
+    tables,
+    noise_var: float,
+    max_slope: float,
+    rngs,
+    *,
+    clone_eve: bool = False,
+) -> Iterator[tuple[Link, Link]]:
+    """Yield (alice, eve) links for a batch of trials, one step at a time.
+
+    The generative model of every Monte Carlo run.  Both links are AR(1)
+    channels with the same profile, started at their stationary law.  At
+    each step each link gets a phase offset uniform on [-pi, pi), a phase
+    slope uniform on [-max_slope, max_slope] and circularly-symmetric
+    complex noise of variance ``noise_var`` per pilot, so its observation
+    is ``exp(j offset) exp(j slope q) * (C h) + w`` with C the partial DFT
+    of ``tables`` (a :class:`csiguard._kernels.GridTables`).
+
+    ``rngs`` holds one generator per trial, each consumed in a fixed
+    documented order: first one ``standard_normal(4L)`` block for the two
+    stationary starts (alice real, alice imaginary, eve real, eve
+    imaginary), then per step one ``standard_normal(4L + 4Q)`` block
+    (alice/eve channel innovations, then alice/eve observation noise, real
+    parts before imaginary parts) followed by one ``uniform(size=4)``
+    block (alice offset, alice slope, eve offset, eve slope).
+
+    ``clone_eve`` makes eve's channel identical to alice's (the
+    indistinguishable-hypothesis case); eve's noise and phase draws are
+    unchanged.  The generator never ends; the caller takes as many steps
+    as it needs.
+    """
+    if noise_var <= 0.0:
+        raise ValueError(f"noise variance must be > 0, got {noise_var!r}")
+    if max_slope < 0.0:
+        raise ValueError(f"max_slope must be >= 0, got {max_slope!r}")
+    num_paths = profile.num_paths
+    num_pilots = tables.c_t.shape[1]
+    alpha = profile.alpha
+    chan_scale = np.sqrt(profile.pdp / 2.0)
+    noise_scale = np.sqrt(noise_var / 2.0)
+    proc_scale = np.sqrt(profile.process_noise_diag / 2.0)
+
+    init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
+    h_alice = chan_scale * (init[:, :num_paths] + 1j * init[:, num_paths : 2 * num_paths])
+    h_eve = chan_scale * (
+        init[:, 2 * num_paths : 3 * num_paths] + 1j * init[:, 3 * num_paths :]
     )
+    nz = 4 * num_paths
+    while True:
+        z = np.stack([rng.standard_normal(nz + 4 * num_pilots) for rng in rngs])
+        u = np.stack([rng.uniform(size=4) for rng in rngs])
 
-
-def init_channel(profile: ChannelProfile, rng: np.random.Generator) -> TimeChannel:
-    """Draw a stationary start: tap l ~ CN(0, pdp[l])."""
-    return TimeChannel(taps=_complex_gaussian(rng, profile.pdp), time_index=0)
-
-
-def step_channel(
-    h: TimeChannel, profile: ChannelProfile, rng: np.random.Generator
-) -> TimeChannel:
-    """Advance one AR(1) step: alpha * h + innovation."""
-    if len(h.taps) != profile.num_paths:
-        raise ValueError(
-            f"channel has {len(h.taps)} taps, profile expects {profile.num_paths}"
+        h_alice = alpha * h_alice + proc_scale * (
+            z[:, :num_paths] + 1j * z[:, num_paths : 2 * num_paths]
         )
-    noise = _complex_gaussian(rng, profile.process_noise_diag)
-    return TimeChannel(taps=profile.alpha * h.taps + noise, time_index=h.time_index + 1)
+        h_eve = alpha * h_eve + proc_scale * (
+            z[:, 2 * num_paths : 3 * num_paths] + 1j * z[:, 3 * num_paths : nz]
+        )
+        if clone_eve:
+            h_eve = h_alice.copy()
+
+        links = []
+        for col, h_true in enumerate((h_alice, h_eve)):
+            offset = -np.pi + 2.0 * np.pi * u[:, 2 * col]
+            slope = max_slope * (2.0 * u[:, 2 * col + 1] - 1.0)
+            rot = np.exp(1j * offset)[:, None] * tables.ramp(slope).conj()
+            zoff = nz + 2 * col * num_pilots
+            noise = noise_scale * (
+                z[:, zoff : zoff + num_pilots]
+                + 1j * z[:, zoff + num_pilots : zoff + 2 * num_pilots]
+            )
+            links.append(Link(h_true, rot * (h_true @ tables.c_t) + noise, offset, slope))
+        yield links[0], links[1]

@@ -99,6 +99,8 @@ def _metadata(cfg: ScenarioConfig) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    if args.trial_index < 0:
+        raise ConfigError(f"--trial-index must be >= 0, got {args.trial_index}")
     seed = derive_trial_seed(cfg.seed, args.trial_index)
     pairs = trial_records(cfg, seed)
     write_csv(pairs, args.out, metadata=_metadata(cfg))
@@ -108,6 +110,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_roc(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    if args.num_points < 2:
+        raise ConfigError(f"--num-points must be >= 2, got {args.num_points}")
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
     batch = run_batch(cfg, seeds)
     points = []

@@ -17,12 +17,12 @@ import numpy as np
 
 from .channel import ChannelProfile, make_profile
 from .errors import ConfigError
-from .estimator import PhaseSearchConfig
-from .observation import PilotGrid
+from .observation import PilotGrid, partial_dft
 
 __all__ = [
     "ChannelConfig",
     "GridConfig",
+    "PhaseSearchConfig",
     "ScenarioConfig",
     "parse_config_text",
     "config_from_mapping",
@@ -37,6 +37,11 @@ _REMOVED_KEYS = {
     "search.offset_points": "the offset is always recovered in closed form",
     "search.refine_iters": "the slope is refined by a fixed three Newton steps",
     "search.refine_tol": "the slope is refined by a fixed three Newton steps",
+    "search.include_log_det": (
+        "the log-determinant is constant in the phase distortion, so it never "
+        "moved the estimate"
+    ),
+    "channel.model": "the AR(1) Jakes fit is the only channel model",
 }
 
 
@@ -44,19 +49,46 @@ _REMOVED_KEYS = {
 class ChannelConfig:
     num_paths: int = 8
     pdp_decay: float = 0.5
-    model: str = "ar1-jakes"
-
-    def __post_init__(self) -> None:
-        if self.model != "ar1-jakes":
-            raise ConfigError(
-                f"channel.model {self.model!r} is not available (only 'ar1-jakes')"
-            )
 
 
 @dataclass(frozen=True)
 class GridConfig:
     dft_size: int = 128
     pilot_spec: str = "ieee80211n-40mhz"
+
+
+def _default_slope_bound() -> float:
+    # Phase ramp of up to 4 samples of packet-detection delay at M = 128.
+    return 2.0 * np.pi * 4.0 / 128.0
+
+
+@dataclass(frozen=True)
+class PhaseSearchConfig:
+    """Search strategy for the per-packet (offset, slope) estimate.
+
+    The offset is always minimized in closed form (the objective is an
+    exact cosine in the offset).  The slope is located on a coarse grid of
+    ``slope_grid_points`` equally spaced values over
+    ``[-slope_search_bound, slope_search_bound]`` and then refined by three
+    Newton steps on the exact derivatives, confined to the grid cells on
+    either side of the grid argmin (see :func:`csiguard._kernels.phase_search`).
+    The grid must therefore be finer than the likelihood's main lobe, which
+    :class:`ScenarioConfig` checks against its pilot grid.  ``objective``
+    selects the whitened residual energy (default) or the literal
+    unwhitened cross-term variant.
+    """
+
+    slope_grid_points: int = 64
+    slope_search_bound: float = field(default_factory=_default_slope_bound)
+    objective: str = "whitened"
+
+    def __post_init__(self) -> None:
+        if self.slope_grid_points < 2:
+            raise ConfigError("search.slope_points must be >= 2")
+        if not 0.0 < self.slope_search_bound < np.inf:
+            raise ConfigError("search.slope_bound must be finite and > 0")
+        if self.objective not in ("whitened", "paper-literal"):
+            raise ConfigError(f"unknown search.objective {self.objective!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +106,14 @@ class ScenarioConfig:
     max_slope: float | None = None  # None: 2*pi*4/dft_size
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.max_slope is not None and not 0.0 <= self.max_slope < np.inf:
+            raise ConfigError(
+                f"phase.max_slope must be finite and >= 0, got {self.max_slope!r}"
+            )
         if self.num_steps < 2:
             raise ConfigError("num_steps must be >= 2")
         if self.num_trials < 1:
@@ -108,6 +148,13 @@ class ScenarioConfig:
                 f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
                 "search.slope_bound"
             )
+        try:
+            partial_dft(self.pilot_grid(), self.channel_profile().num_paths)
+        except ValueError as exc:
+            raise ConfigError(
+                f"channel.num_paths = {self.channel.num_paths}, channel.pdp_decay = "
+                f"{self.channel.pdp_decay!r}, doppler = {self.normalized_doppler!r}: {exc}"
+            ) from exc
 
     def resolved_max_slope(self) -> float:
         if self.max_slope is not None:
@@ -185,12 +232,6 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _parse(key: str, value: str, kind):
     try:
-        if kind is bool:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
         return kind(value)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
@@ -227,8 +268,6 @@ def config_from_mapping(
             channel = replace(channel, num_paths=_parse(key, value, int))
         elif key == "channel.pdp_decay":
             channel = replace(channel, pdp_decay=_parse(key, value, float))
-        elif key == "channel.model":
-            channel = replace(channel, model=value)
         elif key == "grid.dft_size":
             grid = replace(grid, dft_size=_parse(key, value, int))
         elif key == "grid.pilot_spec":
@@ -239,8 +278,6 @@ def config_from_mapping(
             search = replace(search, slope_search_bound=_parse(key, value, float))
         elif key == "search.objective":
             search = replace(search, objective=value)
-        elif key == "search.include_log_det":
-            search = replace(search, include_log_det=_parse(key, value, bool))
         elif key in _REMOVED_KEYS:
             raise ConfigError(f"config key {key!r} was removed: {_REMOVED_KEYS[key]}")
         else:
@@ -264,13 +301,11 @@ def format_config(cfg: ScenarioConfig) -> str:
         "phase.max_slope": repr(cfg.resolved_max_slope()),
         "channel.num_paths": str(cfg.channel.num_paths),
         "channel.pdp_decay": repr(cfg.channel.pdp_decay),
-        "channel.model": cfg.channel.model,
         "grid.dft_size": str(cfg.grid.dft_size),
         "grid.pilot_spec": cfg.grid.pilot_spec,
         "search.slope_points": str(cfg.search.slope_grid_points),
         "search.slope_bound": repr(cfg.search.slope_search_bound),
         "search.objective": cfg.search.objective,
-        "search.include_log_det": str(cfg.search.include_log_det).lower(),
     }
     return "".join(f"{k} = {v}\n" for k, v in sorted(lines.items()))
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CalibrationError, NumericalError
 from .numerics import chi2_quantile, hermitian_solve
-from .observation import CsiObservation
 
 __all__ = [
     "DetectionRecord",
@@ -97,21 +96,21 @@ def decide(statistic: float, d: float) -> str:
     return H1 if statistic > d else H0
 
 
-def magnitude_diff_statistic(current: CsiObservation, previous: CsiObservation) -> float:
+def magnitude_diff_statistic(current_abs: np.ndarray, previous_abs: np.ndarray) -> np.ndarray:
     """Normalized squared magnitude change between consecutive observations.
 
-    || |current| - |previous| ||^2 / || |previous| ||^2, insensitive to any
-    phase distortion of either observation.
+    Takes the (T, Q) magnitudes |current| and |previous| of a batch of
+    observations and returns || |current| - |previous| ||^2 / || |previous| ||^2
+    per row, shape (T,), insensitive to any phase distortion of either
+    observation.
     """
-    cur = np.abs(current.values)
-    prev = np.abs(previous.values)
-    if cur.shape != prev.shape:
-        raise ValueError("observations must have equal length")
-    denom = float(prev @ prev)
-    if denom == 0.0:
+    if current_abs.shape != previous_abs.shape:
+        raise ValueError("observations must have equal shape")
+    denom = np.einsum("tq,tq->t", previous_abs, previous_abs)
+    if np.any(denom == 0.0):
         raise ValueError("previous observation has zero magnitude")
-    diff = cur - prev
-    return float(diff @ diff) / denom
+    diff = current_abs - previous_abs
+    return np.einsum("tq,tq->t", diff, diff) / denom
 
 
 def calibrate_empirical_threshold(h0_samples, nominal_false_alarm: float) -> float:

@@ -12,28 +12,24 @@ Trials are mutually independent.  Trial ``i`` draws from
 :func:`derive_trial_seed`), so aggregates do not depend on trial order
 and sweep points share channel and noise realizations (common random
 numbers across the sweep axis).  Within a trial the generator is consumed
-in a fixed documented order: per step one ``standard_normal(4L + 4Q)``
-block (alice/eve channel innovations, then alice/eve observation noise,
-real parts before imaginary parts) followed by one ``uniform(size=4)``
-block (alice offset, alice slope, eve offset, eve slope), after an
-initial ``standard_normal(4L)`` block for the two stationary channel
-starts.
+in the order documented by :func:`csiguard.channel.simulate`.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
+from .channel import simulate
 from .config import ScenarioConfig, config_hash
 from .detector import (
     DetectionRecord,
     calibrate_empirical_threshold,
     decide,
+    magnitude_diff_statistic,
     threshold,
 )
 from .errors import CalibrationError, NumericalError
@@ -46,7 +42,6 @@ __all__ = [
     "TrialBatch",
     "derive_trial_seed",
     "run_batch",
-    "run_trial",
     "trial_records",
     "sweep",
     "roc_points",
@@ -122,7 +117,8 @@ def run_batch(
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
-    attacker still gets independent noise and phase draws.
+    attacker still gets independent noise and phase draws (see
+    :func:`csiguard.channel.simulate`).
     """
     profile = cfg.channel_profile()
     grid = cfg.pilot_grid()
@@ -138,18 +134,7 @@ def run_batch(
 
     alpha = profile.alpha
     process_noise = profile.process_noise_diag
-    chan_scale = np.sqrt(profile.pdp / 2.0)
-    noise_scale = np.sqrt(noise_var / 2.0)
-    proc_scale = np.sqrt(process_noise / 2.0)
-
-    # Stationary starts for both links.
-    init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
-    h_alice = chan_scale * (init[:, :num_paths] + 1j * init[:, num_paths : 2 * num_paths])
-    h_eve = chan_scale * (
-        init[:, 2 * num_paths : 3 * num_paths] + 1j * init[:, 3 * num_paths :]
-    )
-    if clone_eve:
-        h_eve = h_alice.copy()
+    links = simulate(profile, tables, noise_var, max_slope, rngs, clone_eve=clone_eve)
 
     mean = np.zeros((num_trials, num_paths), dtype=np.complex128)
     cov = np.tile(profile.pdp, (num_trials, 1))
@@ -161,39 +146,15 @@ def run_batch(
     mse = np.empty((num_trials, num_steps)) if collect_mse else None
 
     prev_alice_abs = None
-    prev_alice_norm2 = None
-    nz = 4 * num_paths
-    for k in range(1, num_steps + 1):
-        z = np.stack([rng.standard_normal(nz + 4 * num_pilots) for rng in rngs])
-        u = np.stack([rng.uniform(size=4) for rng in rngs])
-
-        h_alice = alpha * h_alice + proc_scale * (
-            z[:, :num_paths] + 1j * z[:, num_paths : 2 * num_paths]
-        )
-        h_eve = alpha * h_eve + proc_scale * (
-            z[:, 2 * num_paths : 3 * num_paths] + 1j * z[:, 3 * num_paths : nz]
-        )
-        if clone_eve:
-            h_eve = h_alice.copy()
-
+    # zip draws the next step from links only while range has steps left.
+    for k, (alice, eve) in zip(range(1, num_steps + 1), links):
         mean *= alpha
         cov = alpha**2 * cov + process_noise
-        prep = _kernels.prepare_state(
-            mean, cov, noise_var, tables, include_log_det=cfg.search.include_log_det
-        )
+        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
 
         alice_pack = None
-        for col, h_true in enumerate((h_alice, h_eve)):
-            offset = -np.pi + 2.0 * np.pi * u[:, 2 * col]
-            slope = max_slope * (2.0 * u[:, 2 * col + 1] - 1.0)
-            rot = np.exp(1j * offset)[:, None] * tables.ramp(slope).conj()
-            zoff = nz + 2 * col * num_pilots
-            noise = noise_scale * (
-                z[:, zoff : zoff + num_pilots]
-                + 1j * z[:, zoff + num_pilots : zoff + 2 * num_pilots]
-            )
-            obs = rot * (h_true @ tables.c_t) + noise
-
+        for col, link in enumerate((alice, eve)):
+            obs = link.obs
             est_offset, est_slope = _kernels.phase_search(
                 obs, prep, grid, tables, cfg.search
             )
@@ -204,13 +165,12 @@ def run_batch(
 
             cur_abs = np.abs(obs)
             if prev_alice_abs is not None:
-                diff = cur_abs - prev_alice_abs
-                mag[:, k - 1, col] = np.einsum("tq,tq->t", diff, diff) / prev_alice_norm2
+                mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs, prev_alice_abs)
             if col == 0:
                 alice_pack = (rotated_residual, y, cur_abs)
             if collect_phase:
-                phase_true[:, k - 1, col, 0] = offset
-                phase_true[:, k - 1, col, 1] = slope
+                phase_true[:, k - 1, col, 0] = link.offset
+                phase_true[:, k - 1, col, 1] = link.slope
                 phase_est[:, k - 1, col, 0] = est_offset
                 phase_est[:, k - 1, col, 1] = est_slope
 
@@ -223,9 +183,8 @@ def run_batch(
             )
         cov = np.maximum(cov, 0.0)
         prev_alice_abs = cur_abs
-        prev_alice_norm2 = np.einsum("tq,tq->t", cur_abs, cur_abs)
         if collect_mse:
-            err = (mean - h_alice) @ tables.c_t
+            err = (mean - alice.taps) @ tables.c_t
             mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
 
     mag_threshold = None
@@ -290,13 +249,6 @@ def trial_records(
                 )
                 pairs.append((det, record))
     return pairs
-
-
-def run_trial(
-    cfg: ScenarioConfig, trial_seed: int, *, clone_eve: bool = False
-) -> list[DetectionRecord]:
-    """Detection records of one trial (see :func:`trial_records`)."""
-    return [record for _, record in trial_records(cfg, trial_seed, clone_eve=clone_eve)]
 
 
 @dataclass(frozen=True)
@@ -372,11 +324,7 @@ def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
     return SweepResult(
         axis=axis,
         points=points,
-        metadata={
-            "config_hash": config_hash(cfg),
-            "seed": cfg.seed,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        },
+        metadata={"config_hash": config_hash(cfg), "seed": cfg.seed},
     )
 
 

@@ -1,10 +1,12 @@
-"""DFT-domain CSI observations with phase distortion and noise.
+"""Pilot grid of the DFT-domain CSI observations.
 
 A receiver estimating the channel from pilot subcarriers sees
 ``E(offset, slope) @ C @ h + w``: the partial DFT of the impulse response,
 rotated by a per-packet phase error (a common offset from the carrier
 frequency offset plus a ramp across subcarriers from the packet-detection
-delay), plus complex Gaussian noise.
+delay), plus complex Gaussian noise.  This module holds the grid, the
+partial DFT C and the noise level; :func:`csiguard.channel.simulate`
+draws the observations.
 """
 
 from __future__ import annotations
@@ -14,22 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PilotGrid",
-    "PhaseDistortion",
-    "CsiObservation",
-    "partial_dft",
-    "phase_error_matrix",
-    "observe",
-    "draw_phase_distortion",
-    "snr_to_noise_var",
-    "wrap_angle",
-]
-
-
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle into [-pi, pi)."""
-    return float((theta + np.pi) % (2.0 * np.pi) - np.pi)
+__all__ = ["PilotGrid", "partial_dft", "snr_to_noise_var"]
 
 
 @dataclass(frozen=True)
@@ -53,29 +40,6 @@ class PilotGrid:
         return len(self.pilot_indices)
 
 
-@dataclass(frozen=True)
-class PhaseDistortion:
-    """Phase offset (radians) and phase slope (radians per subcarrier index)."""
-
-    offset: float
-    slope: float
-
-    def __post_init__(self) -> None:
-        if not (-np.pi <= self.offset < np.pi):
-            object.__setattr__(self, "offset", wrap_angle(self.offset))
-
-
-@dataclass(frozen=True, eq=False)
-class CsiObservation:
-    """Distorted DFT-domain channel estimate on the pilot grid."""
-
-    values: np.ndarray
-    time_index: int
-
-
-IDENTITY_DISTORTION = PhaseDistortion(0.0, 0.0)
-
-
 @functools.lru_cache(maxsize=16)
 def partial_dft(grid: PilotGrid, num_paths: int) -> np.ndarray:
     """Partial DFT matrix: entry (m, l) = exp(-2j*pi*q_m*l / M).
@@ -89,49 +53,6 @@ def partial_dft(grid: PilotGrid, num_paths: int) -> np.ndarray:
     mat = np.exp(-2j * np.pi * np.outer(q, np.arange(num_paths)) / grid.dft_size)
     mat.setflags(write=False)
     return mat
-
-
-def phase_diagonal(d: PhaseDistortion, grid: PilotGrid) -> np.ndarray:
-    """Diagonal of the phase-error matrix: exp(j*offset) * exp(j*slope*q_m)."""
-    q = np.asarray(grid.pilot_indices, dtype=float)
-    return np.exp(1j * (d.offset + d.slope * q))
-
-
-def phase_error_matrix(d: PhaseDistortion, grid: PilotGrid) -> np.ndarray:
-    """Dense diagonal phase-error matrix (unitary by construction)."""
-    return np.diag(phase_diagonal(d, grid))
-
-
-def observe(
-    h,
-    d: PhaseDistortion,
-    grid: PilotGrid,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> CsiObservation:
-    """Observed CSI: phase-rotated partial DFT of the channel plus noise.
-
-    `noise_var` is the per-pilot variance of the circularly-symmetric
-    complex noise and must be strictly positive.
-    """
-    if noise_var <= 0.0:
-        raise ValueError(f"noise variance must be > 0, got {noise_var!r}")
-    taps = h.taps
-    c = partial_dft(grid, len(taps))
-    clean = phase_diagonal(d, grid) * (c @ taps)
-    scale = np.sqrt(noise_var / 2.0)
-    q = grid.num_pilots
-    noise = scale * (rng.standard_normal(q) + 1j * rng.standard_normal(q))
-    return CsiObservation(values=clean + noise, time_index=h.time_index)
-
-
-def draw_phase_distortion(rng: np.random.Generator, max_slope: float) -> PhaseDistortion:
-    """Random distortion: offset uniform on [-pi, pi), slope uniform on [-max_slope, max_slope]."""
-    if max_slope <= 0.0:
-        raise ValueError(f"max_slope must be > 0, got {max_slope!r}")
-    offset = rng.uniform(-np.pi, np.pi)
-    slope = rng.uniform(-max_slope, max_slope)
-    return PhaseDistortion(offset=offset, slope=slope)
 
 
 def snr_to_noise_var(snr_db: float) -> float:

@@ -3,17 +3,27 @@
 These deliberately avoid the code paths they check: the Bessel oracle is
 the defining power series summed in extended precision, the chi-squared
 oracle integrates the density with composite Gauss-Legendre quadrature,
-the solver oracle is naive Gaussian elimination, and the scalar filter
-oracle is the textbook two-line Kalman recursion.
+the solver oracle is naive Gaussian elimination, the scalar filter
+oracle is the textbook two-line Kalman recursion, and the dense filter
+(:func:`filter_step` and its parts) builds the Q x Q innovation covariance
+and the Kalman gain from the textbook formulas that the batched kernels in
+``csiguard._kernels`` factor through the Woodbury identity (only its phase
+estimate comes from ``_kernels.phase_search``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.optimize import brentq
+
+from csiguard import _kernels
+from csiguard.errors import NumericalError
+from csiguard.numerics import hermitian_solve
+from csiguard.observation import partial_dft
 
 
 def bessel_j0_series(x: float) -> float:
@@ -109,3 +119,151 @@ def scalar_kalman(
         var = (1.0 - gain) * var
         means[i], variances[i] = mean, var
     return means, variances
+
+
+def wrap_angle(theta: float) -> float:
+    """Wrap an angle into [-pi, pi)."""
+    return float((theta + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+@dataclass(frozen=True)
+class PhaseDistortion:
+    """Phase offset (radians) and phase slope (radians per subcarrier index)."""
+
+    offset: float
+    slope: float
+
+    def __post_init__(self) -> None:
+        if not (-np.pi <= self.offset < np.pi):
+            object.__setattr__(self, "offset", wrap_angle(self.offset))
+
+
+def phase_diagonal(d: PhaseDistortion, grid) -> np.ndarray:
+    """Diagonal of the phase-error matrix: exp(j*offset) * exp(j*slope*q_m)."""
+    q = np.asarray(grid.pilot_indices, dtype=float)
+    return np.exp(1j * (d.offset + d.slope * q))
+
+
+PREDICTED = "predicted"
+UPDATED = "updated"
+
+
+@dataclass(frozen=True, eq=False)
+class KalmanState:
+    """Channel mean and diagonal error covariance of one filter, predicted or updated."""
+
+    mean: np.ndarray
+    cov_diag: np.ndarray
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in (PREDICTED, UPDATED):
+            raise ValueError(f"kind must be 'predicted' or 'updated', got {self.kind!r}")
+        if np.any(np.asarray(self.cov_diag) < 0.0):
+            raise ValueError("covariance diagonal entries must be nonnegative")
+
+
+def init_state(profile) -> KalmanState:
+    """Zero mean with the stationary prior covariance."""
+    return KalmanState(
+        mean=np.zeros(profile.num_paths, dtype=np.complex128),
+        cov_diag=profile.pdp.copy(),
+        kind=UPDATED,
+    )
+
+
+def predict(state: KalmanState, profile) -> KalmanState:
+    """AR(1) time update: mean scales by alpha, covariance by alpha^2 plus process noise."""
+    if state.kind != UPDATED:
+        raise ValueError("predict requires an updated state")
+    return KalmanState(
+        mean=profile.alpha * state.mean,
+        cov_diag=profile.alpha**2 * state.cov_diag + profile.process_noise_diag,
+        kind=PREDICTED,
+    )
+
+
+def innovation_covariance(b: np.ndarray, cov_diag: np.ndarray, noise_var: float) -> np.ndarray:
+    """Dense innovation covariance B P B^H + noise_var I."""
+    sigma = (b * cov_diag) @ b.conj().T
+    sigma[np.diag_indices_from(sigma)] += noise_var
+    return sigma
+
+
+def negative_log_likelihood(
+    d: PhaseDistortion, values: np.ndarray, pred: KalmanState, grid, noise_var: float
+) -> float:
+    """Whitened residual energy ``eps^H Sigma^{-1} eps`` of one observation.
+
+    ``eps = values - E C mu`` and ``Sigma = E C P (E C)^H + noise_var I``
+    under the candidate distortion ``d``; the kernels' phase search scores
+    the same quantity through the factored form.
+    """
+    if pred.kind != PREDICTED:
+        raise ValueError("negative_log_likelihood requires a predicted state")
+    if len(values) != grid.num_pilots:
+        raise ValueError("observation length does not match the pilot grid")
+    b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
+    eps = values - b @ pred.mean
+    sigma = innovation_covariance(b, pred.cov_diag, noise_var)
+    return float(np.real(eps.conj() @ hermitian_solve(sigma, eps)))
+
+
+def gain(pred: KalmanState, b: np.ndarray, noise_var: float) -> np.ndarray:
+    """Kalman gain K = P B^H (B P B^H + noise_var I)^{-1}.
+
+    Solved against the innovation covariance rather than inverting it:
+    K = (Sigma^{-1} B P)^H since Sigma and P are Hermitian.
+    """
+    if pred.kind != PREDICTED:
+        raise ValueError("gain requires a predicted state")
+    sigma = innovation_covariance(b, pred.cov_diag, noise_var)
+    return hermitian_solve(sigma, b * pred.cov_diag).conj().T
+
+
+def update(pred: KalmanState, values: np.ndarray, b: np.ndarray, k: np.ndarray) -> KalmanState:
+    """Measurement update; keeps the diagonal of (I - K B) P.
+
+    Mathematically that diagonal is nonnegative; entries below -1e-12 are
+    treated as numerical failure and tiny negatives are clamped to zero.
+    """
+    if pred.kind != PREDICTED:
+        raise ValueError("update requires a predicted state")
+    num_paths = len(pred.mean)
+    mean = pred.mean + k @ (values - b @ pred.mean)
+    cov = np.real(np.diag((np.eye(num_paths) - k @ b) * pred.cov_diag[None, :]))
+    if np.any(cov < -1e-12):
+        raise NumericalError(
+            f"updated covariance went negative: min diagonal {cov.min():.3e}"
+        )
+    return KalmanState(mean=mean, cov_diag=np.maximum(cov, 0.0), kind=UPDATED)
+
+
+def filter_step(
+    state: KalmanState, values: np.ndarray, profile, grid, noise_var: float, cfg
+) -> tuple[KalmanState, PhaseDistortion, np.ndarray, np.ndarray]:
+    """One full filter step on one observation: predict, estimate phases, gain, update.
+
+    The phase pair comes from ``csiguard._kernels.phase_search`` on a
+    one-row batch; with ``cfg=None`` the search is skipped and the
+    identity distortion is assumed (a plain Kalman filter on undistorted
+    observations).
+
+    Returns the updated state, the estimated distortion, the residual
+    ``eps = values - B mean_predicted`` and the dense innovation
+    covariance ``Sigma = B P B^H + noise_var I`` at the estimated
+    distortion.
+    """
+    pred = predict(state, profile)
+    if cfg is None:
+        d = PhaseDistortion(0.0, 0.0)
+    else:
+        tables = _kernels.grid_tables(grid, len(pred.mean))
+        prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
+        offset, slope = _kernels.phase_search(values[None], prep, grid, tables, cfg)
+        d = PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
+    b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
+    residual = values - b @ pred.mean
+    sigma = innovation_covariance(b, pred.cov_diag, noise_var)
+    new_state = update(pred, values, b, gain(pred, b, noise_var))
+    return new_state, d, residual, sigma

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from csiguard.channel import ChannelProfile, init_channel, make_profile, step_channel
+from csiguard import _kernels
+from csiguard.channel import ChannelProfile, make_profile, simulate
+from csiguard.observation import PilotGrid
 
 from oracles import bessel_j0_first_zero, bessel_j0_series
 
@@ -10,6 +14,28 @@ ALPHA_AT_1E4 = 0.9999999013039584
 ALPHA_AT_01 = 0.9037126420924663
 # Doppler where the series oracle gives alpha = 0.9 (bisected to 1e-12).
 DOPPLER_FOR_ALPHA_09 = 0.10195957079712756
+
+
+def simulate_steps(
+    profile, seeds, steps, *, grid=None, noise_var=0.1, max_slope=0.2, clone_eve=False
+):
+    """The first ``steps`` (alice, eve) pairs that simulate yields, one trial per seed."""
+    grid = grid or PilotGrid(max(8, profile.num_paths), (0, 1, 3))
+    tables = _kernels.grid_tables(grid, profile.num_paths)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    links = simulate(profile, tables, noise_var, max_slope, rngs, clone_eve=clone_eve)
+    return list(itertools.islice(links, steps))
+
+
+def alice_taps(profile, seeds, steps):
+    """Alice's taps, shape (steps, trials, L)."""
+    return np.stack([alice.taps for alice, _ in simulate_steps(profile, seeds, steps)])
+
+
+def undistorted(link, grid):
+    """A link's observation with its own phase distortion taken out."""
+    q = np.asarray(grid.pilot_indices, dtype=float)
+    return np.exp(-1j * (link.offset[:, None] + link.slope[:, None] * q)) * link.obs
 
 
 class TestMakeProfile:
@@ -63,59 +89,44 @@ class TestMakeProfile:
 
 class TestInitChannel:
     def test_deterministic_given_seed(self, profile8):
-        a = init_channel(profile8, np.random.default_rng(7)).taps
-        b = init_channel(profile8, np.random.default_rng(7)).taps
+        a = alice_taps(profile8, [7], 1)
+        b = alice_taps(profile8, [7], 1)
         assert np.array_equal(a, b)
 
     def test_stationary_moments(self):
-        p = make_profile(1, 0.0, 0.0)
-        rng = np.random.default_rng(5)
-        taps = np.array([init_channel(p, rng).taps[0] for _ in range(100_000)])
+        # A static channel (alpha = 1, no process noise) keeps its stationary
+        # start, and 50 equal-power taps over 2000 trials give 10^5 draws.
+        p = make_profile(50, 0.0, 0.0)
+        taps = np.sqrt(50) * alice_taps(p, range(2000), 1).ravel()
         assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, abs=0.02)
         # Circular symmetry: each real dimension carries half the power.
         assert np.var(taps.real) == pytest.approx(0.5, abs=0.02)
         assert np.var(taps.imag) == pytest.approx(0.5, abs=0.02)
 
-    def test_time_index_zero(self, profile8, rng):
-        assert init_channel(profile8, rng).time_index == 0
-
 
 class TestStepChannel:
-    def test_frozen_when_static(self, rng):
+    def test_frozen_when_static(self):
         p = make_profile(3, 0.0, 0.5)
-        h0 = init_channel(p, rng)
-        h1 = step_channel(h0, p, rng)
-        assert np.array_equal(h1.taps, h0.taps)
-        assert h1.time_index == 1
+        taps = alice_taps(p, [1, 2], 4)
+        assert np.all(taps == taps[:1])
 
-    def test_alpha_zero_gives_fresh_draw(self, rng):
-        # J0's first zero makes the AR coefficient vanish: the next step is
-        # an independent stationary draw.
+    def test_alpha_zero_gives_fresh_draw(self):
+        # J0's first zero makes the AR coefficient vanish: each step is an
+        # independent stationary draw.
         doppler = bessel_j0_first_zero() / (2 * np.pi)
         p = make_profile(1, doppler, 0.0)
         assert abs(p.alpha) < 1e-12
-        h0 = init_channel(p, rng)
-        draws = np.array([step_channel(h0, p, rng).taps[0] for _ in range(20_000)])
-        corr = np.mean(draws * np.conj(h0.taps[0]))
+        taps = alice_taps(p, range(100), 201)[:, :, 0]
+        corr = np.mean(taps[1:] * np.conj(taps[:-1]))
         assert abs(corr) < 0.05
-        assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.03)
-
-    def test_length_mismatch(self, profile8, rng):
-        h = init_channel(make_profile(4, 1e-4, 0.5), rng)
-        with pytest.raises(ValueError):
-            step_channel(h, profile8, rng)
+        assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, abs=0.03)
 
 
 @pytest.fixture(scope="module")
 def trajectory():
+    # 100 trials x 1000 steps: time runs along axis 0.
     p = make_profile(1, DOPPLER_FOR_ALPHA_09, 0.0)
-    rng = np.random.default_rng(42)
-    h = init_channel(p, rng)
-    samples = np.empty(100_000, dtype=np.complex128)
-    for i in range(samples.size):
-        h = step_channel(h, p, rng)
-        samples[i] = h.taps[0]
-    return p, samples
+    return p, alice_taps(p, range(100), 1000)[:, :, 0]
 
 
 class TestTrajectoryStatistics:
@@ -126,8 +137,11 @@ class TestTrajectoryStatistics:
 
     @pytest.mark.parametrize("lag", [1, 2, 5])
     def test_autocorrelation_decay(self, trajectory, lag):
+        # Normalized by the sample power, whose own spread (see
+        # test_stationary_variance) would otherwise dominate the tolerance.
         p, samples = trajectory
-        corr = np.mean(samples[lag:] * np.conj(samples[:-lag])).real
+        power = np.mean(np.abs(samples) ** 2)
+        corr = np.mean(samples[lag:] * np.conj(samples[:-lag])).real / power
         expected = bessel_j0_series(2 * np.pi * p.normalized_doppler) ** lag
         tol = 0.01 if lag == 1 else 0.02
         assert corr == pytest.approx(expected, abs=tol)
@@ -136,12 +150,57 @@ class TestTrajectoryStatistics:
         # Ensemble average: at fd*Ts = 1e-4 a single trajectory stays frozen
         # for far longer than any affordable horizon, so stationary power is
         # checked across independent channels at each step.
-        rng = np.random.default_rng(11)
-        for k in range(3):
-            power = np.empty(3000)
-            for i in range(power.size):
-                h = init_channel(profile8, rng)
-                for _ in range(k):
-                    h = step_channel(h, profile8, rng)
-                power[i] = np.sum(np.abs(h.taps) ** 2)
-            assert power.mean() == pytest.approx(1.0, rel=0.03)
+        taps = alice_taps(profile8, range(3000), 3)
+        power = np.sum(np.abs(taps) ** 2, axis=2).mean(axis=1)
+        assert power == pytest.approx(np.ones(3), rel=0.03)
+
+
+class TestSimulate:
+    """simulate consumes each trial's generator in its documented order."""
+
+    def test_draw_order_matches_raw_draws(self):
+        p = make_profile(3, 0.05, 0.5)
+        grid = PilotGrid(16, (1, 2, 5, 9))
+        noise_var, max_slope = 0.3, 0.2
+        seeds = [11, 12]
+        steps = simulate_steps(p, seeds, 3, grid=grid, noise_var=noise_var, max_slope=max_slope)
+        num_paths, num_pilots = 3, 4
+        c = np.exp(-2j * np.pi * np.outer(grid.pilot_indices, np.arange(num_paths)) / 16)
+        q = np.asarray(grid.pilot_indices, dtype=float)
+        for t, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            init = rng.standard_normal(4 * num_paths).reshape(4, num_paths)
+            h = np.sqrt(p.pdp / 2) * (init[0::2] + 1j * init[1::2])  # rows alice, eve
+            for alice, eve in steps:
+                z = rng.standard_normal(4 * num_paths + 4 * num_pilots)
+                u = rng.uniform(size=4)
+                innov = z[: 4 * num_paths].reshape(4, num_paths)
+                noise = z[4 * num_paths :].reshape(4, num_pilots)
+                h = p.alpha * h + np.sqrt(p.process_noise_diag / 2) * (
+                    innov[0::2] + 1j * innov[1::2]
+                )
+                for col, link in enumerate((alice, eve)):
+                    offset = -np.pi + 2 * np.pi * u[2 * col]
+                    slope = max_slope * (2 * u[2 * col + 1] - 1)
+                    w = np.sqrt(noise_var / 2) * (noise[2 * col] + 1j * noise[2 * col + 1])
+                    obs = np.exp(1j * (offset + slope * q)) * (c @ h[col]) + w
+                    assert np.array_equal(link.taps[t], h[col])
+                    assert (link.offset[t], link.slope[t]) == (offset, slope)
+                    assert np.allclose(link.obs[t], obs, rtol=0, atol=1e-12)
+
+    def test_clone_eve_keeps_eve_draws(self):
+        p = make_profile(3, 0.05, 0.5)
+        grid = PilotGrid(16, (1, 2, 5, 9))
+        tables = _kernels.grid_tables(grid, 3)
+        base = simulate_steps(p, [5, 6], 3, grid=grid)
+        cloned = simulate_steps(p, [5, 6], 3, grid=grid, clone_eve=True)
+        for (alice, eve), (alice_c, eve_c) in zip(base, cloned):
+            assert np.array_equal(alice_c.taps, alice.taps)
+            assert np.array_equal(alice_c.obs, alice.obs)
+            assert np.array_equal(eve_c.taps, alice.taps)
+            assert np.array_equal(eve_c.offset, eve.offset)
+            assert np.array_equal(eve_c.slope, eve.slope)
+            # Same noise: the observations differ by the rotated channel change.
+            rot = np.exp(1j * eve.offset)[:, None] * tables.ramp(eve.slope).conj()
+            moved = rot * ((alice.taps - eve.taps) @ tables.c_t)
+            assert np.allclose(eve_c.obs - eve.obs, moved, rtol=0, atol=1e-12)

@@ -147,6 +147,28 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--snr-db", "nan"],
+            ["simulate", "--snr-db", "inf"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--trial-index", "-1"],
+            ["simulate", "--set", "channel.num_paths=0"],
+            ["simulate", "--set", "channel.num_paths=200"],
+            ["simulate", "--set", "channel.pdp_decay=-1"],
+            ["simulate", "--doppler", "0.6"],
+            ["roc", "--num-points", "1"],
+        ],
+    )
+    def test_value_that_breaks_a_run_is_refused(self, config_file, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert cli_main([*args, "--config", config_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 4
 

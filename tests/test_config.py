@@ -4,6 +4,7 @@ import pytest
 from csiguard.config import (
     ChannelConfig,
     GridConfig,
+    PhaseSearchConfig,
     ScenarioConfig,
     config_from_mapping,
     config_hash,
@@ -12,7 +13,6 @@ from csiguard.config import (
     resolve_pilot_spec,
 )
 from csiguard.errors import ConfigError
-from csiguard.estimator import PhaseSearchConfig
 
 
 class TestPilotSpecs:
@@ -55,8 +55,23 @@ class TestScenarioConfig:
             ScenarioConfig(nominal_false_alarm=0.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(detectors=("sonar",))
-        with pytest.raises(ConfigError):
-            ChannelConfig(model="sum-of-sinusoids")
+        for snr_db in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match="snr_db"):
+                ScenarioConfig(snr_db=snr_db)
+        with pytest.raises(ConfigError, match="seed"):
+            ScenarioConfig(seed=-1)
+        for max_slope in (float("nan"), -0.1):
+            with pytest.raises(ConfigError, match="phase.max_slope"):
+                ScenarioConfig(max_slope=max_slope)
+        with pytest.raises(ConfigError, match="search.slope_bound"):
+            PhaseSearchConfig(slope_search_bound=float("nan"))
+        # The channel profile and the partial DFT are built at construction.
+        for channel in (ChannelConfig(num_paths=0), ChannelConfig(num_paths=200),
+                        ChannelConfig(pdp_decay=-1.0), ChannelConfig(pdp_decay=float("nan"))):
+            with pytest.raises(ConfigError, match="channel.num_paths"):
+                ScenarioConfig(channel=channel)
+        with pytest.raises(ConfigError, match="doppler"):
+            ScenarioConfig(normalized_doppler=0.6)
 
     @pytest.mark.parametrize("spec", ["first:1", "5"])
     def test_single_pilot_rejected(self, spec):
@@ -134,7 +149,14 @@ class TestParsing:
             config_from_mapping({"grid.pilots": "3"})
 
     @pytest.mark.parametrize(
-        "key", ["search.offset_points", "search.refine_iters", "search.refine_tol"]
+        "key",
+        [
+            "search.offset_points",
+            "search.refine_iters",
+            "search.refine_tol",
+            "search.include_log_det",
+            "channel.model",
+        ],
     )
     def test_removed_key_says_removed(self, key):
         with pytest.raises(ConfigError, match=f"{key}' was removed"):

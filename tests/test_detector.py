@@ -10,7 +10,6 @@ from csiguard.detector import (
 )
 from csiguard.detector import test_statistic as residual_statistic
 from csiguard.errors import CalibrationError, SingularMatrixError
-from csiguard.observation import CsiObservation
 
 from oracles import chi2_quantile_quadrature
 
@@ -101,7 +100,8 @@ class TestFalseAlarmCalibration:
 
 class TestMagnitudeDiff:
     def _obs(self, values):
-        return CsiObservation(values=np.asarray(values, dtype=complex), time_index=0)
+        """|observation| as a one-row batch."""
+        return np.abs(np.asarray(values, dtype=complex))[None, :]
 
     def test_identical_is_zero(self):
         obs = self._obs([1 + 1j, 2 - 1j, 0.5j])

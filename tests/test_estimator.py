@@ -3,41 +3,42 @@ import pytest
 
 from csiguard import _kernels
 from csiguard.acceptance import PHASE_RECOVERY_TOLERANCE
-from csiguard.channel import init_channel, make_profile, step_channel
+from csiguard.channel import make_profile
+from csiguard.config import PhaseSearchConfig
 from csiguard.errors import NumericalError
-from csiguard.estimator import (
+from csiguard.observation import partial_dft
+
+from oracles import (
     KalmanState,
-    PhaseSearchConfig,
-    estimate_phase,
+    PhaseDistortion,
     filter_step,
     gain,
     init_state,
     negative_log_likelihood,
+    phase_diagonal,
     predict,
     update,
 )
-from csiguard.observation import (
-    CsiObservation,
-    PhaseDistortion,
-    observe,
-    partial_dft,
-    phase_diagonal,
-)
-
-from test_channel import DOPPLER_FOR_ALPHA_09
+from test_channel import DOPPLER_FOR_ALPHA_09, simulate_steps, undistorted
 
 
 def _random_predicted(rng, grid, num_paths, cov_scale=0.3):
     mean = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / 2
     cov = cov_scale * np.abs(rng.standard_normal(num_paths)) + 1e-3
-    return KalmanState(mean=mean, cov_diag=cov, kind="predicted", time_index=1)
+    return KalmanState(mean=mean, cov_diag=cov, kind="predicted")
 
 
 def _random_obs(rng, grid):
     q = grid.num_pilots
-    return CsiObservation(
-        values=rng.standard_normal(q) + 1j * rng.standard_normal(q), time_index=1
-    )
+    return rng.standard_normal(q) + 1j * rng.standard_normal(q)
+
+
+def _estimate(obs, pred, grid, noise_var, cfg):
+    """Phase pair of one observation: phase_search on a one-row batch."""
+    tables = _kernels.grid_tables(grid, len(pred.mean))
+    prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
+    offset, slope = _kernels.phase_search(obs[None], prep, grid, tables, cfg)
+    return PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
 
 
 class TestInitAndPredict:
@@ -45,12 +46,11 @@ class TestInitAndPredict:
         s = init_state(profile8)
         assert np.all(s.mean == 0)
         assert s.cov_diag.sum() == pytest.approx(1.0, abs=1e-12)
-        assert s.kind == "updated" and s.time_index == 0
+        assert s.kind == "updated"
 
     def test_first_prediction_is_stationary(self, profile8):
         pred = predict(init_state(profile8), profile8)
         assert np.allclose(pred.cov_diag, profile8.pdp, atol=1e-15)
-        assert pred.time_index == 1
 
     def test_static_channel_prediction(self):
         p = make_profile(2, 0.0, 0.3)
@@ -58,7 +58,6 @@ class TestInitAndPredict:
             mean=np.array([1 + 1j, 2 - 1j]),
             cov_diag=np.array([0.4, 0.6]),
             kind="updated",
-            time_index=3,
         )
         pred = predict(s, p)
         assert np.array_equal(pred.mean, s.mean)
@@ -67,9 +66,7 @@ class TestInitAndPredict:
     def test_scalar_prediction_arithmetic(self):
         # alpha = 0.9: predicted variance 0.81 * 1 + 0.19 = 1 (stationarity).
         p = make_profile(1, DOPPLER_FOR_ALPHA_09, 0.0)
-        s = KalmanState(
-            mean=np.array([1 + 0j]), cov_diag=np.array([1.0]), kind="updated", time_index=0
-        )
+        s = KalmanState(mean=np.array([1 + 0j]), cov_diag=np.array([1.0]), kind="updated")
         pred = predict(s, p)
         assert pred.cov_diag[0] == pytest.approx(1.0, abs=1e-9)
         assert pred.mean[0] == pytest.approx(p.alpha * (1 + 0j))
@@ -81,24 +78,19 @@ class TestInitAndPredict:
 
 
 class TestNegativeLogLikelihood:
-    def test_zero_at_truth(self, small_grid, rng):
+    def test_zero_at_truth(self, small_grid):
         profile = make_profile(4, 1e-4, 0.5)
-        h = init_channel(profile, rng)
-        d = PhaseDistortion(0.7, 0.05)
-        obs = observe(h, d, small_grid, 1e-30, rng)
-        pred = KalmanState(
-            mean=h.taps.copy(), cov_diag=0.1 * profile.pdp, kind="predicted", time_index=0
-        )
-        assert negative_log_likelihood(d, obs, pred, small_grid, 0.01) < 1e-18
+        [(link, _)] = simulate_steps(profile, [4], 1, grid=small_grid, noise_var=1e-30)
+        d = PhaseDistortion(float(link.offset[0]), float(link.slope[0]))
+        pred = KalmanState(mean=link.taps[0], cov_diag=0.1 * profile.pdp, kind="predicted")
+        assert negative_log_likelihood(d, link.obs[0], pred, small_grid, 0.01) < 1e-18
 
     def test_scaling_invariance(self, small_grid, rng):
         pred = _random_predicted(rng, small_grid, 4)
         obs = _random_obs(rng, small_grid)
         d = PhaseDistortion(0.3, -0.02)
         g1 = negative_log_likelihood(d, obs, pred, small_grid, 0.2)
-        scaled = KalmanState(
-            mean=pred.mean, cov_diag=3.0 * pred.cov_diag, kind="predicted", time_index=1
-        )
+        scaled = KalmanState(mean=pred.mean, cov_diag=3.0 * pred.cov_diag, kind="predicted")
         g2 = negative_log_likelihood(d, obs, scaled, small_grid, 0.6)
         assert g2 == pytest.approx(g1 / 3.0, rel=1e-9)
 
@@ -108,7 +100,7 @@ class TestNegativeLogLikelihood:
         d = PhaseDistortion(-1.2, 0.11)
         b = phase_diagonal(d, small_grid)[:, None] * partial_dft(small_grid, 4)
         sigma = (b * pred.cov_diag) @ b.conj().T + 0.15 * np.eye(small_grid.num_pilots)
-        eps = obs.values - b @ pred.mean
+        eps = obs - b @ pred.mean
         expected = np.real(eps.conj() @ np.linalg.solve(sigma, eps))
         assert negative_log_likelihood(d, obs, pred, small_grid, 0.15) == pytest.approx(
             expected, rel=1e-10
@@ -136,9 +128,9 @@ class TestProfiledObjectiveAgainstDense:
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
         for slope in (-0.15, 0.0, 0.07):
             ramp = tables.ramp(np.array([slope]))
-            zvec = obs.values[None] * prep.w.conj()
-            w1 = tables.c_conj[None] * obs.values[None][:, :, None]
-            base = np.array([np.vdot(obs.values, obs.values).real / s2])
+            zvec = obs[None] * prep.w.conj()
+            w1 = tables.c_conj[None] * obs[None][:, :, None]
+            base = np.array([np.vdot(obs, obs).real / s2])
             f, zc = _kernels._candidate_objective(ramp, w1, zvec, prep, base, prep.m_quad)
             offset = float(np.angle(zc[0]))
             dense = negative_log_likelihood(
@@ -166,22 +158,19 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8):
     """
     profile = make_profile(num_paths, 1e-4, 0.5)
     tables = _kernels.grid_tables(grid, num_paths)
-
-    def cgauss(shape, var):
-        return np.sqrt(var / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-    h = cgauss((trials, num_paths), profile.pdp)
+    s2 = 10.0 ** (-snr_db / 10.0)
+    bound = PhaseSearchConfig().slope_search_bound
+    seeds = rng.integers(2**63, size=trials)
+    [(link, _)] = simulate_steps(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
+    h = link.taps
     if zero_mean:
         mean, cov = np.zeros_like(h), np.tile(profile.pdp, (trials, 1))
     else:
-        mean, cov = h + cgauss(h.shape, 0.02 * profile.pdp), np.tile(0.02 * profile.pdp, (trials, 1))
-    s2 = 10.0 ** (-snr_db / 10.0)
-    bound = PhaseSearchConfig().slope_search_bound
-    offset = rng.uniform(-np.pi, np.pi, trials)
-    slope = rng.uniform(-bound, bound, trials)
-    rot = np.exp(1j * (offset[:, None] + slope[:, None] * tables.q))
-    obs = rot * (h @ tables.c_t) + cgauss((trials, grid.num_pilots), s2)
-    return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
+        error = np.sqrt(0.01 * profile.pdp) * (
+            rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+        )
+        mean, cov = h + error, np.tile(0.02 * profile.pdp, (trials, 1))
+    return link.obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
 def _profiled_objective(obs, prep, tables, cfg):
@@ -235,30 +224,23 @@ class TestNewtonStage:
 
 
 class TestEstimatePhase:
-    def test_identity_distortion_recovered(self, small_grid, rng):
+    def test_identity_distortion_recovered(self, small_grid):
         profile = make_profile(4, 1e-4, 0.5)
-        h = init_channel(profile, rng)
-        obs = observe(h, PhaseDistortion(0.0, 0.0), small_grid, 1e-12, rng)
-        pred = KalmanState(
-            mean=h.taps.copy(), cov_diag=1e-6 * profile.pdp, kind="predicted", time_index=0
-        )
+        [(link, _)] = simulate_steps(profile, [5], 1, grid=small_grid, noise_var=1e-12)
+        pred = KalmanState(mean=link.taps[0], cov_diag=1e-6 * profile.pdp, kind="predicted")
         cfg = PhaseSearchConfig(slope_search_bound=0.3)
-        d = estimate_phase(obs, pred, small_grid, 1e-12, cfg)
+        d = _estimate(undistorted(link, small_grid)[0], pred, small_grid, 1e-12, cfg)
         assert abs(d.offset) < PHASE_RECOVERY_TOLERANCE
         assert abs(d.slope) < PHASE_RECOVERY_TOLERANCE
 
-    def test_recovers_generating_pair(self, grid114, rng):
+    def test_recovers_generating_pair(self, grid114):
         profile = make_profile(8, 1e-4, 0.5)
-        h = init_channel(profile, rng)
-        true = PhaseDistortion(0.7, 0.05)
-        obs = observe(h, true, grid114, 1e-12, rng)
-        pred = KalmanState(
-            mean=h.taps.copy(), cov_diag=1e-8 * profile.pdp, kind="predicted", time_index=0
-        )
+        [(link, _)] = simulate_steps(profile, [6], 1, grid=grid114, noise_var=1e-12, max_slope=0.1)
+        pred = KalmanState(mean=link.taps[0], cov_diag=1e-8 * profile.pdp, kind="predicted")
         cfg = PhaseSearchConfig()
-        d = estimate_phase(obs, pred, grid114, 1e-12, cfg)
-        assert d.slope == pytest.approx(true.slope, abs=PHASE_RECOVERY_TOLERANCE)
-        assert d.offset == pytest.approx(true.offset, abs=PHASE_RECOVERY_TOLERANCE)
+        d = _estimate(link.obs[0], pred, grid114, 1e-12, cfg)
+        assert d.slope == pytest.approx(link.slope[0], abs=PHASE_RECOVERY_TOLERANCE)
+        assert d.offset == pytest.approx(link.offset[0], abs=PHASE_RECOVERY_TOLERANCE)
 
     def test_never_worse_than_grid_oracle(self, small_grid, rng):
         # The refined estimate must score at least as well as a brute-force
@@ -269,7 +251,7 @@ class TestEstimatePhase:
             pred = _random_predicted(rng, small_grid, 4, cov_scale=0.05)
             obs = _random_obs(rng, small_grid)
             s2 = 0.5
-            d = estimate_phase(obs, pred, small_grid, s2, cfg)
+            d = _estimate(obs, pred, small_grid, s2, cfg)
             best = negative_log_likelihood(d, obs, pred, small_grid, s2)
             slopes = np.linspace(-0.2, 0.2, 81)
             offsets = np.linspace(-np.pi, np.pi, 181, endpoint=False)
@@ -284,28 +266,17 @@ class TestEstimatePhase:
         pred = _random_predicted(rng, small_grid, 4)
         obs = _random_obs(rng, small_grid)
         cfg = PhaseSearchConfig(slope_search_bound=0.2)
-        d1 = estimate_phase(obs, pred, small_grid, 0.3, cfg)
+        d1 = _estimate(obs, pred, small_grid, 0.3, cfg)
         c = 2.5
         scaled_pred = KalmanState(
             mean=c * pred.mean,
             cov_diag=c**2 * pred.cov_diag,
             kind="predicted",
-            time_index=1,
         )
-        scaled_obs = CsiObservation(values=c * obs.values, time_index=1)
-        d2 = estimate_phase(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, cfg)
+        scaled_obs = c * obs
+        d2 = _estimate(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, cfg)
         assert d2.slope == pytest.approx(d1.slope, abs=1e-7)
         assert d2.offset == pytest.approx(d1.offset, abs=1e-7)
-
-    def test_log_det_flag_does_not_move_argmin(self, small_grid, rng):
-        pred = _random_predicted(rng, small_grid, 4)
-        obs = _random_obs(rng, small_grid)
-        base = PhaseSearchConfig(slope_search_bound=0.2)
-        with_det = PhaseSearchConfig(slope_search_bound=0.2, include_log_det=True)
-        d1 = estimate_phase(obs, pred, small_grid, 0.3, base)
-        d2 = estimate_phase(obs, pred, small_grid, 0.3, with_det)
-        assert d2.slope == pytest.approx(d1.slope, abs=1e-6)
-        assert d2.offset == pytest.approx(d1.offset, abs=1e-6)
 
     def test_paper_literal_objective(self, small_grid, rng):
         # The literal variant drops the whitening from the cross term; its
@@ -314,15 +285,15 @@ class TestEstimatePhase:
         obs = _random_obs(rng, small_grid)
         s2 = 0.4
         cfg = PhaseSearchConfig(slope_search_bound=0.2, objective="paper-literal")
-        d = estimate_phase(obs, pred, small_grid, s2, cfg)
+        d = _estimate(obs, pred, small_grid, s2, cfg)
         c = partial_dft(small_grid, 4)
 
         def literal(offset, slope):
             b = phase_diagonal(PhaseDistortion(offset, slope), small_grid)[:, None] * c
             sigma = (b * pred.cov_diag) @ b.conj().T + s2 * np.eye(small_grid.num_pilots)
             term = np.real(
-                obs.values.conj() @ np.linalg.solve(sigma, obs.values)
-            ) - 2 * np.real(obs.values.conj() @ (b @ pred.mean))
+                obs.conj() @ np.linalg.solve(sigma, obs)
+            ) - 2 * np.real(obs.conj() @ (b @ pred.mean))
             return term
 
         best = literal(d.offset, d.slope)
@@ -337,7 +308,6 @@ class TestGainUpdate:
             mean=np.zeros(4, dtype=complex),
             cov_diag=np.zeros(4),
             kind="predicted",
-            time_index=1,
         )
         b = partial_dft(small_grid, 4)
         k = gain(pred, np.asarray(b), 0.5)
@@ -350,20 +320,15 @@ class TestGainUpdate:
         assert np.linalg.norm(k) < 1e-9
 
     def test_scalar_gain(self):
-        pred = KalmanState(
-            mean=np.array([0j]), cov_diag=np.array([1.0]), kind="predicted", time_index=1
-        )
+        pred = KalmanState(mean=np.array([0j]), cov_diag=np.array([1.0]), kind="predicted")
         k = gain(pred, np.array([[1.0 + 0j]]), 1.0)
         assert k[0, 0] == pytest.approx(0.5)
 
     def test_scalar_update(self):
-        pred = KalmanState(
-            mean=np.array([0j]), cov_diag=np.array([1.0]), kind="predicted", time_index=1
-        )
+        pred = KalmanState(mean=np.array([0j]), cov_diag=np.array([1.0]), kind="predicted")
         b = np.array([[1.0 + 0j]])
         k = gain(pred, b, 1.0)
-        obs = CsiObservation(values=np.array([1.0 + 0j]), time_index=1)
-        new = update(pred, obs, b, k)
+        new = update(pred, np.array([1.0 + 0j]), b, k)
         assert new.cov_diag[0] == pytest.approx(0.5)
         assert new.mean[0] == pytest.approx(0.5 + 0j)
         assert new.kind == "updated"
@@ -395,7 +360,7 @@ class TestGainUpdate:
 
 
 class TestFilterStep:
-    def test_noiseless_convergence_up_to_gauge(self, grid114, rng):
+    def test_noiseless_convergence_up_to_gauge(self, grid114):
         # With a fresh random offset on every packet, the pair (offset,
         # channel) is only identified up to a global rotation, so the state
         # converges to e^{j theta} h for some fixed theta: compare after
@@ -403,76 +368,61 @@ class TestFilterStep:
         profile = make_profile(8, 1e-4, 0.5)
         noise_var = 1e-14
         cfg = PhaseSearchConfig()
-        h = init_channel(profile, rng)
         state = init_state(profile)
-        for _ in range(100):
-            h = step_channel(h, profile, rng)
-            d_true = PhaseDistortion(rng.uniform(-np.pi, np.pi), rng.uniform(-0.1, 0.1))
-            obs = observe(h, d_true, grid114, noise_var, rng)
+        steps = simulate_steps(profile, [7], 100, grid=grid114, noise_var=noise_var, max_slope=0.1)
+        for alice, _ in steps:
             state, d_est, residual, sigma = filter_step(
-                state, obs, profile, grid114, noise_var, cfg
+                state, alice.obs[0], profile, grid114, noise_var, cfg
             )
-        inner = np.vdot(state.mean, h.taps)
+        h = alice.taps[0]
+        inner = np.vdot(state.mean, h)
         aligned = np.exp(1j * np.angle(inner)) * state.mean
-        assert np.linalg.norm(aligned - h.taps) < 1e-6
+        assert np.linalg.norm(aligned - h) < 1e-6
 
-    def test_noiseless_convergence_plain_filter(self, grid114, rng):
+    def test_noiseless_convergence_plain_filter(self, grid114):
         # With phase estimation disabled (undistorted observations) there is
         # no rotational freedom and the raw error reaches the noise floor.
         profile = make_profile(8, 1e-4, 0.5)
         noise_var = 1e-14
-        h = init_channel(profile, rng)
         state = init_state(profile)
-        for _ in range(100):
-            h = step_channel(h, profile, rng)
-            obs = observe(h, PhaseDistortion(0.0, 0.0), grid114, noise_var, rng)
+        for alice, _ in simulate_steps(profile, [8], 100, grid=grid114, noise_var=noise_var):
+            obs = undistorted(alice, grid114)[0]
             state, *_ = filter_step(state, obs, profile, grid114, noise_var, None)
-        assert np.linalg.norm(state.mean - h.taps) < 1e-6
+        assert np.linalg.norm(state.mean - alice.taps[0]) < 1e-6
 
     def test_deterministic_system_covariance_shrinks(self, small_grid):
         profile = make_profile(4, 0.0, 0.5)
-        rng = np.random.default_rng(2)
-        h = init_channel(profile, rng)
         state = init_state(profile)
         prev = state.cov_diag.copy()
-        for k in range(10):
-            obs = observe(h, PhaseDistortion(0.0, 0.0), small_grid, 1e-12, rng)
-            obs = CsiObservation(values=obs.values, time_index=k + 1)
+        for alice, _ in simulate_steps(profile, [2], 10, grid=small_grid, noise_var=1e-12):
+            obs = undistorted(alice, small_grid)[0]
             state, *_ = filter_step(state, obs, profile, small_grid, 1e-12, None)
             assert np.all(state.cov_diag <= prev + 1e-15)
             prev = state.cov_diag.copy()
         assert np.all(state.cov_diag < 1e-10)
 
-    def test_returned_sigma_and_residual_shapes(self, grid114, rng):
+    def test_returned_sigma_and_residual_shapes(self, grid114):
         profile = make_profile(8, 1e-4, 0.5)
-        h = step_channel(init_channel(profile, rng), profile, rng)
-        obs = observe(h, PhaseDistortion(0.2, 0.01), grid114, 0.1, rng)
+        [(alice, _)] = simulate_steps(profile, [9], 1, grid=grid114, noise_var=0.1)
         state, d, residual, sigma = filter_step(
-            init_state(profile), obs, profile, grid114, 0.1, PhaseSearchConfig()
+            init_state(profile), alice.obs[0], profile, grid114, 0.1, PhaseSearchConfig()
         )
         q = grid114.num_pilots
         assert residual.shape == (q,)
         assert sigma.shape == (q, q)
         assert np.allclose(sigma, sigma.conj().T, atol=1e-12)
-        assert state.kind == "updated" and state.time_index == 1
+        assert state.kind == "updated"
 
-    def test_time_index_mismatch(self, grid114, profile8, rng):
-        obs = CsiObservation(values=np.zeros(114, dtype=complex), time_index=5)
-        with pytest.raises(ValueError):
-            filter_step(init_state(profile8), obs, profile8, grid114, 0.1, None)
-
-    def test_covariance_bounded_by_stationary_prior(self, grid114, rng):
+    def test_covariance_bounded_by_stationary_prior(self, grid114):
         # Under model-matched filtering the stationary profile is the prior,
         # so the diagonal covariance can never exceed it.
         profile = make_profile(8, 1e-4, 0.5)
         noise_var = 0.1
         cfg = PhaseSearchConfig()
-        h = init_channel(profile, rng)
         state = init_state(profile)
-        for _ in range(150):
-            h = step_channel(h, profile, rng)
-            d = PhaseDistortion(rng.uniform(-np.pi, np.pi), rng.uniform(-0.19, 0.19))
-            obs = observe(h, d, grid114, noise_var, rng)
-            state, *_ = filter_step(state, obs, profile, grid114, noise_var, cfg)
+        steps = simulate_steps(profile, [10], 150, grid=grid114, noise_var=noise_var,
+                               max_slope=0.19)
+        for alice, _ in steps:
+            state, *_ = filter_step(state, alice.obs[0], profile, grid114, noise_var, cfg)
             assert np.all(state.cov_diag >= 0.0)
             assert np.all(state.cov_diag <= profile.pdp * (1 + 1e-9))

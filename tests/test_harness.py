@@ -1,16 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csiguard.config import ChannelConfig, GridConfig, ScenarioConfig
+from csiguard import _kernels
+from csiguard.channel import simulate
+from csiguard.config import ChannelConfig, GridConfig, PhaseSearchConfig, ScenarioConfig
 from csiguard.detector import test_statistic as residual_statistic
 from csiguard.detector import threshold
-from csiguard.estimator import (
-    PhaseSearchConfig,
-    estimate_phase,
-    filter_step,
-    init_state,
-    predict,
-)
 from csiguard.harness import (
     RocResult,
     SweepResult,
@@ -21,13 +20,14 @@ from csiguard.harness import (
     roc_curve,
     roc_points,
     run_batch,
-    run_trial,
     sweep,
     trial_records,
     write_csv,
 )
 from csiguard.numerics import chi2_quantile
-from csiguard.observation import CsiObservation, partial_dft, phase_diagonal
+from csiguard.observation import snr_to_noise_var
+
+from oracles import filter_step, init_state
 
 # Small, fast scenario used by most harness tests.
 FAST = ScenarioConfig(
@@ -53,7 +53,7 @@ class TestSeeds:
 @pytest.fixture(scope="module")
 def paper_scale_records():
     cfg = ScenarioConfig(num_steps=2000, num_trials=1)
-    return cfg, run_trial(cfg, derive_trial_seed(cfg.seed, 0))
+    return cfg, [record for _, record in trial_records(cfg, derive_trial_seed(cfg.seed, 0))]
 
 
 class TestRunTrial:
@@ -78,9 +78,9 @@ class TestRunTrial:
 
     def test_bit_identical_reruns(self):
         seed = derive_trial_seed(FAST.seed, 0)
-        a = run_trial(FAST, seed)
-        b = run_trial(FAST, seed)
-        assert [r.statistic for r in a] == [r.statistic for r in b]
+        a = trial_records(FAST, seed)
+        b = trial_records(FAST, seed)
+        assert [r.statistic for _, r in a] == [r.statistic for _, r in b]
 
     def test_magnitude_detector_records(self):
         cfg = ScenarioConfig(
@@ -142,10 +142,37 @@ class TestProtocol:
         )
 
 
+@st.composite
+def _corner_configs(draw):
+    num_paths = draw(st.integers(2, 8))
+    return ScenarioConfig(
+        snr_db=draw(st.floats(-20.0, 60.0)),
+        normalized_doppler=draw(st.floats(0.0, 0.3)),
+        num_steps=30,
+        num_trials=2,
+        channel=ChannelConfig(num_paths=num_paths, pdp_decay=draw(st.floats(0.0, 50.0))),
+        grid=GridConfig(dft_size=32, pilot_spec=f"first:{draw(st.integers(2, num_paths))}"),
+        search=FAST.search,
+    )
+
+
+class TestConfigSpace:
+    @given(_corner_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_runs_cleanly(self, cfg):
+        # Q <= L pilots leave the channel underdetermined per packet; the
+        # filter must still produce finite, nonnegative statistics.
+        seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_batch(cfg, seeds, collect_mse=True)
+        assert np.all(np.isfinite(batch.lam)) and np.all(batch.lam >= 0.0)
+        assert np.all(np.isfinite(batch.mse))
+
+
 class TestRunnerAgainstPublicOps:
-    """Replay the runner's documented draw order to rebuild its exact
-    observations, then drive the single-instance operations (dense
-    reference path) and compare statistics and decisions."""
+    """Drive the dense reference filter (tests/oracles.py) over the same
+    simulated observations as the runner and compare the statistics."""
 
     def test_statistics_match_dense_path(self):
         cfg = FAST
@@ -154,58 +181,22 @@ class TestRunnerAgainstPublicOps:
 
         profile = cfg.channel_profile()
         grid = cfg.pilot_grid()
-        num_paths = profile.num_paths
-        num_pilots = grid.num_pilots
-        noise_var = 10 ** (-cfg.snr_db / 10)
-        max_slope = cfg.resolved_max_slope()
-        c = partial_dft(grid, num_paths)
-
-        rng = np.random.default_rng(seed)
-        init = rng.standard_normal(4 * num_paths)
-        scale = np.sqrt(profile.pdp / 2)
-        h_alice = scale * (init[:num_paths] + 1j * init[num_paths : 2 * num_paths])
-        h_eve = scale * (init[2 * num_paths : 3 * num_paths] + 1j * init[3 * num_paths :])
-
+        noise_var = snr_to_noise_var(cfg.snr_db)
+        tables = _kernels.grid_tables(grid, profile.num_paths)
+        links = simulate(
+            profile, tables, noise_var, cfg.resolved_max_slope(), [np.random.default_rng(seed)]
+        )
         state = init_state(profile)
-        proc_scale = np.sqrt(profile.process_noise_diag / 2)
-        q = np.asarray(grid.pilot_indices, dtype=float)
-        nz = 4 * num_paths
-        for k in range(1, cfg.num_steps + 1):
-            z = rng.standard_normal(nz + 4 * num_pilots)
-            u = rng.uniform(size=4)
-            h_alice = profile.alpha * h_alice + proc_scale * (
-                z[:num_paths] + 1j * z[num_paths : 2 * num_paths]
+        for k, (alice, eve) in zip(range(1, cfg.num_steps + 1), links):
+            # Eve is scored against the same prediction but never updates it.
+            _, _, eps_eve, sigma_eve = filter_step(
+                state, eve.obs[0], profile, grid, noise_var, cfg.search
             )
-            h_eve = profile.alpha * h_eve + proc_scale * (
-                z[2 * num_paths : 3 * num_paths] + 1j * z[3 * num_paths : nz]
-            )
-            observations = []
-            for col, h_true in enumerate((h_alice, h_eve)):
-                offset = -np.pi + 2 * np.pi * u[2 * col]
-                slope = max_slope * (2 * u[2 * col + 1] - 1)
-                rot = np.exp(1j * (offset + slope * q))
-                zoff = nz + 2 * col * num_pilots
-                noise = np.sqrt(noise_var / 2) * (
-                    z[zoff : zoff + num_pilots]
-                    + 1j * z[zoff + num_pilots : zoff + 2 * num_pilots]
-                )
-                observations.append(
-                    CsiObservation(values=rot * (c @ h_true) + noise, time_index=k)
-                )
-
-            pred = predict(state, profile)
-            d_eve = estimate_phase(observations[1], pred, grid, noise_var, cfg.search)
-            b_eve = phase_diagonal(d_eve, grid)[:, None] * c
-            eps_eve = observations[1].values - b_eve @ pred.mean
-            sigma_eve = (b_eve * pred.cov_diag) @ b_eve.conj().T + noise_var * np.eye(
-                num_pilots
-            )
-            lam_eve = residual_statistic(eps_eve, sigma_eve)
-
             state, _, eps_alice, sigma_alice = filter_step(
-                state, observations[0], profile, grid, noise_var, cfg.search
+                state, alice.obs[0], profile, grid, noise_var, cfg.search
             )
             lam_alice = residual_statistic(eps_alice, sigma_alice)
+            lam_eve = residual_statistic(eps_eve, sigma_eve)
 
             assert lam_alice == pytest.approx(batch.lam[0, k - 1, 0], rel=1e-8)
             assert lam_eve == pytest.approx(batch.lam[0, k - 1, 1], rel=1e-8)

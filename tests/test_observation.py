@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csiguard.channel import TimeChannel, init_channel, make_profile
-from csiguard.observation import (
-    PhaseDistortion,
-    PilotGrid,
-    draw_phase_distortion,
-    observe,
-    partial_dft,
-    phase_error_matrix,
-    snr_to_noise_var,
-)
+from csiguard import _kernels
+from csiguard.channel import make_profile, simulate
+from csiguard.observation import PilotGrid, partial_dft, snr_to_noise_var
+
+from oracles import PhaseDistortion, phase_diagonal
+from test_channel import simulate_steps, undistorted
+
+
+def phase_error_matrix(d, grid):
+    """Dense phase-error matrix E of the reference filter in oracles.py."""
+    return np.diag(phase_diagonal(d, grid))
 
 
 class TestPilotGrid:
@@ -87,57 +88,60 @@ class TestPhaseErrorMatrix:
 
 
 class TestObserve:
-    def test_noiseless_identity_phase(self, small_grid, rng):
+    def test_noiseless_identity_phase(self, small_grid):
         profile = make_profile(4, 1e-4, 0.5)
-        h = init_channel(profile, rng)
-        obs = observe(h, PhaseDistortion(0.0, 0.0), small_grid, 1e-30, rng)
-        expected = partial_dft(small_grid, 4) @ h.taps
-        assert np.allclose(obs.values, expected, atol=1e-10)
-        assert obs.time_index == h.time_index
+        for alice, eve in simulate_steps(profile, [1, 2], 3, grid=small_grid, noise_var=1e-30):
+            for link in (alice, eve):
+                expected = link.taps @ partial_dft(small_grid, 4).T
+                assert np.allclose(undistorted(link, small_grid), expected, atol=1e-10)
 
-    def test_noise_variance(self, rng):
+    def test_noise_variance(self):
         grid = PilotGrid(16, tuple(range(8)))
-        h = TimeChannel(taps=np.zeros(2, dtype=complex), time_index=0)
+        profile = make_profile(2, 0.0, 0.5)
         noise_var = 0.37
-        samples = np.concatenate(
+        c = partial_dft(grid, 2)
+        noise = np.concatenate(
             [
-                observe(h, PhaseDistortion(0.0, 0.0), grid, noise_var, rng).values
-                for _ in range(20_000)
+                (undistorted(link, grid) - link.taps @ c.T).ravel()
+                for pair in simulate_steps(profile, range(200), 25, grid=grid, noise_var=noise_var)
+                for link in pair
             ]
         )
-        assert np.mean(np.abs(samples) ** 2) == pytest.approx(noise_var, rel=0.02)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(noise_var, rel=0.02)
 
-    def test_magnitude_invariant_to_distortion(self, small_grid, rng):
+    def test_magnitude_invariant_to_distortion(self, small_grid):
         profile = make_profile(4, 1e-4, 0.5)
-        h = init_channel(profile, rng)
-        base = observe(h, PhaseDistortion(0.0, 0.0), small_grid, 1e-30, rng)
-        rotated = observe(h, PhaseDistortion(1.1, 0.21), small_grid, 1e-30, rng)
-        assert np.allclose(np.abs(base.values), np.abs(rotated.values), atol=1e-12)
+        c = partial_dft(small_grid, 4)
+        for alice, eve in simulate_steps(profile, [3], 3, grid=small_grid, noise_var=1e-30):
+            for link in (alice, eve):
+                clean = np.abs(link.taps @ c.T)
+                assert np.allclose(np.abs(link.obs), clean, atol=1e-12)
 
-    def test_rejects_nonpositive_noise(self, small_grid, rng):
-        h = TimeChannel(taps=np.zeros(2, dtype=complex), time_index=0)
+    def test_rejects_nonpositive_noise(self, small_grid, profile8):
+        tables = _kernels.grid_tables(small_grid, 8)
         with pytest.raises(ValueError):
-            observe(h, PhaseDistortion(0.0, 0.0), small_grid, 0.0, rng)
+            next(simulate(profile8, tables, 0.0, 0.2, [np.random.default_rng(0)]))
 
 
 class TestDrawPhaseDistortion:
-    def test_deterministic_given_seed(self):
-        a = draw_phase_distortion(np.random.default_rng(3), 0.2)
-        b = draw_phase_distortion(np.random.default_rng(3), 0.2)
+    def test_deterministic_given_seed(self, profile8):
+        [(a, _)] = simulate_steps(profile8, [3], 1, max_slope=0.2)
+        [(b, _)] = simulate_steps(profile8, [3], 1, max_slope=0.2)
         assert (a.offset, a.slope) == (b.offset, b.slope)
 
     def test_supports(self):
-        rng = np.random.default_rng(0)
-        draws = [draw_phase_distortion(rng, 0.15) for _ in range(100_000)]
-        offsets = np.array([d.offset for d in draws])
-        slopes = np.array([d.slope for d in draws])
+        profile = make_profile(1, 1e-4, 0.0)
+        steps = simulate_steps(profile, range(500), 100, max_slope=0.15)
+        offsets = np.array([[a.offset, e.offset] for a, e in steps]).ravel()
+        slopes = np.array([[a.slope, e.slope] for a, e in steps]).ravel()
         assert np.all(np.abs(slopes) <= 0.15)
         assert np.all((offsets >= -np.pi) & (offsets < np.pi))
         assert offsets.mean() == pytest.approx(0.0, abs=0.02)
 
-    def test_rejects_bad_bound(self, rng):
+    def test_rejects_bad_bound(self, small_grid, profile8):
+        tables = _kernels.grid_tables(small_grid, 8)
         with pytest.raises(ValueError):
-            draw_phase_distortion(rng, 0.0)
+            next(simulate(profile8, tables, 0.1, -0.2, [np.random.default_rng(0)]))
 
 
 class TestSnr:
