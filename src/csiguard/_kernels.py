@@ -1,7 +1,11 @@
 """Batched numpy kernels behind the adaptive filter.
 
-Everything here carries a leading trial axis so that a whole Monte Carlo
-batch advances in lockstep; a single filter is a batch of one.
+Everything here carries a trial axis so that a whole Monte Carlo batch
+advances in lockstep; a single filter is a batch of one.  The per-step
+state (:class:`StatePrep`) has shape ``(T, ...)``; observations and
+residuals have shape ``(..., T, Q)`` and broadcast over it, so the
+harness scores alice's and eve's packets of one step as a single
+``(2, T, Q)`` batch against the same prediction.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -19,23 +23,32 @@ For a fixed phase slope the objective is an exact cosine in the phase
 offset, so the offset is minimized in closed form and the numeric search
 runs over the slope axis only, in two stages:
 
-* a coarse grid of slopes, all candidates evaluated at once as one batched
-  matrix product against a precomputed phase table; its argmin locates the
-  likelihood's main lobe, provided the grid is finer than the lobe (the
+* a coarse grid of G slopes, all candidates evaluated at once as one flat
+  GEMM ``h @ table`` of the observations, reshaped to ``(..., T, Q)`` ->
+  ``(N, Q)``, against the cached ``(Q, G*L)`` table
+  ``phi[g, q] * conj(C[q, l])`` (:func:`slope_tables`); its argmin locates
+  the likelihood's main lobe, provided the grid is finer than the lobe (the
   configuration refuses coarser grids);
 * three Newton steps from the grid argmin, on the exact first and second
   slope derivatives of the profiled objective, each clipped to the grid
-  cells on either side of that argmin.  Leaving the slope at grid
+  cells on either side of that argmin.  Each step is one flat GEMM
+  ``(ramp * h) @ C3`` against the ``(Q, 3L)`` table
+  ``C3 = conj(C) * [1, -1j q, -q^2]`` (:attr:`GridTables.c3`), plus
+  ``(ramp * zvec) @ ramp_derivs.T``.  Leaving the slope at grid
   resolution would leak into the offset estimate through the slope-offset
   coupling of the likelihood.  From within half a grid cell, three steps
   bring the slope within 1e-6 rad of the minimizer (measured worst case
   4e-7 rad, at 30 dB on the default grid) and usually within 1e-10.
+
+Real forms ``Re(a^H b)`` are summed over float views of the complex
+arrays (:func:`_real_dot`), without forming ``conj(a)``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,22 +82,23 @@ class GridTables:
     chc_diag: np.ndarray   # (L,) real diagonal of C^H C
     q: np.ndarray          # (Q,) pilot indices as float
     ramp_derivs: np.ndarray  # (3, Q) [1, -1j q, -q^2]: d^k/dx^k ramp = ramp * row k
+    c3: np.ndarray         # (Q, 3L) conj(C) * ramp_derivs[k], column k*L + l
     ramp_q0: int
     ramp_groups: tuple[tuple[int, np.ndarray], ...]
 
     def ramp(self, x: np.ndarray) -> np.ndarray:
-        """exp(-1j * x[:, None] * q) via one exp per distinct index step.
+        """exp(-1j * x[..., None] * q) via one exp per distinct index step.
 
         The pilot indices are integers, so the ramp is a cumulative
         product of per-step factors base**dq; this replaces Q complex
         exponentials per trial with a handful plus one cumprod.
         """
         base = np.exp(-1j * x)
-        fac = np.empty((x.shape[0], self.q.shape[0]), dtype=np.complex128)
-        fac[:, 0] = _int_power(base, self.ramp_q0)
+        fac = np.empty(x.shape + self.q.shape, dtype=np.complex128)
+        fac[..., 0] = _int_power(base, self.ramp_q0)
         for power, cols in self.ramp_groups:
-            fac[:, cols] = _int_power(base, power)[:, None]
-        return np.cumprod(fac, axis=1)
+            fac[..., cols] = _int_power(base, power)[..., None]
+        return np.cumprod(fac, axis=-1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -106,6 +120,7 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     )
     q = arrays["q"]
     arrays["ramp_derivs"] = np.stack([np.ones_like(q), -1j * q, -q * q])
+    arrays["c3"] = _tap_table(arrays["ramp_derivs"], arrays["c_conj"])
     for a in arrays.values():
         a.setflags(write=False)
     return GridTables(
@@ -116,18 +131,34 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     )
 
 
+def _tap_table(rows: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
+    """(Q, K*L) table ``rows[k, q] * conj(C[q, l])`` at column k*L + l.
+
+    For pilot-domain vectors x of shape (N, Q), ``x @ table`` reshaped to
+    (N, K, L) holds ``C^H (rows[k] * x)`` for every k in one GEMM.
+    """
+    table = np.multiply(rows.T[:, :, None], c_conj[:, None, :], order="C")
+    return table.reshape(c_conj.shape[0], -1)
+
+
 @functools.lru_cache(maxsize=16)
 def slope_tables(
-    grid: PilotGrid, num_points: int, bound: float
+    grid: PilotGrid, num_paths: int, num_points: int, bound: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slope grid and its phase table: slopes, Phi=exp(-1j slope q), Phi.T."""
+    """Coarse slope grid and its tables: (slopes, Phi.T, coarse table).
+
+    ``Phi = exp(-1j slopes[:, None] q)`` has shape (G, Q); the coarse
+    table is the (Q, G*L) matrix ``Phi[g, q] * conj(C[q, l])`` that
+    scores every grid slope in one GEMM (see :func:`_tap_table`).
+    """
     slopes = np.linspace(-bound, bound, num_points)
     q = np.asarray(grid.pilot_indices, dtype=float)
     phi = np.exp(-1j * np.outer(slopes, q))
     phi_t = np.ascontiguousarray(phi.T)
-    for a in (slopes, phi, phi_t):
+    table = _tap_table(phi, grid_tables(grid, num_paths).c_conj)
+    for a in (slopes, phi_t, table):
         a.setflags(write=False)
-    return slopes, phi, phi_t
+    return slopes, phi_t, table
 
 
 @dataclass(eq=False)
@@ -135,7 +166,8 @@ class StatePrep:
     """Per-step quantities derived from the predicted state batch.
 
     gs is the scaled Woodbury core ``P^{1/2} G^{-1} P^{1/2}`` so that
-    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``.
+    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``.  Observations of
+    shape ``(..., T, Q)`` broadcast against these ``(T, ...)`` arrays.
     """
 
     noise_var: float
@@ -159,71 +191,79 @@ def prepare_state(
     gs *= sp[:, :, None] * sp[:, None, :]
     m = mean @ tables.c_t
     w = _apply_whitener(m, gs, s2, tables)
-    m_quad = np.einsum("tq,tq->t", m.conj(), w).real
-    return StatePrep(noise_var=s2, gs=gs, m=m, w=w, m_quad=m_quad)
+    return StatePrep(noise_var=s2, gs=gs, m=m, w=w, m_quad=_real_dot(m, w))
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(sum(conj(a) * b)) over the last axis, summed over float views.
+
+    Re(conj(a) b) = Re(a) Re(b) + Im(a) Im(b), so viewing each complex
+    row as interleaved floats turns the real form into a plain dot
+    product, with no ``conj(a)`` copy.  The last axis must be contiguous.
+    """
+    return np.einsum("...k,...k->...", a.view(np.float64), b.view(np.float64))
 
 
 def _apply_whitener(
     x: np.ndarray, gs: np.ndarray, s2: float, tables: GridTables
 ) -> np.ndarray:
-    """Sigma0^{-1} x through the Woodbury identity, batched over trials."""
-    ctx = x @ tables.c_conj                                   # (T, L) C^H x
-    g = np.matmul(gs, ctx[:, :, None])[:, :, 0]
+    """Sigma0^{-1} x through the Woodbury identity, batched over (..., T)."""
+    ctx = x @ tables.c_conj                                   # (..., T, L) C^H x
+    g = np.matmul(gs, ctx[..., None])[..., 0]
     return x / s2 - (g @ tables.c_t) / (s2 * s2)
 
 
 def whitened_quadform(
     r: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r)."""
+    """Return (Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q)."""
     y = _apply_whitener(r, prep.gs, prep.noise_var, tables)
-    quad = np.einsum("tq,tq->t", r.conj(), y).real
-    return y, quad
+    return y, _real_dot(r, y)
+
+
+class SearchTerms(NamedTuple):
+    """Per-observation inputs of the profiled objective, shapes (..., T, Q) and (..., T).
+
+    For a slope candidate with ramp ``u = exp(-1j slope q)`` the objective
+    is ``base_quad - s^H gs s / s2^2 + const - 2 |zc|`` with
+    ``s = C^H (u * h)`` and ``zc = sum(u * zvec)``.
+    """
+
+    h: np.ndarray          # (..., T, Q) observations
+    zvec: np.ndarray       # (..., T, Q) h * conj(Sigma0^{-1} m), or h * conj(m)
+    base_quad: np.ndarray  # (..., T) h^H h / s2
+    const: np.ndarray      # (T,) m^H Sigma0^{-1} m, or 0
+
+
+def _search_terms(h_obs: np.ndarray, prep: StatePrep, cfg) -> SearchTerms:
+    """The :class:`SearchTerms` of a batch of observations under ``cfg.objective``."""
+    whitened = cfg.objective == "whitened"
+    zsrc = prep.w if whitened else prep.m
+    base_quad = _real_dot(h_obs, h_obs) / prep.noise_var
+    const = prep.m_quad if whitened else np.zeros_like(prep.m_quad)
+    return SearchTerms(h_obs, h_obs * zsrc.conj(), base_quad, const)
 
 
 def _candidate_objective(
-    ramp: np.ndarray,
-    w1: np.ndarray,
-    zvec: np.ndarray,
-    prep: StatePrep,
-    base_quad: np.ndarray,
-    const: np.ndarray,
+    ramp: np.ndarray, terms: SearchTerms, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-profiled objective at one slope candidate per trial.
+    """Offset-profiled objective at one slope candidate per observation.
 
-    ramp is exp(-1j slope q); w1 is the per-trial (Q, L) matrix
-    ``conj(C) * h`` so that ``ramp @ w1 = C^H (ramp * h)``.
+    ramp is exp(-1j slope q), shape (..., T, Q), so that
+    ``(ramp * h) @ conj(C) = C^H (ramp * h)``.
     Returns (objective, zc) with zc the conjugate of the offset coupling
     term; the optimal offset is angle(zc).
     """
     s2 = prep.noise_var
-    s = np.matmul(ramp[:, None, :], w1)[:, 0, :]
-    g = np.matmul(prep.gs, s[:, :, None])[:, :, 0]
-    quad = base_quad - np.einsum("tl,tl->t", s.conj(), g).real / (s2 * s2)
-    zc = np.einsum("tq,tq->t", ramp, zvec)
-    return quad + const - 2.0 * np.abs(zc), zc
-
-
-def _search_terms(
-    h_obs: np.ndarray, prep: StatePrep, tables: GridTables, cfg
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-observation inputs of :func:`_candidate_objective`: (w1, zvec, base_quad, const)."""
-    s2 = prep.noise_var
-    whitened = cfg.objective == "whitened"
-    zsrc = prep.w if whitened else prep.m
-    zvec = h_obs * zsrc.conj()
-    base_quad = np.einsum("tq,tq->t", h_obs.conj(), h_obs).real / s2
-    const = prep.m_quad if whitened else np.zeros_like(base_quad)
-    w1 = tables.c_conj[None] * h_obs[:, :, None]
-    return w1, zvec, base_quad, const
+    s = (ramp * terms.h) @ tables.c_conj                      # (..., T, L)
+    g = np.matmul(prep.gs, s[..., None])[..., 0]
+    quad = terms.base_quad - _real_dot(s, g) / (s2 * s2)
+    zc = np.einsum("...q,...q->...", ramp, terms.zvec)
+    return quad + terms.const - 2.0 * np.abs(zc), zc
 
 
 def _slope_derivatives(
-    ramp: np.ndarray,
-    w1: np.ndarray,
-    zvec: np.ndarray,
-    prep: StatePrep,
-    tables: GridTables,
+    ramp: np.ndarray, terms: SearchTerms, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second slope derivatives of :func:`_candidate_objective`.
 
@@ -236,23 +276,26 @@ def _slope_derivatives(
     * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
       - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
 
-    with ``G = prep.gs``.  Where ``zc = 0`` (a zero predicted mean makes
-    it vanish for every slope) the coupling terms are dropped.
+    with ``G = prep.gs``.  All three of s, s', s'' come from one GEMM
+    against ``tables.c3``, and zc, zc', zc'' from one against
+    ``tables.ramp_derivs.T``.  Where ``zc = 0`` (a zero predicted mean
+    makes it vanish for every slope) the coupling terms are dropped.
     """
     s2sq = prep.noise_var * prep.noise_var
-    u = ramp[:, None, :] * tables.ramp_derivs                  # (T, 3, Q): u, u', u''
-    s = np.matmul(u, w1)                                      # (T, 3, L): s, s', s''
-    zc, zc1, zc2 = np.einsum("tkq,tq->kt", u, zvec)
-    g = np.matmul(s[:, :2], np.conj(prep.gs))                 # rows (G s)^T, (G s')^T
-    cross = np.einsum("tkl,tl->kt", s.conj(), g[:, 0]).real    # Re(s^H G s), Re(s'^H G s), ...
-    curv = np.einsum("tl,tl->t", s[:, 1].conj(), g[:, 1]).real
-    d1 = -2.0 * cross[1] / s2sq
-    d2 = -2.0 * (cross[2] + curv) / s2sq
+    s = ((ramp * terms.h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., T, 3, L)
+    zcs = (ramp * terms.zvec) @ tables.ramp_derivs.T          # (..., T, 3): zc, zc', zc''
+    zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
+    g = np.matmul(s[..., :2, :], np.conj(prep.gs))           # rows (G s)^T, (G s')^T
+    cross = _real_dot(s[..., 1:, :], g[..., :1, :])           # Re(s'^H G s), Re(s''^H G s)
+    curv = _real_dot(s[..., 1, :], g[..., 1, :])              # s'^H G s'
+    d1 = -2.0 * cross[..., 0] / s2sq
+    d2 = -2.0 * (cross[..., 1] + curv) / s2sq
     abs_zc = np.abs(zc)
     inv = np.divide(1.0, abs_zc, out=np.zeros_like(abs_zc), where=abs_zc > 0.0)
-    dabs = (zc.conj() * zc1).real * inv                        # d|zc|/dx; 0 where zc = 0
+    dabs = (zc.real * zc1.real + zc.imag * zc1.imag) * inv   # d|zc|/dx; 0 where zc = 0
     d1 -= 2.0 * dabs
-    d2 -= 2.0 * ((zc1.real**2 + zc1.imag**2 + (zc.conj() * zc2).real) * inv - dabs * dabs * inv)
+    curv_zc = zc1.real**2 + zc1.imag**2 + zc.real * zc2.real + zc.imag * zc2.imag
+    d2 -= 2.0 * (curv_zc * inv - dabs * dabs * inv)
     return d1, d2
 
 
@@ -271,57 +314,72 @@ def phase_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
 
+    ``h_obs`` has shape ``(..., T, Q)``: any leading axes (the harness
+    stacks alice's and eve's packets as ``(2, T, Q)``) broadcast against
+    the ``(T, ...)`` arrays of ``prep``, and the estimates come back with
+    shape ``(..., T)``.  A stacked batch gives the same estimates as
+    separate calls.
+
     Minimizes the whitened residual energy (or, with
     ``cfg.objective == "paper-literal"``, the unwhitened cross-term
     variant) with the offset profiled out in closed form.  The slope is
     first the argmin of ``cfg.slope_grid_points`` equally spaced slopes
-    on ``[-cfg.slope_search_bound, cfg.slope_search_bound]``, then takes
-    three Newton steps on the exact derivatives
-    (:func:`_slope_derivatives`), each clipped to the grid cells on either
-    side of the grid argmin and skipped where the second derivative is not
+    on ``[-bound, bound]``, with ``bound = cfg.slope_bound(grid.dft_size)``,
+    all scored by one GEMM against the coarse table of
+    :func:`slope_tables`.  It then takes three Newton steps on the exact
+    derivatives (:func:`_slope_derivatives`, one GEMM against
+    ``tables.c3`` each), each clipped to the grid cells on either side of
+    the grid argmin and skipped where the second derivative is not
     positive.  The refined slope is kept only where it scores no worse
     than the grid argmin.  The offset is recovered in closed form at the
     final slope.  Exact objective ties on the grid resolve toward the
     smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    w1, zvec, base_quad, const = _search_terms(h_obs, prep, tables, cfg)
-    slopes, phi, phi_t = slope_tables(grid, cfg.slope_grid_points, cfg.slope_search_bound)
+    slopes, phi_t, table = slope_tables(
+        grid, tables.c.shape[1], cfg.slope_grid_points, cfg.slope_bound(grid.dft_size)
+    )
 
-    # Coarse grid, all candidates at once.
-    s = np.matmul(phi, w1)                                    # (T, G, L)
+    # Coarse grid, all candidates at once: s[..., g, :] = C^H (phi_g * h).
+    # s and g are the largest arrays of the search; they are freed before
+    # the per-observation terms are built.
+    s = (h_obs @ table).reshape(h_obs.shape[:-1] + (len(slopes), -1))   # (..., T, G, L)
     g = np.matmul(s, np.conj(prep.gs))                        # rows s_g @ gs^T = (gs s_g)^T
-    quad = base_quad[:, None] - np.einsum("tgl,tgl->tg", s.conj(), g).real / (s2 * s2)
-    zc = zvec @ phi_t                                         # (T, G)
-    obj = quad + const[:, None] - 2.0 * np.abs(zc)
+    s_gs_s = _real_dot(s, g)
+    del s, g
+    terms = _search_terms(h_obs, prep, cfg)
+    quad = terms.base_quad[..., None] - s_gs_s / (s2 * s2)
+    zc = terms.zvec @ phi_t                                   # (..., T, G)
+    obj = quad + terms.const[:, None] - 2.0 * np.abs(zc)
 
     idx = _argmin_with_ties(obj, slopes, zc)
     x0 = slopes[idx]
     lo = slopes[np.maximum(idx - 1, 0)]
     hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
+    f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
+    zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
     x = x0
     for _ in range(_NEWTON_STEPS):
-        d1, d2 = _slope_derivatives(tables.ramp(x), w1, zvec, prep, tables)
+        d1, d2 = _slope_derivatives(tables.ramp(x), terms, prep, tables)
         step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
         x = np.minimum(np.maximum(x - step, lo), hi)
 
-    f_star, zc_star = _candidate_objective(tables.ramp(x), w1, zvec, prep, base_quad, const)
-    f_grid = np.take_along_axis(obj, idx[:, None], axis=1)[:, 0]
+    f_star, zc_star = _candidate_objective(tables.ramp(x), terms, prep, tables)
     keep = f_star <= f_grid
     slope = np.where(keep, x, x0)
-    zc_star = np.where(keep, zc_star, np.take_along_axis(zc, idx[:, None], axis=1)[:, 0])
+    zc_star = np.where(keep, zc_star, zc_grid)
     return _wrap_offset(np.angle(zc_star)), slope
 
 
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Column index of the minimum, exact ties toward smaller |slope| then |offset|."""
-    best = obj.min(axis=1, keepdims=True)
+    """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|."""
+    best = obj.min(axis=-1, keepdims=True)
     tied = obj == best
-    abs_slope = np.where(tied, np.abs(slopes)[None, :], np.inf)
-    best_slope = abs_slope.min(axis=1, keepdims=True)
+    abs_slope = np.where(tied, np.abs(slopes), np.inf)
+    best_slope = abs_slope.min(axis=-1, keepdims=True)
     tied &= abs_slope == best_slope
     abs_offset = np.where(tied, np.abs(_wrap_offset(np.angle(zc))), np.inf)
-    return np.argmin(abs_offset, axis=1)
+    return np.argmin(abs_offset, axis=-1)
 
 
 def _wrap_offset(theta: np.ndarray) -> np.ndarray:

@@ -155,15 +155,17 @@ def simulate(
         if clone_eve:
             h_eve = h_alice.copy()
 
-        links = []
-        for col, h_true in enumerate((h_alice, h_eve)):
-            offset = -np.pi + 2.0 * np.pi * u[:, 2 * col]
-            slope = max_slope * (2.0 * u[:, 2 * col + 1] - 1.0)
-            rot = np.exp(1j * offset)[:, None] * tables.ramp(slope).conj()
-            zoff = nz + 2 * col * num_pilots
-            noise = noise_scale * (
-                z[:, zoff : zoff + num_pilots]
-                + 1j * z[:, zoff + num_pilots : zoff + 2 * num_pilots]
-            )
-            links.append(Link(h_true, rot * (h_true @ tables.c_t) + noise, offset, slope))
-        yield links[0], links[1]
+        # Both links at once on a (2, T) link axis: alice row 0, eve row 1.
+        # The observation is built in place, so that while suspended at the
+        # yield this generator holds no temporaries of its size.
+        h_true = np.stack((h_alice, h_eve))
+        offset = -np.pi + 2.0 * np.pi * u[:, 0::2].T
+        slope = max_slope * (2.0 * u[:, 1::2].T - 1.0)
+        obs = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
+        obs *= h_true @ tables.c_t
+        zn = z[:, nz:].reshape(-1, 2, 2, num_pilots).transpose(1, 2, 0, 3)  # (link, re/im, T, Q)
+        obs += noise_scale * (zn[:, 0] + 1j * zn[:, 1])
+        yield (
+            Link(h_alice, obs[0], offset[0], slope[0]),
+            Link(h_eve, obs[1], offset[1], slope[1]),
+        )

@@ -57,9 +57,13 @@ class GridConfig:
     pilot_spec: str = "ieee80211n-40mhz"
 
 
-def _default_slope_bound() -> float:
-    # Phase ramp of up to 4 samples of packet-detection delay at M = 128.
-    return 2.0 * np.pi * 4.0 / 128.0
+def default_slope(dft_size: int) -> float:
+    """Phase slope of up to 4 samples of packet-detection delay: 2*pi*4/M.
+
+    The default of both the drawn slope bound ``phase.max_slope`` and the
+    searched one ``search.slope_bound``.
+    """
+    return 2.0 * np.pi * 4.0 / dft_size
 
 
 @dataclass(frozen=True)
@@ -69,26 +73,34 @@ class PhaseSearchConfig:
     The offset is always minimized in closed form (the objective is an
     exact cosine in the offset).  The slope is located on a coarse grid of
     ``slope_grid_points`` equally spaced values over
-    ``[-slope_search_bound, slope_search_bound]`` and then refined by three
+    ``[-bound, bound]`` and then refined by three
     Newton steps on the exact derivatives, confined to the grid cells on
     either side of the grid argmin (see :func:`csiguard._kernels.phase_search`).
     The grid must therefore be finer than the likelihood's main lobe, which
-    :class:`ScenarioConfig` checks against its pilot grid.  ``objective``
-    selects the whitened residual energy (default) or the literal
-    unwhitened cross-term variant.
+    :class:`ScenarioConfig` checks against its pilot grid.  The bound is
+    ``slope_search_bound``, or, when that is None, :func:`default_slope` of
+    the searched grid's DFT size, the same as the default drawn slope
+    bound (see :meth:`slope_bound`).  ``objective`` selects the whitened
+    residual energy (default) or the literal unwhitened cross-term variant.
     """
 
     slope_grid_points: int = 64
-    slope_search_bound: float = field(default_factory=_default_slope_bound)
+    slope_search_bound: float | None = None  # None: 2*pi*4/dft_size
     objective: str = "whitened"
 
     def __post_init__(self) -> None:
         if self.slope_grid_points < 2:
             raise ConfigError("search.slope_points must be >= 2")
-        if not 0.0 < self.slope_search_bound < np.inf:
+        if self.slope_search_bound is not None and not 0.0 < self.slope_search_bound < np.inf:
             raise ConfigError("search.slope_bound must be finite and > 0")
         if self.objective not in ("whitened", "paper-literal"):
             raise ConfigError(f"unknown search.objective {self.objective!r}")
+
+    def slope_bound(self, dft_size: int) -> float:
+        """Half-width of the searched slope range on a grid of DFT size ``dft_size``."""
+        if self.slope_search_bound is not None:
+            return self.slope_search_bound
+        return default_slope(dft_size)
 
 
 @dataclass(frozen=True)
@@ -136,7 +148,7 @@ class ScenarioConfig:
         # argmin, so the grid must sample the likelihood's main lobe, whose
         # width in slope is 2*pi over the pilot span.
         span = pilots[-1] - pilots[0]
-        bound = self.search.slope_search_bound
+        bound = self.resolved_slope_bound()
         spacing = 2.0 * bound / (self.search.slope_grid_points - 1)
         lobe = 2.0 * np.pi / span
         if spacing > lobe:
@@ -147,6 +159,15 @@ class ScenarioConfig:
                 f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
                 f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
                 "search.slope_bound"
+            )
+        # A drawn slope outside the searched range cannot be estimated, and
+        # every packet drawn there inflates the residual.
+        if self.resolved_max_slope() > bound:
+            raise ConfigError(
+                f"phase.max_slope = {self.resolved_max_slope()!r} exceeds "
+                f"search.slope_bound = {bound!r}: slopes drawn outside the searched "
+                "range cannot be estimated; raise search.slope_bound or lower "
+                "phase.max_slope"
             )
         try:
             partial_dft(self.pilot_grid(), self.channel_profile().num_paths)
@@ -159,7 +180,10 @@ class ScenarioConfig:
     def resolved_max_slope(self) -> float:
         if self.max_slope is not None:
             return self.max_slope
-        return 2.0 * np.pi * 4.0 / self.grid.dft_size
+        return default_slope(self.grid.dft_size)
+
+    def resolved_slope_bound(self) -> float:
+        return self.search.slope_bound(self.grid.dft_size)
 
     def channel_profile(self) -> ChannelProfile:
         return make_profile(
@@ -304,7 +328,7 @@ def format_config(cfg: ScenarioConfig) -> str:
         "grid.dft_size": str(cfg.grid.dft_size),
         "grid.pilot_spec": cfg.grid.pilot_spec,
         "search.slope_points": str(cfg.search.slope_grid_points),
-        "search.slope_bound": repr(cfg.search.slope_search_bound),
+        "search.slope_bound": repr(cfg.resolved_slope_bound()),
         "search.objective": cfg.search.objective,
     }
     return "".join(f"{k} = {v}\n" for k, v in sorted(lines.items()))

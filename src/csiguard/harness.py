@@ -3,9 +3,9 @@
 Protocol per trial (the parallel collection protocol): at every step both
 links evolve, each transmitter gets an independently drawn phase
 distortion and noise, the filter predicts once, phase estimation and the
-test statistic run separately for the legitimate (alice) and attacker
-(eve) observations against the same predicted state, and only the alice
-observation updates the filter.
+test statistic run for the legitimate (alice) and attacker (eve)
+observations, stacked into one batch, against the same predicted state,
+and only the alice observation updates the filter.
 
 Trials are mutually independent.  Trial ``i`` draws from
 ``numpy.random.SeedSequence([master_seed, i])`` (see
@@ -152,37 +152,34 @@ def run_batch(
         cov = alpha**2 * cov + process_noise
         prep = _kernels.prepare_state(mean, cov, noise_var, tables)
 
-        alice_pack = None
-        for col, link in enumerate((alice, eve)):
-            obs = link.obs
-            est_offset, est_slope = _kernels.phase_search(
-                obs, prep, grid, tables, cfg.search
-            )
-            v = tables.ramp(est_slope) * obs
-            rotated_residual = np.exp(-1j * est_offset)[:, None] * v - prep.m
-            y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
-            lam[:, k - 1, col] = 2.0 * quad
+        # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
+        obs = np.stack((alice.obs, eve.obs))
+        est_offset, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg.search)
+        v = tables.ramp(est_slope) * obs
+        rotated_residual = np.exp(-1j * est_offset)[..., None] * v - prep.m
+        y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
+        lam[:, k - 1, :] = 2.0 * quad.T
 
-            cur_abs = np.abs(obs)
-            if prev_alice_abs is not None:
-                mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs, prev_alice_abs)
-            if col == 0:
-                alice_pack = (rotated_residual, y, cur_abs)
-            if collect_phase:
-                phase_true[:, k - 1, col, 0] = link.offset
-                phase_true[:, k - 1, col, 1] = link.slope
-                phase_est[:, k - 1, col, 0] = est_offset
-                phase_est[:, k - 1, col, 1] = est_slope
+        cur_abs = np.abs(obs)
+        if prev_alice_abs is not None:
+            for col in (0, 1):
+                mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs[col], prev_alice_abs)
+        if collect_phase:
+            phase_true[:, k - 1, :, 0] = np.stack((alice.offset, eve.offset), axis=1)
+            phase_true[:, k - 1, :, 1] = np.stack((alice.slope, eve.slope), axis=1)
+            phase_est[:, k - 1, :, 0] = est_offset.T
+            phase_est[:, k - 1, :, 1] = est_slope.T
 
-        rotated_residual, y, cur_abs = alice_pack
-        mean, cov = _kernels.kalman_update(mean, cov, rotated_residual, y, prep, tables)
+        mean, cov = _kernels.kalman_update(
+            mean, cov, rotated_residual[0], y[0], prep, tables
+        )
         if np.any(cov < -1e-12):
             raise NumericalError(
                 f"trial batch aborted at step {k}: updated covariance reached "
                 f"{cov.min():.3e}"
             )
         cov = np.maximum(cov, 0.0)
-        prev_alice_abs = cur_abs
+        prev_alice_abs = cur_abs[0]
         if collect_mse:
             err = (mean - alice.taps) @ tables.c_t
             mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots

@@ -100,7 +100,7 @@ class TestSweeps:
         out2 = tmp_path / "b.csv"
         base = ["sweep-snr", "--config", config_file, "--values", "10"]
         cli_main(base + ["--out", str(out1)])
-        cli_main(base + ["--set", "search.slope_bound=0.5", "--out", str(out2)])
+        cli_main(base + ["--set", "search.slope_bound=1.0", "--out", str(out2)])
         hash1 = out1.read_text().splitlines()[0]
         hash2 = out2.read_text().splitlines()[0]
         assert hash1 != hash2
@@ -135,6 +135,16 @@ class TestErrors:
         args = ["--config", config_file, "--set", "grid.pilot_spec=first:1"]
         assert cli_main(["simulate", *args, "--out", str(out)]) == 2
         assert "at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drawn_slope_beyond_search_range(self, config_file, tmp_path, capsys):
+        # The fast config searches slopes in [-0.785, 0.785] (2*pi*4/32).
+        out = tmp_path / "x.csv"
+        args = ["--config", config_file, "--set", "phase.max_slope=0.9"]
+        assert cli_main(["simulate", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "phase.max_slope" in err and "search.slope_bound" in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_too_few_calibration_samples(self, config_file, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,36 @@ class TestScenarioConfig:
         assert cfg.pilot_grid().num_pilots == 16
 
 
+class TestSlopeRange:
+    """The searched slope range must cover the drawn one; by default both
+    are 2*pi*4/M."""
+
+    def test_default_bound_follows_dft_size(self):
+        for dft_size in (32, 64, 128):
+            cfg = ScenarioConfig(grid=GridConfig(dft_size=dft_size, pilot_spec="all"))
+            assert cfg.resolved_slope_bound() == cfg.resolved_max_slope()
+            assert cfg.resolved_slope_bound() == pytest.approx(2 * np.pi * 4 / dft_size)
+
+    def test_drawn_slope_beyond_search_range_rejected(self):
+        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
+            ScenarioConfig(max_slope=0.3)
+        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
+            ScenarioConfig(search=PhaseSearchConfig(slope_search_bound=0.1))
+        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
+            config_from_mapping({"search.slope_bound": "0.1"})
+        # A wider search than the drawn range is allowed.
+        assert ScenarioConfig(max_slope=0.1).resolved_slope_bound() > 0.1
+
+    def test_default_hash_and_serialized_bound_unchanged(self):
+        # The resolved bound is serialized, so the M = 128 default keeps the
+        # hash it had while the bound was a fixed 2*pi*4/128.
+        cfg = ScenarioConfig()
+        assert "search.slope_bound = 0.19634954084936207\n" in format_config(cfg)
+        assert config_hash(cfg) == "c652141e9064"
+        explicit = ScenarioConfig(search=PhaseSearchConfig(slope_search_bound=2 * np.pi * 4 / 128))
+        assert config_hash(explicit) == config_hash(cfg)
+
+
 class TestParsing:
     def test_parse_text(self):
         text = """
@@ -134,14 +166,14 @@ class TestParsing:
                 "snr_db": "3.5",
                 "num_trials": "7",
                 "channel.num_paths": "4",
-                "search.slope_bound": "0.1",
+                "search.slope_bound": "0.25",
                 "detectors": "kalman,magnitude_diff",
             }
         )
         assert cfg.snr_db == 3.5
         assert cfg.num_trials == 7
         assert cfg.channel.num_paths == 4
-        assert cfg.search.slope_search_bound == 0.1
+        assert cfg.search.slope_search_bound == 0.25
         assert cfg.detectors == ("kalman", "magnitude_diff")
 
     def test_unknown_key_names_offender(self):
@@ -176,12 +208,12 @@ class TestParsing:
             grid=GridConfig(dft_size=64, pilot_spec="first:20"),
         )
         again = config_from_mapping(parse_config_text(format_config(cfg)))
-        # max_slope resolves to an explicit value on round-trip
+        # max_slope and the search bound resolve to explicit values on round-trip
         assert again.snr_db == cfg.snr_db
         assert again.normalized_doppler == cfg.normalized_doppler
         assert again.channel == cfg.channel
         assert again.grid == cfg.grid
-        assert again.search == cfg.search
+        assert again.search == replace(cfg.search, slope_search_bound=cfg.resolved_slope_bound())
         assert again.detectors == cfg.detectors
         assert again.resolved_max_slope() == cfg.resolved_max_slope()
 

@@ -126,12 +126,15 @@ class TestProfiledObjectiveAgainstDense:
         s2 = 0.25
         tables = _kernels.grid_tables(grid114, num_paths)
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
+        terms = _kernels.SearchTerms(
+            h=obs[None],
+            zvec=obs[None] * prep.w.conj(),
+            base_quad=np.array([np.vdot(obs, obs).real / s2]),
+            const=prep.m_quad,
+        )
         for slope in (-0.15, 0.0, 0.07):
             ramp = tables.ramp(np.array([slope]))
-            zvec = obs[None] * prep.w.conj()
-            w1 = tables.c_conj[None] * obs[None][:, :, None]
-            base = np.array([np.vdot(obs, obs).real / s2])
-            f, zc = _kernels._candidate_objective(ramp, w1, zvec, prep, base, prep.m_quad)
+            f, zc = _kernels._candidate_objective(ramp, terms, prep, tables)
             offset = float(np.angle(zc[0]))
             dense = negative_log_likelihood(
                 PhaseDistortion(offset, slope), obs, pred, grid114, s2
@@ -150,18 +153,20 @@ class TestProfiledObjectiveAgainstDense:
         assert np.allclose(tables.ramp(x), expected, atol=1e-12)
 
 
-def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8):
+def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=False):
     """Observations of rotated channels with a Kalman-like prediction of them.
 
     With ``zero_mean`` the prediction is the prior (zero mean, stationary
     covariance), the first filter step, where the offset coupling zc is 0.
+    With ``stacked`` the observations are the (2, T, Q) stack of alice's
+    packets and eve's, both scored against the prediction of alice's channel.
     """
     profile = make_profile(num_paths, 1e-4, 0.5)
     tables = _kernels.grid_tables(grid, num_paths)
     s2 = 10.0 ** (-snr_db / 10.0)
-    bound = PhaseSearchConfig().slope_search_bound
+    bound = PhaseSearchConfig().slope_bound(grid.dft_size)
     seeds = rng.integers(2**63, size=trials)
-    [(link, _)] = simulate_steps(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
+    [(link, eve)] = simulate_steps(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
     h = link.taps
     if zero_mean:
         mean, cov = np.zeros_like(h), np.tile(profile.pdp, (trials, 1))
@@ -170,13 +175,48 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8):
             rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
         )
         mean, cov = h + error, np.tile(0.02 * profile.pdp, (trials, 1))
-    return link.obs, _kernels.prepare_state(mean, cov, s2, tables), tables
+    obs = np.stack((link.obs, eve.obs)) if stacked else link.obs
+    return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
 def _profiled_objective(obs, prep, tables, cfg):
-    """Slope -> offset-profiled objective per trial, as phase_search scores it."""
-    w1, zvec, base, const = _kernels._search_terms(obs, prep, tables, cfg)
-    return lambda x: _kernels._candidate_objective(tables.ramp(x), w1, zvec, prep, base, const)[0]
+    """Slope -> offset-profiled objective per observation, as phase_search scores it."""
+    terms = _kernels._search_terms(obs, prep, cfg)
+    return lambda x: _kernels._candidate_objective(tables.ramp(x), terms, prep, tables)[0]
+
+
+def _check_derivatives(obs, prep, tables, cfg, x):
+    """Analytic f', f'' against Richardson-extrapolated central differences."""
+    terms = _kernels._search_terms(obs, prep, cfg)
+    d1, d2 = _kernels._slope_derivatives(tables.ramp(x), terms, prep, tables)
+    f = _profiled_objective(obs, prep, tables, cfg)
+
+    def differences(step):
+        lo, mid, hi = f(x - step), f(x), f(x + step)
+        return (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2
+
+    # Richardson extrapolation of two central differences: O(step^4) error.
+    (a1, a2), (b1, b2) = differences(2e-4), differences(1e-4)
+    fd1, fd2 = (4 * b1 - a1) / 3, (4 * b2 - a2) / 3
+    assert np.allclose(d1, fd1, rtol=1e-6, atol=0)
+    assert np.allclose(d2, fd2, rtol=1e-6, atol=0)
+
+
+def _check_no_worse_than_fine_sweep(obs, prep, grid, tables, cfg):
+    """phase_search stays in its bracket and scores no worse than a 1001-point sweep of it."""
+    _, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg)
+    f = _profiled_objective(obs, prep, tables, cfg)
+    slopes = _kernels.slope_tables(
+        grid, tables.c.shape[1], cfg.slope_grid_points, cfg.slope_bound(grid.dft_size)
+    )[0]
+    grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
+    idx = np.argmin(grid_obj, axis=-1)
+    lo = slopes[np.maximum(idx - 1, 0)]
+    hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
+    sweep = np.stack([f(lo + t * (hi - lo)) for t in np.linspace(0.0, 1.0, 1001)], axis=-1)
+    best = sweep.min(axis=-1)
+    assert np.all((est_slope >= lo) & (est_slope <= hi))
+    assert np.all(f(est_slope) <= best + 1e-9 * np.abs(best))
 
 
 class TestNewtonStage:
@@ -190,37 +230,71 @@ class TestNewtonStage:
         # derivatives must drop its terms rather than divide by |zc| = 0.
         cfg = PhaseSearchConfig(objective=objective)
         obs, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
-        w1, zvec, _, _ = _kernels._search_terms(obs, prep, tables, cfg)
-        x = rng.uniform(-cfg.slope_search_bound, cfg.slope_search_bound, 8)
-        d1, d2 = _kernels._slope_derivatives(tables.ramp(x), w1, zvec, prep, tables)
-        f = _profiled_objective(obs, prep, tables, cfg)
-
-        def differences(step):
-            lo, mid, hi = f(x - step), f(x), f(x + step)
-            return (hi - lo) / (2 * step), (hi - 2 * mid + lo) / step**2
-
-        # Richardson extrapolation of two central differences: O(step^4) error.
-        (a1, a2), (b1, b2) = differences(2e-4), differences(1e-4)
-        fd1, fd2 = (4 * b1 - a1) / 3, (4 * b2 - a2) / 3
-        assert np.allclose(d1, fd1, rtol=1e-6, atol=0)
-        assert np.allclose(d2, fd2, rtol=1e-6, atol=0)
+        bound = cfg.slope_bound(grid114.dft_size)
+        _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, 8))
 
     @pytest.mark.parametrize("zero_mean", [False, True])
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
     def test_no_worse_than_fine_sweep_of_bracket(self, grid114, rng, snr_db, zero_mean):
-        cfg = PhaseSearchConfig()
         obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
-        _, est_slope = _kernels.phase_search(obs, prep, grid114, tables, cfg)
-        f = _profiled_objective(obs, prep, tables, cfg)
-        slopes = _kernels.slope_tables(grid114, cfg.slope_grid_points, cfg.slope_search_bound)[0]
-        grid_obj = np.stack([f(np.full(len(obs), x)) for x in slopes], axis=1)
-        idx = np.argmin(grid_obj, axis=1)
-        lo = slopes[np.maximum(idx - 1, 0)]
-        hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
-        sweep = np.stack([f(lo + t * (hi - lo)) for t in np.linspace(0.0, 1.0, 1001)], axis=1)
-        best = sweep.min(axis=1)
-        assert np.all((est_slope >= lo) & (est_slope <= hi))
-        assert np.all(f(est_slope) <= best + 1e-9 * np.abs(best))
+        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables, PhaseSearchConfig())
+
+    def test_stacked_link_axis(self, grid114, rng):
+        # Alice's and eve's packets as one (2, T, Q) batch against alice's
+        # prediction, as run_batch scores them.
+        cfg = PhaseSearchConfig()
+        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=8, stacked=True)
+        bound = cfg.slope_bound(grid114.dft_size)
+        _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, (2, 8)))
+        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables, cfg)
+
+
+class TestLinkAxisAndTables:
+    """A stacked (2, T, Q) batch is two (T, Q) batches in one call, and the
+    GEMM tables hold the projections they stand for."""
+
+    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
+    @pytest.mark.parametrize("trials", [1, 3, 16, 64])
+    def test_stacked_equals_separate_calls(self, grid114, rng, trials, objective):
+        cfg = PhaseSearchConfig(objective=objective)
+        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
+        offset, slope = _kernels.phase_search(obs, prep, grid114, tables, cfg)
+        y, quad = _kernels.whitened_quadform(obs, prep, tables)
+        assert offset.shape == slope.shape == quad.shape == (2, trials)
+        for link in (0, 1):
+            one_offset, one_slope = _kernels.phase_search(obs[link], prep, grid114, tables, cfg)
+            one_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
+            assert np.array_equal(offset[link], one_offset)
+            assert np.array_equal(slope[link], one_slope)
+            assert np.array_equal(y[link], one_y)
+            assert np.array_equal(quad[link], one_quad)
+
+    def test_ramp_takes_leading_axes(self, grid114, rng):
+        tables = _kernels.grid_tables(grid114, 8)
+        x = rng.uniform(-0.3, 0.3, size=(2, 5))
+        assert np.array_equal(tables.ramp(x)[1], tables.ramp(x[1]))
+
+    def test_coarse_table_projects_every_grid_slope(self, grid114, rng):
+        tables = _kernels.grid_tables(grid114, 8)
+        slopes, phi_t, table = _kernels.slope_tables(grid114, 8, 64, 0.2)
+        h = _random_obs(rng, grid114)
+        s = (h @ table).reshape(len(slopes), 8)
+        c = partial_dft(grid114, 8)
+        for g in range(len(slopes)):
+            expected = c.conj().T @ (phi_t[:, g] * h)
+            assert np.allclose(s[g], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_c3_projects_ramp_derivatives(self, grid114, rng):
+        tables = _kernels.grid_tables(grid114, 8)
+        h = _random_obs(rng, grid114)
+        u = tables.ramp(np.array(0.05))
+        s = ((u * h) @ tables.c3).reshape(3, 8)
+        c = partial_dft(grid114, 8)
+        q = np.asarray(grid114.pilot_indices, dtype=float)
+        # u = exp(-1j x q) and its first two derivatives in x.
+        for k, u_k in enumerate((u, -1j * q * u, -q * q * u)):
+            expected = c.conj().T @ (u_k * h)
+            assert np.allclose(s[k], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestEstimatePhase:

@@ -170,6 +170,45 @@ class TestConfigSpace:
         assert np.all(np.isfinite(batch.mse))
 
 
+class TestCollectPhase:
+    def test_columns_hold_alice_then_eve(self):
+        # At the first step the prediction is the prior, so the estimates
+        # can be recomputed from the simulated observations alone.
+        cfg = FAST
+        seeds = [derive_trial_seed(cfg.seed, i) for i in range(2)]
+        batch = run_batch(cfg, seeds, collect_phase=True)
+        assert batch.phase_true.shape == batch.phase_est.shape == (2, cfg.num_steps, 2, 2)
+        profile = cfg.channel_profile()
+        grid = cfg.pilot_grid()
+        noise_var = snr_to_noise_var(cfg.snr_db)
+        tables = _kernels.grid_tables(grid, profile.num_paths)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        alice, eve = next(simulate(profile, tables, noise_var, cfg.resolved_max_slope(), rngs))
+        cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
+        prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
+                                      noise_var, tables)
+        for col, link in enumerate((alice, eve)):
+            assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset)
+            assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope)
+            offset, slope = _kernels.phase_search(link.obs, prep, grid, tables, cfg.search)
+            assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
+            assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
+
+
+class TestDefaultSlopeRange:
+    def test_m64_default_runs_near_nominal_false_alarm(self):
+        # At M = 64 the default drawn slopes reach 2*pi*4/64 = 0.39 rad; a
+        # search range fixed at 2*pi*4/128 could not reach half of them and
+        # raised a false alarm on every legitimate packet (rate 1.0).
+        cfg = ScenarioConfig(
+            num_steps=200, num_trials=2, grid=GridConfig(dft_size=64, pilot_spec="all")
+        )
+        batch = run_batch(cfg, [derive_trial_seed(cfg.seed, i) for i in range(2)])
+        decisions = batch.decisions("kalman")[:, batch.test_slice, :]
+        assert 0.02 <= decisions[:, :, 0].mean() <= 0.2
+        assert decisions[:, :, 1].mean() >= 0.9
+
+
 class TestRunnerAgainstPublicOps:
     """Drive the dense reference filter (tests/oracles.py) over the same
     simulated observations as the runner and compare the statistics."""
