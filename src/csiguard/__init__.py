@@ -14,23 +14,21 @@ from .detector import (
     calibrate_empirical_threshold,
     decide,
     magnitude_diff_statistic,
-    test_statistic,
     threshold,
 )
-from .errors import CalibrationError, ConfigError, NumericalError, SingularMatrixError
+from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import (
     RocResult,
     SweepPoint,
     SweepResult,
     derive_trial_seed,
-    roc_curve,
     roc_points,
     run_batch,
     sweep,
     trial_records,
     write_csv,
 )
-from .numerics import bessel_j0, chi2_cdf, chi2_quantile, hermitian_solve
+from .numerics import bessel_j0, chi2_cdf, chi2_quantile
 from .observation import PilotGrid, partial_dft, snr_to_noise_var
 
 __version__ = "0.1.0"

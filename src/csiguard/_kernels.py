@@ -311,6 +311,7 @@ def phase_search(
     grid: PilotGrid,
     tables: GridTables,
     cfg,
+    bound: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
 
@@ -324,21 +325,19 @@ def phase_search(
     ``cfg.objective == "paper-literal"``, the unwhitened cross-term
     variant) with the offset profiled out in closed form.  The slope is
     first the argmin of ``cfg.slope_grid_points`` equally spaced slopes
-    on ``[-bound, bound]``, with ``bound = cfg.slope_bound(grid.dft_size)``,
-    all scored by one GEMM against the coarse table of
-    :func:`slope_tables`.  It then takes three Newton steps on the exact
-    derivatives (:func:`_slope_derivatives`, one GEMM against
-    ``tables.c3`` each), each clipped to the grid cells on either side of
-    the grid argmin and skipped where the second derivative is not
-    positive.  The refined slope is kept only where it scores no worse
+    on ``[-bound, bound]``, all scored by one GEMM against the coarse
+    table of :func:`slope_tables`; the harness passes the drawn slope
+    range ``phase.max_slope`` as ``bound``.  It then takes three Newton
+    steps on the exact derivatives (:func:`_slope_derivatives`, one GEMM
+    against ``tables.c3`` each), each clipped to the grid cells on either
+    side of the grid argmin and skipped where the second derivative is
+    not positive.  The refined slope is kept only where it scores no worse
     than the grid argmin.  The offset is recovered in closed form at the
     final slope.  Exact objective ties on the grid resolve toward the
     smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    slopes, phi_t, table = slope_tables(
-        grid, tables.c.shape[1], cfg.slope_grid_points, cfg.slope_bound(grid.dft_size)
-    )
+    slopes, phi_t, table = slope_tables(grid, tables.c.shape[1], cfg.slope_grid_points, bound)
 
     # Coarse grid, all candidates at once: s[..., g, :] = C^H (phi_g * h).
     # s and g are the largest arrays of the search; they are freed before

@@ -216,7 +216,7 @@ def criterion_6_phase_recovery() -> CriterionResult:
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
     prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
-    est_offset, est_slope = _kernels.phase_search(alice.obs, prep, grid, tables, cfg)
+    est_offset, est_slope = _kernels.phase_search(alice.obs, prep, grid, tables, cfg, max_slope)
 
     offset_err = np.abs((est_offset - alice.offset + np.pi) % (2 * np.pi) - np.pi)
     slope_err = np.abs(est_slope - alice.slope)

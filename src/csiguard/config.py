@@ -42,6 +42,7 @@ _REMOVED_KEYS = {
         "moved the estimate"
     ),
     "channel.model": "the AR(1) Jakes fit is the only channel model",
+    "search.slope_bound": "the searched slope range is the drawn one, phase.max_slope",
 }
 
 
@@ -60,8 +61,8 @@ class GridConfig:
 def default_slope(dft_size: int) -> float:
     """Phase slope of up to 4 samples of packet-detection delay: 2*pi*4/M.
 
-    The default of both the drawn slope bound ``phase.max_slope`` and the
-    searched one ``search.slope_bound``.
+    The default of ``phase.max_slope``, the bound of both the drawn and
+    the searched slope range.
     """
     return 2.0 * np.pi * 4.0 / dft_size
 
@@ -73,34 +74,24 @@ class PhaseSearchConfig:
     The offset is always minimized in closed form (the objective is an
     exact cosine in the offset).  The slope is located on a coarse grid of
     ``slope_grid_points`` equally spaced values over
-    ``[-bound, bound]`` and then refined by three
+    ``[-max_slope, max_slope]``, the range the phase slopes are drawn from
+    (:meth:`ScenarioConfig.resolved_max_slope`), and then refined by three
     Newton steps on the exact derivatives, confined to the grid cells on
     either side of the grid argmin (see :func:`csiguard._kernels.phase_search`).
     The grid must therefore be finer than the likelihood's main lobe, which
-    :class:`ScenarioConfig` checks against its pilot grid.  The bound is
-    ``slope_search_bound``, or, when that is None, :func:`default_slope` of
-    the searched grid's DFT size, the same as the default drawn slope
-    bound (see :meth:`slope_bound`).  ``objective`` selects the whitened
-    residual energy (default) or the literal unwhitened cross-term variant.
+    :class:`ScenarioConfig` checks against its pilot grid.  ``objective``
+    selects the whitened residual energy (default) or the literal
+    unwhitened cross-term variant.
     """
 
     slope_grid_points: int = 64
-    slope_search_bound: float | None = None  # None: 2*pi*4/dft_size
     objective: str = "whitened"
 
     def __post_init__(self) -> None:
         if self.slope_grid_points < 2:
             raise ConfigError("search.slope_points must be >= 2")
-        if self.slope_search_bound is not None and not 0.0 < self.slope_search_bound < np.inf:
-            raise ConfigError("search.slope_bound must be finite and > 0")
         if self.objective not in ("whitened", "paper-literal"):
             raise ConfigError(f"unknown search.objective {self.objective!r}")
-
-    def slope_bound(self, dft_size: int) -> float:
-        """Half-width of the searched slope range on a grid of DFT size ``dft_size``."""
-        if self.slope_search_bound is not None:
-            return self.slope_search_bound
-        return default_slope(dft_size)
 
 
 @dataclass(frozen=True)
@@ -122,9 +113,14 @@ class ScenarioConfig:
             raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.max_slope is not None and not 0.0 <= self.max_slope < np.inf:
+        # The slope is searched over the drawn range, so a zero range would
+        # leave it unfitted: the statistic would follow chi2(2Q - 1), not the
+        # chi2(2Q - 2) of the threshold.
+        if self.max_slope is not None and not 0.0 < self.max_slope < np.inf:
             raise ConfigError(
-                f"phase.max_slope must be finite and >= 0, got {self.max_slope!r}"
+                f"phase.max_slope must be finite and > 0, got {self.max_slope!r}: "
+                "the slope is searched over [-max_slope, max_slope] and fitted on "
+                "every packet"
             )
         if self.num_steps < 2:
             raise ConfigError("num_steps must be >= 2")
@@ -148,7 +144,7 @@ class ScenarioConfig:
         # argmin, so the grid must sample the likelihood's main lobe, whose
         # width in slope is 2*pi over the pilot span.
         span = pilots[-1] - pilots[0]
-        bound = self.resolved_slope_bound()
+        bound = self.resolved_max_slope()
         spacing = 2.0 * bound / (self.search.slope_grid_points - 1)
         lobe = 2.0 * np.pi / span
         if spacing > lobe:
@@ -158,15 +154,6 @@ class ScenarioConfig:
                 f"slope grid {spacing:.3g} rad apart, wider than the likelihood's "
                 f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
                 f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
-                "search.slope_bound"
-            )
-        # A drawn slope outside the searched range cannot be estimated, and
-        # every packet drawn there inflates the residual.
-        if self.resolved_max_slope() > bound:
-            raise ConfigError(
-                f"phase.max_slope = {self.resolved_max_slope()!r} exceeds "
-                f"search.slope_bound = {bound!r}: slopes drawn outside the searched "
-                "range cannot be estimated; raise search.slope_bound or lower "
                 "phase.max_slope"
             )
         try:
@@ -181,9 +168,6 @@ class ScenarioConfig:
         if self.max_slope is not None:
             return self.max_slope
         return default_slope(self.grid.dft_size)
-
-    def resolved_slope_bound(self) -> float:
-        return self.search.slope_bound(self.grid.dft_size)
 
     def channel_profile(self) -> ChannelProfile:
         return make_profile(
@@ -298,8 +282,6 @@ def config_from_mapping(
             grid = replace(grid, pilot_spec=value)
         elif key == "search.slope_points":
             search = replace(search, slope_grid_points=_parse(key, value, int))
-        elif key == "search.slope_bound":
-            search = replace(search, slope_search_bound=_parse(key, value, float))
         elif key == "search.objective":
             search = replace(search, objective=value)
         elif key in _REMOVED_KEYS:
@@ -328,7 +310,6 @@ def format_config(cfg: ScenarioConfig) -> str:
         "grid.dft_size": str(cfg.grid.dft_size),
         "grid.pilot_spec": cfg.grid.pilot_spec,
         "search.slope_points": str(cfg.search.slope_grid_points),
-        "search.slope_bound": repr(cfg.resolved_slope_bound()),
         "search.objective": cfg.search.objective,
     }
     return "".join(f"{k} = {v}\n" for k, v in sorted(lines.items()))

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, NumericalError
-from .numerics import chi2_quantile, hermitian_solve
+from .errors import CalibrationError
+from .numerics import chi2_quantile
 
 __all__ = [
     "DetectionRecord",
-    "test_statistic",
     "null_dof",
     "threshold",
     "decide",
@@ -59,17 +58,6 @@ class DetectionRecord:
             raise ValueError("nominal_false_alarm must lie in (0, 1)")
         if self.decision != decide(self.statistic, self.threshold):
             raise ValueError("decision is inconsistent with statistic and threshold")
-
-
-def test_statistic(residual: np.ndarray, cov: np.ndarray) -> float:
-    """Twice the covariance-whitened residual energy: 2 eps^H Sigma^{-1} eps."""
-    residual = np.asarray(residual)
-    if cov.shape != (len(residual), len(residual)):
-        raise ValueError(f"covariance shape {cov.shape} does not match residual")
-    value = 2.0 * complex(residual.conj() @ hermitian_solve(cov, residual))
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise NumericalError(f"residual energy has imaginary part {value.imag:.3e}")
-    return value.real
 
 
 def null_dof(num_pilots: int, fitted_params: int = 0) -> int:

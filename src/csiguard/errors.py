@@ -5,10 +5,6 @@ class NumericalError(RuntimeError):
     """A numerical operation failed in a way that invalidates the result."""
 
 
-class SingularMatrixError(NumericalError):
-    """A matrix expected to be positive definite failed to factor."""
-
-
 class CalibrationError(ValueError):
     """Not enough data (or degenerate data) to calibrate a threshold."""
 

@@ -45,7 +45,6 @@ __all__ = [
     "trial_records",
     "sweep",
     "roc_points",
-    "roc_curve",
     "write_csv",
     "read_sweep_csv",
     "read_roc_csv",
@@ -154,7 +153,9 @@ def run_batch(
 
         # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
         obs = np.stack((alice.obs, eve.obs))
-        est_offset, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg.search)
+        est_offset, est_slope = _kernels.phase_search(
+            obs, prep, grid, tables, cfg.search, max_slope
+        )
         v = tables.ramp(est_slope) * obs
         rotated_residual = np.exp(-1j * est_offset)[..., None] * v - prep.m
         y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
@@ -211,9 +212,7 @@ def run_batch(
     )
 
 
-def trial_records(
-    cfg: ScenarioConfig, trial_seed: int, *, clone_eve: bool = False
-) -> list[tuple[str, DetectionRecord]]:
+def trial_records(cfg: ScenarioConfig, trial_seed: int) -> list[tuple[str, DetectionRecord]]:
     """Run one trial and return (detector, record) pairs.
 
     Per step there are two records per configured detector, alice-labeled
@@ -221,7 +220,7 @@ def trial_records(
     which is the first with a previous observation).  Identical
     (cfg, trial_seed) always produce an identical list.
     """
-    batch = run_batch(cfg, [trial_seed], clone_eve=clone_eve)
+    batch = run_batch(cfg, [trial_seed])
     pairs: list[tuple[str, DetectionRecord]] = []
     p_fa = cfg.nominal_false_alarm
     for k in range(1, cfg.num_steps + 1):
@@ -353,11 +352,6 @@ def roc_points(h0_samples, h1_samples, num_points: int) -> list[tuple[float, flo
     dr = 1.0 - np.searchsorted(h1, thresholds, side="right") / h1.size
     order = np.lexsort((dr, fa))
     return [(float(thresholds[i]), float(fa[i]), float(dr[i])) for i in order]
-
-
-def roc_curve(h0_samples, h1_samples, num_points: int) -> list[tuple[float, float]]:
-    """ROC points (false_alarm_rate, detection_rate); see :func:`roc_points`."""
-    return [(fa, dr) for _, fa, dr in roc_points(h0_samples, h1_samples, num_points)]
 
 
 def _fmt(x) -> str:

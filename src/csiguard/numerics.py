@@ -1,7 +1,7 @@
-"""Special functions and small Hermitian linear algebra.
+"""Special functions: the Bessel function J0 and the chi-squared law.
 
 Everything here is a pure function; the heavy lifting is delegated to
-scipy's Cephes/LAPACK bindings, with input validation and error mapping
+scipy's Cephes bindings in ``scipy.special``, with input validation
 matching the conventions of the rest of the package.
 """
 
@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import scipy.linalg
 import scipy.special
 
-from .errors import SingularMatrixError
-
-__all__ = ["bessel_j0", "chi2_cdf", "chi2_quantile", "hermitian_solve"]
+__all__ = ["bessel_j0", "chi2_cdf", "chi2_quantile"]
 
 
 def bessel_j0(x: float) -> float:
@@ -54,26 +50,3 @@ def chi2_quantile(p: float, dof: int) -> float:
     if not (0.0 < p < 1.0):
         raise ValueError(f"chi2_quantile requires 0 < p < 1, got {p!r}")
     return float(2.0 * scipy.special.gammaincinv(0.5 * dof, p))
-
-
-def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive definite `a`.
-
-    Uses a Cholesky factorization; a factorization failure (matrix not
-    positive definite) raises :class:`SingularMatrixError`.  `b` may be a
-    vector or a matrix of right-hand sides.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"dimension mismatch: a is {a.shape}, b is {b.shape}")
-    scale = np.max(np.abs(a))
-    if scale > 0 and np.max(np.abs(a - a.conj().T)) > 1e-8 * scale:
-        raise ValueError("matrix is not Hermitian")
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, b)

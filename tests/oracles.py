@@ -8,7 +8,10 @@ oracle is the textbook two-line Kalman recursion, and the dense filter
 (:func:`filter_step` and its parts) builds the Q x Q innovation covariance
 and the Kalman gain from the textbook formulas that the batched kernels in
 ``csiguard._kernels`` factor through the Woodbury identity (only its phase
-estimate comes from ``_kernels.phase_search``).
+estimate comes from ``_kernels.phase_search``).  The dense filter solves
+with :func:`hermitian_solve`, a Cholesky solve, and scores a residual with
+:func:`residual_statistic`, ``2 eps^H Sigma^{-1} eps`` against the dense
+covariance, the quantity the kernels' whitened quadratic form computes.
 """
 
 from __future__ import annotations
@@ -18,12 +21,16 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from csiguard import _kernels
 from csiguard.errors import NumericalError
-from csiguard.numerics import hermitian_solve
 from csiguard.observation import partial_dft
+
+
+class SingularMatrixError(NumericalError):
+    """A matrix expected to be positive definite failed to factor."""
 
 
 def bessel_j0_series(x: float) -> float:
@@ -97,6 +104,40 @@ def gaussian_elimination_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for col in range(n - 1, -1, -1):
         x[col] = (x[col] - a[col, col + 1 :] @ x[col + 1 :]) / a[col, col]
     return x
+
+
+def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for Hermitian positive definite `a`.
+
+    Uses a Cholesky factorization; a factorization failure (matrix not
+    positive definite) raises :class:`SingularMatrixError`.  `b` may be a
+    vector or a matrix of right-hand sides.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"dimension mismatch: a is {a.shape}, b is {b.shape}")
+    scale = np.max(np.abs(a))
+    if scale > 0 and np.max(np.abs(a - a.conj().T)) > 1e-8 * scale:
+        raise ValueError("matrix is not Hermitian")
+    try:
+        factor = scipy.linalg.cho_factor(a, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"Cholesky factorization failed: {exc}") from exc
+    return scipy.linalg.cho_solve(factor, b)
+
+
+def residual_statistic(residual: np.ndarray, cov: np.ndarray) -> float:
+    """Twice the covariance-whitened residual energy: 2 eps^H Sigma^{-1} eps."""
+    residual = np.asarray(residual)
+    if cov.shape != (len(residual), len(residual)):
+        raise ValueError(f"covariance shape {cov.shape} does not match residual")
+    value = 2.0 * complex(residual.conj() @ hermitian_solve(cov, residual))
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        raise NumericalError(f"residual energy has imaginary part {value.imag:.3e}")
+    return value.real
 
 
 def scalar_kalman(
@@ -240,14 +281,20 @@ def update(pred: KalmanState, values: np.ndarray, b: np.ndarray, k: np.ndarray) 
 
 
 def filter_step(
-    state: KalmanState, values: np.ndarray, profile, grid, noise_var: float, cfg
+    state: KalmanState,
+    values: np.ndarray,
+    profile,
+    grid,
+    noise_var: float,
+    cfg,
+    bound: float | None = None,
 ) -> tuple[KalmanState, PhaseDistortion, np.ndarray, np.ndarray]:
     """One full filter step on one observation: predict, estimate phases, gain, update.
 
     The phase pair comes from ``csiguard._kernels.phase_search`` on a
-    one-row batch; with ``cfg=None`` the search is skipped and the
-    identity distortion is assumed (a plain Kalman filter on undistorted
-    observations).
+    one-row batch, searching slopes in ``[-bound, bound]``; with
+    ``cfg=None`` the search is skipped and the identity distortion is
+    assumed (a plain Kalman filter on undistorted observations).
 
     Returns the updated state, the estimated distortion, the residual
     ``eps = values - B mean_predicted`` and the dense innovation
@@ -260,7 +307,7 @@ def filter_step(
     else:
         tables = _kernels.grid_tables(grid, len(pred.mean))
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-        offset, slope = _kernels.phase_search(values[None], prep, grid, tables, cfg)
+        offset, slope = _kernels.phase_search(values[None], prep, grid, tables, cfg, bound)
         d = PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
     b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
     residual = values - b @ pred.mean

@@ -17,7 +17,6 @@ channel.num_paths = 4
 grid.dft_size = 32
 grid.pilot_spec = first:16
 search.slope_points = 32
-search.slope_bound = 0.7853981633974483
 """
 
 
@@ -100,7 +99,7 @@ class TestSweeps:
         out2 = tmp_path / "b.csv"
         base = ["sweep-snr", "--config", config_file, "--values", "10"]
         cli_main(base + ["--out", str(out1)])
-        cli_main(base + ["--set", "search.slope_bound=1.0", "--out", str(out2)])
+        cli_main(base + ["--set", "phase.max_slope=0.5", "--out", str(out2)])
         hash1 = out1.read_text().splitlines()[0]
         hash2 = out2.read_text().splitlines()[0]
         assert hash1 != hash2
@@ -137,15 +136,21 @@ class TestErrors:
         assert "at least 2" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_drawn_slope_beyond_search_range(self, config_file, tmp_path, capsys):
-        # The fast config searches slopes in [-0.785, 0.785] (2*pi*4/32).
+    def test_one_slope_range(self, config_file, tmp_path, capsys):
+        # Slopes are searched over the drawn range: the separate search bound
+        # is gone, and a zero range, which would leave the slope unfitted, is
+        # refused.
         out = tmp_path / "x.csv"
-        args = ["--config", config_file, "--set", "phase.max_slope=0.9"]
-        assert cli_main(["simulate", *args, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "phase.max_slope" in err and "search.slope_bound" in err
-        assert err.count("\n") == 1
-        assert not out.exists()
+        for setting, message in (
+            ("search.slope_bound=0.3", "'search.slope_bound' was removed"),
+            ("phase.max_slope=0", "phase.max_slope must be finite and > 0"),
+        ):
+            args = ["--config", config_file, "--set", setting]
+            assert cli_main(["simulate", *args, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_too_few_calibration_samples(self, config_file, tmp_path, capsys):
         # 40 steps leave the magnitude baseline 19 of its 100 calibration samples.

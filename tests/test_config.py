@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -62,11 +60,10 @@ class TestScenarioConfig:
                 ScenarioConfig(snr_db=snr_db)
         with pytest.raises(ConfigError, match="seed"):
             ScenarioConfig(seed=-1)
-        for max_slope in (float("nan"), -0.1):
+        # A zero slope range would leave the slope unfitted.
+        for max_slope in (float("nan"), -0.1, 0.0):
             with pytest.raises(ConfigError, match="phase.max_slope"):
                 ScenarioConfig(max_slope=max_slope)
-        with pytest.raises(ConfigError, match="search.slope_bound"):
-            PhaseSearchConfig(slope_search_bound=float("nan"))
         # The channel profile and the partial DFT are built at construction.
         for channel in (ChannelConfig(num_paths=0), ChannelConfig(num_paths=200),
                         ChannelConfig(pdp_decay=-1.0), ChannelConfig(pdp_decay=float("nan"))):
@@ -106,39 +103,18 @@ class TestScenarioConfig:
         # against a main lobe of 2*pi/15 = 0.42 rad.
         cfg = ScenarioConfig(
             grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            search=PhaseSearchConfig(slope_grid_points=32, slope_search_bound=2 * np.pi * 4 / 32),
+            search=PhaseSearchConfig(slope_grid_points=32),
         )
         assert cfg.pilot_grid().num_pilots == 16
 
 
 class TestSlopeRange:
-    """The searched slope range must cover the drawn one; by default both
-    are 2*pi*4/M."""
+    """Slopes are drawn and searched over one range, by default 2*pi*4/M."""
 
     def test_default_bound_follows_dft_size(self):
         for dft_size in (32, 64, 128):
             cfg = ScenarioConfig(grid=GridConfig(dft_size=dft_size, pilot_spec="all"))
-            assert cfg.resolved_slope_bound() == cfg.resolved_max_slope()
-            assert cfg.resolved_slope_bound() == pytest.approx(2 * np.pi * 4 / dft_size)
-
-    def test_drawn_slope_beyond_search_range_rejected(self):
-        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
-            ScenarioConfig(max_slope=0.3)
-        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
-            ScenarioConfig(search=PhaseSearchConfig(slope_search_bound=0.1))
-        with pytest.raises(ConfigError, match="phase.max_slope.*search.slope_bound"):
-            config_from_mapping({"search.slope_bound": "0.1"})
-        # A wider search than the drawn range is allowed.
-        assert ScenarioConfig(max_slope=0.1).resolved_slope_bound() > 0.1
-
-    def test_default_hash_and_serialized_bound_unchanged(self):
-        # The resolved bound is serialized, so the M = 128 default keeps the
-        # hash it had while the bound was a fixed 2*pi*4/128.
-        cfg = ScenarioConfig()
-        assert "search.slope_bound = 0.19634954084936207\n" in format_config(cfg)
-        assert config_hash(cfg) == "c652141e9064"
-        explicit = ScenarioConfig(search=PhaseSearchConfig(slope_search_bound=2 * np.pi * 4 / 128))
-        assert config_hash(explicit) == config_hash(cfg)
+            assert cfg.resolved_max_slope() == pytest.approx(2 * np.pi * 4 / dft_size)
 
 
 class TestParsing:
@@ -166,14 +142,14 @@ class TestParsing:
                 "snr_db": "3.5",
                 "num_trials": "7",
                 "channel.num_paths": "4",
-                "search.slope_bound": "0.25",
+                "phase.max_slope": "0.25",
                 "detectors": "kalman,magnitude_diff",
             }
         )
         assert cfg.snr_db == 3.5
         assert cfg.num_trials == 7
         assert cfg.channel.num_paths == 4
-        assert cfg.search.slope_search_bound == 0.25
+        assert cfg.resolved_max_slope() == 0.25
         assert cfg.detectors == ("kalman", "magnitude_diff")
 
     def test_unknown_key_names_offender(self):
@@ -188,6 +164,7 @@ class TestParsing:
             "search.refine_tol",
             "search.include_log_det",
             "channel.model",
+            "search.slope_bound",
         ],
     )
     def test_removed_key_says_removed(self, key):
@@ -208,12 +185,12 @@ class TestParsing:
             grid=GridConfig(dft_size=64, pilot_spec="first:20"),
         )
         again = config_from_mapping(parse_config_text(format_config(cfg)))
-        # max_slope and the search bound resolve to explicit values on round-trip
+        # max_slope resolves to an explicit value on round-trip
         assert again.snr_db == cfg.snr_db
         assert again.normalized_doppler == cfg.normalized_doppler
         assert again.channel == cfg.channel
         assert again.grid == cfg.grid
-        assert again.search == replace(cfg.search, slope_search_bound=cfg.resolved_slope_bound())
+        assert again.search == cfg.search
         assert again.detectors == cfg.detectors
         assert again.resolved_max_slope() == cfg.resolved_max_slope()
 

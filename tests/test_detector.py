@@ -8,15 +8,16 @@ from csiguard.detector import (
     magnitude_diff_statistic,
     threshold,
 )
-from csiguard.detector import test_statistic as residual_statistic
-from csiguard.errors import CalibrationError, SingularMatrixError
+from csiguard.errors import CalibrationError
 
-from oracles import chi2_quantile_quadrature
+from oracles import SingularMatrixError, chi2_quantile_quadrature, residual_statistic
 
 THRESHOLD_01_114 = 255.75889888819424  # quadrature oracle, see oracles.py
 
 
 class TestTestStatistic:
+    """The dense residual statistic of the test oracles (tests/oracles.py)."""
+
     def test_zero_residual(self):
         assert residual_statistic(np.zeros(3, dtype=complex), np.eye(3)) == 0.0
 

@@ -4,7 +4,7 @@ import pytest
 from csiguard import _kernels
 from csiguard.acceptance import PHASE_RECOVERY_TOLERANCE
 from csiguard.channel import make_profile
-from csiguard.config import PhaseSearchConfig
+from csiguard.config import PhaseSearchConfig, default_slope
 from csiguard.errors import NumericalError
 from csiguard.observation import partial_dft
 
@@ -33,11 +33,11 @@ def _random_obs(rng, grid):
     return rng.standard_normal(q) + 1j * rng.standard_normal(q)
 
 
-def _estimate(obs, pred, grid, noise_var, cfg):
+def _estimate(obs, pred, grid, noise_var, cfg, bound):
     """Phase pair of one observation: phase_search on a one-row batch."""
     tables = _kernels.grid_tables(grid, len(pred.mean))
     prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-    offset, slope = _kernels.phase_search(obs[None], prep, grid, tables, cfg)
+    offset, slope = _kernels.phase_search(obs[None], prep, grid, tables, cfg, bound)
     return PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
 
 
@@ -164,7 +164,7 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
     profile = make_profile(num_paths, 1e-4, 0.5)
     tables = _kernels.grid_tables(grid, num_paths)
     s2 = 10.0 ** (-snr_db / 10.0)
-    bound = PhaseSearchConfig().slope_bound(grid.dft_size)
+    bound = default_slope(grid.dft_size)
     seeds = rng.integers(2**63, size=trials)
     [(link, eve)] = simulate_steps(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
     h = link.taps
@@ -204,11 +204,10 @@ def _check_derivatives(obs, prep, tables, cfg, x):
 
 def _check_no_worse_than_fine_sweep(obs, prep, grid, tables, cfg):
     """phase_search stays in its bracket and scores no worse than a 1001-point sweep of it."""
-    _, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg)
+    bound = default_slope(grid.dft_size)
+    _, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg, bound)
     f = _profiled_objective(obs, prep, tables, cfg)
-    slopes = _kernels.slope_tables(
-        grid, tables.c.shape[1], cfg.slope_grid_points, cfg.slope_bound(grid.dft_size)
-    )[0]
+    slopes = _kernels.slope_tables(grid, tables.c.shape[1], cfg.slope_grid_points, bound)[0]
     grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
     idx = np.argmin(grid_obj, axis=-1)
     lo = slopes[np.maximum(idx - 1, 0)]
@@ -230,7 +229,7 @@ class TestNewtonStage:
         # derivatives must drop its terms rather than divide by |zc| = 0.
         cfg = PhaseSearchConfig(objective=objective)
         obs, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
-        bound = cfg.slope_bound(grid114.dft_size)
+        bound = default_slope(grid114.dft_size)
         _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, 8))
 
     @pytest.mark.parametrize("zero_mean", [False, True])
@@ -244,7 +243,7 @@ class TestNewtonStage:
         # prediction, as run_batch scores them.
         cfg = PhaseSearchConfig()
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=8, stacked=True)
-        bound = cfg.slope_bound(grid114.dft_size)
+        bound = default_slope(grid114.dft_size)
         _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, (2, 8)))
         _check_no_worse_than_fine_sweep(obs, prep, grid114, tables, cfg)
 
@@ -258,11 +257,14 @@ class TestLinkAxisAndTables:
     def test_stacked_equals_separate_calls(self, grid114, rng, trials, objective):
         cfg = PhaseSearchConfig(objective=objective)
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
-        offset, slope = _kernels.phase_search(obs, prep, grid114, tables, cfg)
+        bound = default_slope(grid114.dft_size)
+        offset, slope = _kernels.phase_search(obs, prep, grid114, tables, cfg, bound)
         y, quad = _kernels.whitened_quadform(obs, prep, tables)
         assert offset.shape == slope.shape == quad.shape == (2, trials)
         for link in (0, 1):
-            one_offset, one_slope = _kernels.phase_search(obs[link], prep, grid114, tables, cfg)
+            one_offset, one_slope = _kernels.phase_search(
+                obs[link], prep, grid114, tables, cfg, bound
+            )
             one_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
             assert np.array_equal(offset[link], one_offset)
             assert np.array_equal(slope[link], one_slope)
@@ -302,8 +304,8 @@ class TestEstimatePhase:
         profile = make_profile(4, 1e-4, 0.5)
         [(link, _)] = simulate_steps(profile, [5], 1, grid=small_grid, noise_var=1e-12)
         pred = KalmanState(mean=link.taps[0], cov_diag=1e-6 * profile.pdp, kind="predicted")
-        cfg = PhaseSearchConfig(slope_search_bound=0.3)
-        d = _estimate(undistorted(link, small_grid)[0], pred, small_grid, 1e-12, cfg)
+        cfg = PhaseSearchConfig()
+        d = _estimate(undistorted(link, small_grid)[0], pred, small_grid, 1e-12, cfg, 0.3)
         assert abs(d.offset) < PHASE_RECOVERY_TOLERANCE
         assert abs(d.slope) < PHASE_RECOVERY_TOLERANCE
 
@@ -312,7 +314,7 @@ class TestEstimatePhase:
         [(link, _)] = simulate_steps(profile, [6], 1, grid=grid114, noise_var=1e-12, max_slope=0.1)
         pred = KalmanState(mean=link.taps[0], cov_diag=1e-8 * profile.pdp, kind="predicted")
         cfg = PhaseSearchConfig()
-        d = _estimate(link.obs[0], pred, grid114, 1e-12, cfg)
+        d = _estimate(link.obs[0], pred, grid114, 1e-12, cfg, default_slope(grid114.dft_size))
         assert d.slope == pytest.approx(link.slope[0], abs=PHASE_RECOVERY_TOLERANCE)
         assert d.offset == pytest.approx(link.offset[0], abs=PHASE_RECOVERY_TOLERANCE)
 
@@ -320,12 +322,12 @@ class TestEstimatePhase:
         # The refined estimate must score at least as well as a brute-force
         # sweep of the likelihood over a fine slope/offset grid.
         profile = make_profile(4, 1e-4, 0.5)
-        cfg = PhaseSearchConfig(slope_search_bound=0.2)
+        cfg = PhaseSearchConfig()
         for trial in range(3):
             pred = _random_predicted(rng, small_grid, 4, cov_scale=0.05)
             obs = _random_obs(rng, small_grid)
             s2 = 0.5
-            d = _estimate(obs, pred, small_grid, s2, cfg)
+            d = _estimate(obs, pred, small_grid, s2, cfg, 0.2)
             best = negative_log_likelihood(d, obs, pred, small_grid, s2)
             slopes = np.linspace(-0.2, 0.2, 81)
             offsets = np.linspace(-np.pi, np.pi, 181, endpoint=False)
@@ -339,8 +341,8 @@ class TestEstimatePhase:
     def test_scale_invariance(self, small_grid, rng):
         pred = _random_predicted(rng, small_grid, 4)
         obs = _random_obs(rng, small_grid)
-        cfg = PhaseSearchConfig(slope_search_bound=0.2)
-        d1 = _estimate(obs, pred, small_grid, 0.3, cfg)
+        cfg = PhaseSearchConfig()
+        d1 = _estimate(obs, pred, small_grid, 0.3, cfg, 0.2)
         c = 2.5
         scaled_pred = KalmanState(
             mean=c * pred.mean,
@@ -348,7 +350,7 @@ class TestEstimatePhase:
             kind="predicted",
         )
         scaled_obs = c * obs
-        d2 = _estimate(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, cfg)
+        d2 = _estimate(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, cfg, 0.2)
         assert d2.slope == pytest.approx(d1.slope, abs=1e-7)
         assert d2.offset == pytest.approx(d1.offset, abs=1e-7)
 
@@ -358,8 +360,8 @@ class TestEstimatePhase:
         pred = _random_predicted(rng, small_grid, 4, cov_scale=0.05)
         obs = _random_obs(rng, small_grid)
         s2 = 0.4
-        cfg = PhaseSearchConfig(slope_search_bound=0.2, objective="paper-literal")
-        d = _estimate(obs, pred, small_grid, s2, cfg)
+        cfg = PhaseSearchConfig(objective="paper-literal")
+        d = _estimate(obs, pred, small_grid, s2, cfg, 0.2)
         c = partial_dft(small_grid, 4)
 
         def literal(offset, slope):
@@ -443,10 +445,11 @@ class TestFilterStep:
         noise_var = 1e-14
         cfg = PhaseSearchConfig()
         state = init_state(profile)
+        bound = default_slope(grid114.dft_size)
         steps = simulate_steps(profile, [7], 100, grid=grid114, noise_var=noise_var, max_slope=0.1)
         for alice, _ in steps:
             state, d_est, residual, sigma = filter_step(
-                state, alice.obs[0], profile, grid114, noise_var, cfg
+                state, alice.obs[0], profile, grid114, noise_var, cfg, bound
             )
         h = alice.taps[0]
         inner = np.vdot(state.mean, h)
@@ -479,7 +482,8 @@ class TestFilterStep:
         profile = make_profile(8, 1e-4, 0.5)
         [(alice, _)] = simulate_steps(profile, [9], 1, grid=grid114, noise_var=0.1)
         state, d, residual, sigma = filter_step(
-            init_state(profile), alice.obs[0], profile, grid114, 0.1, PhaseSearchConfig()
+            init_state(profile), alice.obs[0], profile, grid114, 0.1, PhaseSearchConfig(),
+            default_slope(grid114.dft_size),
         )
         q = grid114.num_pilots
         assert residual.shape == (q,)
@@ -496,7 +500,8 @@ class TestFilterStep:
         state = init_state(profile)
         steps = simulate_steps(profile, [10], 150, grid=grid114, noise_var=noise_var,
                                max_slope=0.19)
+        bound = default_slope(grid114.dft_size)
         for alice, _ in steps:
-            state, *_ = filter_step(state, alice.obs[0], profile, grid114, noise_var, cfg)
+            state, *_ = filter_step(state, alice.obs[0], profile, grid114, noise_var, cfg, bound)
             assert np.all(state.cov_diag >= 0.0)
             assert np.all(state.cov_diag <= profile.pdp * (1 + 1e-9))

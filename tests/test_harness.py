@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from csiguard import _kernels
 from csiguard.channel import simulate
 from csiguard.config import ChannelConfig, GridConfig, PhaseSearchConfig, ScenarioConfig
-from csiguard.detector import test_statistic as residual_statistic
 from csiguard.detector import threshold
 from csiguard.harness import (
     RocResult,
@@ -17,7 +16,6 @@ from csiguard.harness import (
     read_records_csv,
     read_roc_csv,
     read_sweep_csv,
-    roc_curve,
     roc_points,
     run_batch,
     sweep,
@@ -27,7 +25,7 @@ from csiguard.harness import (
 from csiguard.numerics import chi2_quantile
 from csiguard.observation import snr_to_noise_var
 
-from oracles import filter_step, init_state
+from oracles import filter_step, init_state, residual_statistic
 
 # Small, fast scenario used by most harness tests.
 FAST = ScenarioConfig(
@@ -37,7 +35,7 @@ FAST = ScenarioConfig(
     num_trials=3,
     channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
     grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-    search=PhaseSearchConfig(slope_grid_points=32, slope_search_bound=2 * np.pi * 4 / 32),
+    search=PhaseSearchConfig(slope_grid_points=32),
 )
 
 
@@ -190,7 +188,9 @@ class TestCollectPhase:
         for col, link in enumerate((alice, eve)):
             assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset)
             assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope)
-            offset, slope = _kernels.phase_search(link.obs, prep, grid, tables, cfg.search)
+            offset, slope = _kernels.phase_search(
+                link.obs, prep, grid, tables, cfg.search, cfg.resolved_max_slope()
+            )
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
             assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
 
@@ -222,17 +222,16 @@ class TestRunnerAgainstPublicOps:
         grid = cfg.pilot_grid()
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
-        links = simulate(
-            profile, tables, noise_var, cfg.resolved_max_slope(), [np.random.default_rng(seed)]
-        )
+        max_slope = cfg.resolved_max_slope()
+        links = simulate(profile, tables, noise_var, max_slope, [np.random.default_rng(seed)])
         state = init_state(profile)
         for k, (alice, eve) in zip(range(1, cfg.num_steps + 1), links):
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
-                state, eve.obs[0], profile, grid, noise_var, cfg.search
+                state, eve.obs[0], profile, grid, noise_var, cfg.search, max_slope
             )
             state, _, eps_alice, sigma_alice = filter_step(
-                state, alice.obs[0], profile, grid, noise_var, cfg.search
+                state, alice.obs[0], profile, grid, noise_var, cfg.search, max_slope
             )
             lam_alice = residual_statistic(eps_alice, sigma_alice)
             lam_eve = residual_statistic(eps_eve, sigma_eve)
@@ -299,7 +298,7 @@ class TestRocCurve:
     def test_perfect_separation(self):
         h0 = np.array([1.0, 2.0, 3.0])
         h1 = np.array([10.0, 11.0, 12.0])
-        curve = roc_curve(h0, h1, 101)
+        curve = [(fa, dr) for _, fa, dr in roc_points(h0, h1, 101)]
         assert (0.0, 1.0) in curve
         assert curve[0] == (0.0, 0.0) or curve[0][0] == 0.0
         assert curve[-1] == (1.0, 1.0)
@@ -308,15 +307,15 @@ class TestRocCurve:
         rng = np.random.default_rng(3)
         h0 = rng.chisquare(20, 4000)
         h1 = rng.chisquare(20, 4000)
-        for fa, dr in roc_curve(h0, h1, 51):
+        for _, fa, dr in roc_points(h0, h1, 51):
             assert abs(dr - fa) < 0.05
 
     def test_monotone(self, rng):
         h0 = rng.chisquare(10, 500)
         h1 = rng.chisquare(16, 500)
-        curve = roc_curve(h0, h1, 41)
-        fas = [fa for fa, _ in curve]
-        drs = [dr for _, dr in curve]
+        curve = roc_points(h0, h1, 41)
+        fas = [fa for _, fa, _ in curve]
+        drs = [dr for _, _, dr in curve]
         assert fas == sorted(fas)
         assert drs == sorted(drs)
 
@@ -334,7 +333,7 @@ class TestRocCurve:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            roc_curve([], [1.0], 11)
+            roc_points([], [1.0], 11)
 
 
 class TestCsv:

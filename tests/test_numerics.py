@@ -1,16 +1,23 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csiguard.errors import SingularMatrixError
-from csiguard.numerics import bessel_j0, chi2_cdf, chi2_quantile, hermitian_solve
+import csiguard
+from csiguard.numerics import bessel_j0, chi2_cdf, chi2_quantile
 
 from oracles import (
+    SingularMatrixError,
     bessel_j0_series,
     chi2_cdf_quadrature,
     chi2_quantile_quadrature,
     gaussian_elimination_solve,
+    hermitian_solve,
 )
 
 # Frozen oracle outputs (power series / quadrature, see oracles.py).
@@ -117,7 +124,23 @@ class TestChi2Quantile:
             )
 
 
+class TestImport:
+    def test_package_import_loads_no_scipy_linalg(self):
+        # The package needs only scipy.special; scipy.linalg would add to the
+        # set-up time of every run.  A fresh interpreter shows what
+        # ``import csiguard`` alone loads.
+        src = pathlib.Path(csiguard.__file__).resolve().parents[1]
+        code = "import sys, csiguard; print(sorted(m for m in sys.modules if 'scipy.linalg' in m))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
+
+
 class TestHermitianSolve:
+    """The Cholesky solver of the dense test oracles (tests/oracles.py)."""
+
     def test_identity(self, rng):
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert np.allclose(hermitian_solve(np.eye(3), b), b)
