@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Write the five gate CSVs and print one digest line per file.
+
+Usage, from a checkout whose ``src`` holds the csiguard to check:
+
+    PYTHONPATH=src python scripts/check_outputs.py OUT_DIR
+
+Each command runs through ``csiguard.cli.cli_main`` at ``--seed 3`` and
+writes one CSV under OUT_DIR.  For each file the script prints its name,
+the ``config_hash`` of its first line and the sha256 of its body (every
+line after the first).  To check that a change leaves the results
+byte-identical, run the script against both checkouts (point PYTHONPATH
+at each ``src`` in turn) and ``diff`` the two printouts: only the
+``config_hash`` column may differ.  BLAS is pinned to one thread, since
+a threaded BLAS may sum in a different order.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import pathlib  # noqa: E402
+import sys  # noqa: E402
+
+SEED = "3"
+
+# (output file, CLI arguments before --seed and --out)
+COMMANDS = (
+    ("simulate.csv", ["simulate", "--detectors", "kalman,magnitude_diff", "--num-steps", "400"]),
+    ("sweep_snr.csv", ["sweep-snr", "--values", "0,5,10,15", "--num-trials", "16",
+                       "--num-steps", "100"]),
+    ("roc.csv", ["roc", "--num-trials", "64", "--detectors", "kalman,magnitude_diff",
+                 "--num-steps", "202"]),
+    ("sweep_doppler.csv", ["sweep-doppler", "--values", "1e-4,1e-2", "--num-trials", "4",
+                           "--num-steps", "60"]),
+    ("simulate_m64.csv", ["simulate", "--num-steps", "300", "--set", "grid.dft_size=64",
+                          "--set", "grid.pilot_spec=all"]),
+)
+
+
+def digest(path) -> tuple[str, str]:
+    """(config_hash of line 1, sha256 hex of every line after the first)."""
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8")
+        body = fh.read()
+    fields = dict(f.split("=", 1) for f in first.lstrip("#").split() if "=" in f)
+    return fields.get("config_hash", ""), hashlib.sha256(body).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: check_outputs.py OUT_DIR", file=sys.stderr)
+        return 2
+    from csiguard.cli import cli_main
+
+    out_dir = pathlib.Path(argv[0])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, args in COMMANDS:
+        path = out_dir / name
+        # The CLI's "wrote ..." lines go to stderr, so stdout holds only digests.
+        with contextlib.redirect_stdout(sys.stderr):
+            rc = cli_main([*args, "--seed", SEED, "--out", str(path)])
+        if rc != 0:
+            print(f"{name}: exit {rc}", file=sys.stderr)
+            return rc
+        config, body = digest(path)
+        print(f"{name} config_hash={config} body_sha256={body}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -75,7 +75,6 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
 class GridTables:
     """Constant per-(grid, channel length) arrays used by every step."""
 
-    c: np.ndarray          # (Q, L) partial DFT
     c_conj: np.ndarray     # (Q, L)
     c_t: np.ndarray        # (L, Q) contiguous C.T for right-multiplication
     chc: np.ndarray        # (L, L) C^H C
@@ -112,7 +111,6 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
         cols.setflags(write=False)
         groups.append((int(power), cols))
     arrays = dict(
-        c=c,
         c_conj=np.ascontiguousarray(c.conj()),
         c_t=np.ascontiguousarray(c.T),
         chc=np.ascontiguousarray(c.conj().T @ c),
@@ -143,19 +141,20 @@ def _tap_table(rows: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def slope_tables(
-    grid: PilotGrid, num_paths: int, num_points: int, bound: float
+    tables: GridTables, num_points: int, bound: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coarse slope grid and its tables: (slopes, Phi.T, coarse table).
 
     ``Phi = exp(-1j slopes[:, None] q)`` has shape (G, Q); the coarse
     table is the (Q, G*L) matrix ``Phi[g, q] * conj(C[q, l])`` that
-    scores every grid slope in one GEMM (see :func:`_tap_table`).
+    scores every grid slope in one GEMM (see :func:`_tap_table`).  The
+    cache is keyed on the identity of ``tables``, which :func:`grid_tables`
+    returns once per (grid, channel length).
     """
     slopes = np.linspace(-bound, bound, num_points)
-    q = np.asarray(grid.pilot_indices, dtype=float)
-    phi = np.exp(-1j * np.outer(slopes, q))
+    phi = np.exp(-1j * np.outer(slopes, tables.q))
     phi_t = np.ascontiguousarray(phi.T)
-    table = _tap_table(phi, grid_tables(grid, num_paths).c_conj)
+    table = _tap_table(phi, tables.c_conj)
     for a in (slopes, phi_t, table):
         a.setflags(write=False)
     return slopes, phi_t, table
@@ -224,24 +223,22 @@ def whitened_quadform(
 class SearchTerms(NamedTuple):
     """Per-observation inputs of the profiled objective, shapes (..., T, Q) and (..., T).
 
-    For a slope candidate with ramp ``u = exp(-1j slope q)`` the objective
-    is ``base_quad - s^H gs s / s2^2 + const - 2 |zc|`` with
-    ``s = C^H (u * h)`` and ``zc = sum(u * zvec)``.
+    For a slope candidate with ramp ``u = exp(-1j slope q)`` the whitened
+    residual energy, minimized over the offset, is
+    ``base_quad - s^H gs s / s2^2 + m_quad - 2 |zc|`` with
+    ``s = C^H (u * h)``, ``zc = sum(u * zvec)`` and ``m_quad`` from
+    :class:`StatePrep`.
     """
 
     h: np.ndarray          # (..., T, Q) observations
-    zvec: np.ndarray       # (..., T, Q) h * conj(Sigma0^{-1} m), or h * conj(m)
+    zvec: np.ndarray       # (..., T, Q) h * conj(Sigma0^{-1} m)
     base_quad: np.ndarray  # (..., T) h^H h / s2
-    const: np.ndarray      # (T,) m^H Sigma0^{-1} m, or 0
 
 
-def _search_terms(h_obs: np.ndarray, prep: StatePrep, cfg) -> SearchTerms:
-    """The :class:`SearchTerms` of a batch of observations under ``cfg.objective``."""
-    whitened = cfg.objective == "whitened"
-    zsrc = prep.w if whitened else prep.m
+def _search_terms(h_obs: np.ndarray, prep: StatePrep) -> SearchTerms:
+    """The :class:`SearchTerms` of a batch of observations."""
     base_quad = _real_dot(h_obs, h_obs) / prep.noise_var
-    const = prep.m_quad if whitened else np.zeros_like(prep.m_quad)
-    return SearchTerms(h_obs, h_obs * zsrc.conj(), base_quad, const)
+    return SearchTerms(h_obs, h_obs * prep.w.conj(), base_quad)
 
 
 def _candidate_objective(
@@ -259,7 +256,7 @@ def _candidate_objective(
     g = np.matmul(prep.gs, s[..., None])[..., 0]
     quad = terms.base_quad - _real_dot(s, g) / (s2 * s2)
     zc = np.einsum("...q,...q->...", ramp, terms.zvec)
-    return quad + terms.const - 2.0 * np.abs(zc), zc
+    return quad + prep.m_quad - 2.0 * np.abs(zc), zc
 
 
 def _slope_derivatives(
@@ -270,7 +267,7 @@ def _slope_derivatives(
     With ``u = ramp``, ``u' = -1j q u`` and ``u'' = -q^2 u``, so
     ``s = C^H (u h)`` and ``zc`` have the exact derivatives
     ``s' = C^H (u' h)``, ``s'' = C^H (u'' h)`` (and likewise ``zc'``,
-    ``zc''``).  For ``f = base - s^H G s / s2^2 + const - 2|zc|`` that gives
+    ``zc''``).  For ``f = base - s^H G s / s2^2 + m_quad - 2|zc|`` that gives
 
     * ``f'  = -2 Re(s'^H G s) / s2^2 - 2 Re(conj(zc) zc') / |zc|``
     * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
@@ -299,18 +296,17 @@ def _slope_derivatives(
     return d1, d2
 
 
-# Real parameters phase_search fits on each packet, under either objective:
-# the phase offset and the phase slope.  Each absorbs one real degree of
-# freedom of the residual (see csiguard.detector.null_dof).
+# Real parameters phase_search fits on each packet: the phase offset and
+# the phase slope.  Each absorbs one real degree of freedom of the residual
+# (see csiguard.detector.null_dof).
 PHASE_PARAMETERS = 2
 
 
 def phase_search(
     h_obs: np.ndarray,
     prep: StatePrep,
-    grid: PilotGrid,
     tables: GridTables,
-    cfg,
+    slope_points: int,
     bound: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
@@ -321,23 +317,21 @@ def phase_search(
     shape ``(..., T)``.  A stacked batch gives the same estimates as
     separate calls.
 
-    Minimizes the whitened residual energy (or, with
-    ``cfg.objective == "paper-literal"``, the unwhitened cross-term
-    variant) with the offset profiled out in closed form.  The slope is
-    first the argmin of ``cfg.slope_grid_points`` equally spaced slopes
-    on ``[-bound, bound]``, all scored by one GEMM against the coarse
-    table of :func:`slope_tables`; the harness passes the drawn slope
-    range ``phase.max_slope`` as ``bound``.  It then takes three Newton
-    steps on the exact derivatives (:func:`_slope_derivatives`, one GEMM
-    against ``tables.c3`` each), each clipped to the grid cells on either
-    side of the grid argmin and skipped where the second derivative is
-    not positive.  The refined slope is kept only where it scores no worse
-    than the grid argmin.  The offset is recovered in closed form at the
-    final slope.  Exact objective ties on the grid resolve toward the
-    smaller |slope|, then the smaller |offset|.
+    Minimizes the whitened residual energy with the offset profiled out
+    in closed form.  The slope is first the argmin of ``slope_points``
+    equally spaced slopes on ``[-bound, bound]``, all scored by one GEMM
+    against the coarse table of :func:`slope_tables`; the harness passes
+    ``search.slope_points`` and the drawn slope range ``phase.max_slope``.
+    It then takes three Newton steps on the exact derivatives
+    (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
+    clipped to the grid cells on either side of the grid argmin and skipped
+    where the second derivative is not positive.  The refined slope is
+    kept only where it scores no worse than the grid argmin.  The offset is
+    recovered in closed form at the final slope.  Exact objective ties on
+    the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    slopes, phi_t, table = slope_tables(grid, tables.c.shape[1], cfg.slope_grid_points, bound)
+    slopes, phi_t, table = slope_tables(tables, slope_points, bound)
 
     # Coarse grid, all candidates at once: s[..., g, :] = C^H (phi_g * h).
     # s and g are the largest arrays of the search; they are freed before
@@ -346,10 +340,10 @@ def phase_search(
     g = np.matmul(s, np.conj(prep.gs))                        # rows s_g @ gs^T = (gs s_g)^T
     s_gs_s = _real_dot(s, g)
     del s, g
-    terms = _search_terms(h_obs, prep, cfg)
+    terms = _search_terms(h_obs, prep)
     quad = terms.base_quad[..., None] - s_gs_s / (s2 * s2)
     zc = terms.zvec @ phi_t                                   # (..., T, G)
-    obj = quad + terms.const[:, None] - 2.0 * np.abs(zc)
+    obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
 
     idx = _argmin_with_ties(obj, slopes, zc)
     x0 = slopes[idx]

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import _kernels
 from .channel import make_profile, simulate
-from .config import PhaseSearchConfig, ScenarioConfig
+from .config import ScenarioConfig
 from .detector import null_dof, threshold
+from .errors import ConfigError
 from .harness import derive_trial_seed, run_batch
 from .numerics import bessel_j0, chi2_cdf, chi2_quantile
 from .observation import PilotGrid
@@ -207,7 +208,7 @@ def criterion_6_phase_recovery() -> CriterionResult:
     # Near-noiseless, the likelihood valley narrows to ~1e-3 rad while
     # integer-bin slope aliases persist as local minima, so the coarse
     # stage needs enough points to sample every basin near its floor.
-    cfg = PhaseSearchConfig(slope_grid_points=512)
+    slope_points = 512
     noise_var = 1e-13
     max_slope = 2.0 * np.pi * 4.0 / 128.0
     tables = _kernels.grid_tables(grid, 8)
@@ -216,7 +217,9 @@ def criterion_6_phase_recovery() -> CriterionResult:
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
     prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
-    est_offset, est_slope = _kernels.phase_search(alice.obs, prep, grid, tables, cfg, max_slope)
+    est_offset, est_slope = _kernels.phase_search(
+        alice.obs, prep, tables, slope_points, max_slope
+    )
 
     offset_err = np.abs((est_offset - alice.offset + np.pi) % (2 * np.pi) - np.pi)
     slope_err = np.abs(est_slope - alice.slope)
@@ -382,10 +385,14 @@ ALL_CRITERIA = {
 def run_all(numbers=None) -> list[CriterionResult]:
     """Run the requested criteria (default all), printing one line each."""
     selected = sorted(ALL_CRITERIA) if numbers is None else list(numbers)
+    unknown = [n for n in selected if n not in ALL_CRITERIA]
+    if unknown:
+        raise ConfigError(
+            f"no acceptance criterion {unknown[0]}; the criteria are "
+            f"{', '.join(str(n) for n in sorted(ALL_CRITERIA))}"
+        )
     results = []
     for number in selected:
-        if number not in ALL_CRITERIA:
-            raise ValueError(f"no acceptance criterion {number}")
         result = ALL_CRITERIA[number]()
         print(result.line(), flush=True)
         results.append(result)

@@ -144,7 +144,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
     numbers = None
     if args.criteria:
-        numbers = [int(n) for n in args.criteria.split(",")]
+        try:
+            numbers = [int(n) for n in args.criteria.split(",")]
+        except ValueError as exc:
+            raise ConfigError(
+                f"--criteria expects comma-separated criterion numbers, got {args.criteria!r}"
+            ) from exc
     results = acceptance.run_all(numbers)
     return 0 if all(r.passed for r in results) else 1
 

@@ -22,7 +22,6 @@ from .observation import PilotGrid, partial_dft
 __all__ = [
     "ChannelConfig",
     "GridConfig",
-    "PhaseSearchConfig",
     "ScenarioConfig",
     "parse_config_text",
     "config_from_mapping",
@@ -43,6 +42,7 @@ _REMOVED_KEYS = {
     ),
     "channel.model": "the AR(1) Jakes fit is the only channel model",
     "search.slope_bound": "the searched slope range is the drawn one, phase.max_slope",
+    "search.objective": "the whitened residual energy is the only objective",
 }
 
 
@@ -68,33 +68,6 @@ def default_slope(dft_size: int) -> float:
 
 
 @dataclass(frozen=True)
-class PhaseSearchConfig:
-    """Search strategy for the per-packet (offset, slope) estimate.
-
-    The offset is always minimized in closed form (the objective is an
-    exact cosine in the offset).  The slope is located on a coarse grid of
-    ``slope_grid_points`` equally spaced values over
-    ``[-max_slope, max_slope]``, the range the phase slopes are drawn from
-    (:meth:`ScenarioConfig.resolved_max_slope`), and then refined by three
-    Newton steps on the exact derivatives, confined to the grid cells on
-    either side of the grid argmin (see :func:`csiguard._kernels.phase_search`).
-    The grid must therefore be finer than the likelihood's main lobe, which
-    :class:`ScenarioConfig` checks against its pilot grid.  ``objective``
-    selects the whitened residual energy (default) or the literal
-    unwhitened cross-term variant.
-    """
-
-    slope_grid_points: int = 64
-    objective: str = "whitened"
-
-    def __post_init__(self) -> None:
-        if self.slope_grid_points < 2:
-            raise ConfigError("search.slope_points must be >= 2")
-        if self.objective not in ("whitened", "paper-literal"):
-            raise ConfigError(f"unknown search.objective {self.objective!r}")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     snr_db: float = 10.0
     normalized_doppler: float = 1e-4
@@ -104,7 +77,11 @@ class ScenarioConfig:
     seed: int = 12345
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    search: PhaseSearchConfig = field(default_factory=PhaseSearchConfig)
+    # search.slope_points: the coarse slope grid on [-max_slope, max_slope].
+    # phase_search refines its argmin by three Newton steps confined to the
+    # neighbouring grid cells, so the grid must be finer than the
+    # likelihood's main lobe (checked below).
+    slope_points: int = 64
     detectors: tuple[str, ...] = ("kalman",)
     max_slope: float | None = None  # None: 2*pi*4/dft_size
 
@@ -122,6 +99,8 @@ class ScenarioConfig:
                 "the slope is searched over [-max_slope, max_slope] and fitted on "
                 "every packet"
             )
+        if self.slope_points < 2:
+            raise ConfigError("search.slope_points must be >= 2")
         if self.num_steps < 2:
             raise ConfigError("num_steps must be >= 2")
         if self.num_trials < 1:
@@ -133,6 +112,10 @@ class ScenarioConfig:
         for name in self.detectors:
             if name not in KNOWN_DETECTORS:
                 raise ConfigError(f"unknown detector {name!r}")
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ConfigError(
+                f"detectors {','.join(self.detectors)!r} names a detector more than once"
+            )
         pilots = resolve_pilot_spec(self.grid.pilot_spec, self.grid.dft_size)
         if len(pilots) < 2:
             raise ConfigError(
@@ -145,12 +128,12 @@ class ScenarioConfig:
         # width in slope is 2*pi over the pilot span.
         span = pilots[-1] - pilots[0]
         bound = self.resolved_max_slope()
-        spacing = 2.0 * bound / (self.search.slope_grid_points - 1)
+        spacing = 2.0 * bound / (self.slope_points - 1)
         lobe = 2.0 * np.pi / span
         if spacing > lobe:
             needed = int(np.ceil(2.0 * bound / lobe)) + 1
             raise ConfigError(
-                f"search.slope_points = {self.search.slope_grid_points} spaces the "
+                f"search.slope_points = {self.slope_points} spaces the "
                 f"slope grid {spacing:.3g} rad apart, wider than the likelihood's "
                 f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
                 f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
@@ -189,7 +172,8 @@ def resolve_pilot_spec(spec: str, dft_size: int) -> tuple[int, ...]:
         802.11n symbol (logical indices +-2..+-58), requires dft_size 128;
       - ``all``: every subcarrier 0..M-1;
       - ``first:N``: subcarriers 0..N-1;
-      - explicit ranges, e.g. ``2-58,70-126`` or ``0,3,7``.
+      - explicit ranges, e.g. ``2-58,70-126`` or ``0,3,7``; a range's end
+        may not lie below its start.
     """
     spec = spec.strip()
     if spec == "ieee80211n-40mhz":
@@ -211,12 +195,14 @@ def resolve_pilot_spec(spec: str, dft_size: int) -> tuple[int, ...]:
         part = part.strip()
         try:
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                indices.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in part.split("-", 1))
             else:
-                indices.append(int(part))
+                lo = hi = int(part)
         except ValueError as exc:
             raise ConfigError(f"bad pilot_spec fragment {part!r}") from exc
+        if hi < lo:
+            raise ConfigError(f"pilot_spec range {part!r} ends below its start")
+        indices.extend(range(lo, hi + 1))
     if not indices or sorted(set(indices)) != indices:
         raise ConfigError(f"pilot_spec {spec!r} must list strictly increasing indices")
     if indices[0] < 0 or indices[-1] >= dft_size:
@@ -252,7 +238,6 @@ def config_from_mapping(
     cfg = base if base is not None else ScenarioConfig()
     channel = cfg.channel
     grid = cfg.grid
-    search = cfg.search
     top: dict = {}
     for key, value in mapping.items():
         if key == "snr_db":
@@ -281,15 +266,13 @@ def config_from_mapping(
         elif key == "grid.pilot_spec":
             grid = replace(grid, pilot_spec=value)
         elif key == "search.slope_points":
-            search = replace(search, slope_grid_points=_parse(key, value, int))
-        elif key == "search.objective":
-            search = replace(search, objective=value)
+            top["slope_points"] = _parse(key, value, int)
         elif key in _REMOVED_KEYS:
             raise ConfigError(f"config key {key!r} was removed: {_REMOVED_KEYS[key]}")
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        return replace(cfg, channel=channel, grid=grid, search=search, **top)
+        return replace(cfg, channel=channel, grid=grid, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -309,8 +292,7 @@ def format_config(cfg: ScenarioConfig) -> str:
         "channel.pdp_decay": repr(cfg.channel.pdp_decay),
         "grid.dft_size": str(cfg.grid.dft_size),
         "grid.pilot_spec": cfg.grid.pilot_spec,
-        "search.slope_points": str(cfg.search.slope_grid_points),
-        "search.objective": cfg.search.objective,
+        "search.slope_points": str(cfg.slope_points),
     }
     return "".join(f"{k} = {v}\n" for k, v in sorted(lines.items()))
 

@@ -154,7 +154,7 @@ def run_batch(
         # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
         obs = np.stack((alice.obs, eve.obs))
         est_offset, est_slope = _kernels.phase_search(
-            obs, prep, grid, tables, cfg.search, max_slope
+            obs, prep, tables, cfg.slope_points, max_slope
         )
         v = tables.ramp(est_slope) * obs
         rotated_residual = np.exp(-1j * est_offset)[..., None] * v - prep.m

@@ -286,15 +286,16 @@ def filter_step(
     profile,
     grid,
     noise_var: float,
-    cfg,
+    slope_points: int | None,
     bound: float | None = None,
 ) -> tuple[KalmanState, PhaseDistortion, np.ndarray, np.ndarray]:
     """One full filter step on one observation: predict, estimate phases, gain, update.
 
     The phase pair comes from ``csiguard._kernels.phase_search`` on a
-    one-row batch, searching slopes in ``[-bound, bound]``; with
-    ``cfg=None`` the search is skipped and the identity distortion is
-    assumed (a plain Kalman filter on undistorted observations).
+    one-row batch, scoring ``slope_points`` grid slopes on
+    ``[-bound, bound]``; with ``slope_points=None`` the search is skipped
+    and the identity distortion is assumed (a plain Kalman filter on
+    undistorted observations).
 
     Returns the updated state, the estimated distortion, the residual
     ``eps = values - B mean_predicted`` and the dense innovation
@@ -302,12 +303,12 @@ def filter_step(
     distortion.
     """
     pred = predict(state, profile)
-    if cfg is None:
+    if slope_points is None:
         d = PhaseDistortion(0.0, 0.0)
     else:
         tables = _kernels.grid_tables(grid, len(pred.mean))
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-        offset, slope = _kernels.phase_search(values[None], prep, grid, tables, cfg, bound)
+        offset, slope = _kernels.phase_search(values[None], prep, tables, slope_points, bound)
         d = PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
     b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
     residual = values - b @ pred.mean

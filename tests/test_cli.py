@@ -36,12 +36,10 @@ class TestSimulate:
         assert {r["truth"] for r in rows} == {"alice", "eve"}
         assert "wrote 80 records" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
-    def test_threshold_is_fitted_phase_null_law(self, config_file, tmp_path, objective):
-        # Both objectives fit (offset, slope) on the packet: chi-squared(2Q - 2).
+    def test_threshold_is_fitted_phase_null_law(self, config_file, tmp_path):
+        # (offset, slope) is fitted on the packet: chi-squared(2Q - 2).
         out = str(tmp_path / "records.csv")
-        args = ["--config", config_file, "--set", f"search.objective={objective}"]
-        assert cli_main(["simulate", *args, "--out", out]) == 0
+        assert cli_main(["simulate", "--config", config_file, "--out", out]) == 0
         expected = chi2_quantile_quadrature(0.9, 2 * 16 - 2)
         for row in read_records_csv(out):
             assert row["threshold"] == pytest.approx(expected, rel=1e-8)
@@ -152,6 +150,24 @@ class TestErrors:
             assert err.count("\n") == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
+    def test_objective_key_removed(self, config_file, tmp_path, capsys, objective):
+        out = tmp_path / "x.csv"
+        args = ["--config", config_file, "--set", f"search.objective={objective}"]
+        assert cli_main(["simulate", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'search.objective' was removed: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("criteria", ["9", "x", "7,9", "1,"])
+    def test_unknown_selftest_criteria(self, capsys, criteria):
+        # Refused before any criterion runs.
+        assert cli_main(["selftest", "--criteria", criteria]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_too_few_calibration_samples(self, config_file, tmp_path, capsys):
         # 40 steps leave the magnitude baseline 19 of its 100 calibration samples.
         out = tmp_path / "x.csv"
@@ -173,6 +189,8 @@ class TestErrors:
             ["simulate", "--set", "channel.num_paths=200"],
             ["simulate", "--set", "channel.pdp_decay=-1"],
             ["simulate", "--doppler", "0.6"],
+            ["simulate", "--set", "grid.pilot_spec=0-5,9-7,12"],
+            ["simulate", "--detectors", "kalman,kalman"],
             ["roc", "--num-points", "1"],
         ],
     )

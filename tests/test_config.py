@@ -4,7 +4,6 @@ import pytest
 from csiguard.config import (
     ChannelConfig,
     GridConfig,
-    PhaseSearchConfig,
     ScenarioConfig,
     config_from_mapping,
     config_hash,
@@ -33,7 +32,10 @@ class TestPilotSpecs:
         assert resolve_pilot_spec("0,3,7", 8) == (0, 3, 7)
         assert resolve_pilot_spec("2-5,9", 16) == (2, 3, 4, 5, 9)
 
-    @pytest.mark.parametrize("bad", ["", "5-2", "3,3", "a-b", "first:0", "0,99"])
+    # "0-5,9-7,12": a reversed range is refused, not dropped.
+    @pytest.mark.parametrize(
+        "bad", ["", "5-2", "3,3", "a-b", "first:0", "0,99", "0-5,9-7,12"]
+    )
     def test_bad_specs(self, bad):
         with pytest.raises(ConfigError):
             resolve_pilot_spec(bad, 16)
@@ -55,6 +57,10 @@ class TestScenarioConfig:
             ScenarioConfig(nominal_false_alarm=0.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(detectors=("sonar",))
+        with pytest.raises(ConfigError, match="more than once"):
+            ScenarioConfig(detectors=("kalman", "magnitude_diff", "kalman"))
+        with pytest.raises(ConfigError, match="more than once"):
+            config_from_mapping({"detectors": "kalman,kalman"})
         for snr_db in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigError, match="snr_db"):
                 ScenarioConfig(snr_db=snr_db)
@@ -87,23 +93,23 @@ class TestScenarioConfig:
         # Default grid: spacing 2 * 0.196 / 1 = 0.39 rad against a main lobe
         # of 2*pi/124 = 0.051 rad.
         with pytest.raises(ConfigError, match="search.slope_points"):
-            ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=2))
+            ScenarioConfig(slope_points=2)
         with pytest.raises(ConfigError, match="search.slope_points"):
             config_from_mapping({"search.slope_points": "2"})
 
     def test_main_lobe_edge(self):
         # 2*pi/124 main lobe at the default bound: 9 points space the grid
         # 0.049 rad apart, 8 points 0.056.
-        assert ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=9))
+        assert ScenarioConfig(slope_points=9)
         with pytest.raises(ConfigError, match="at least 9 points"):
-            ScenarioConfig(search=PhaseSearchConfig(slope_grid_points=8))
+            ScenarioConfig(slope_points=8)
 
     def test_fast_test_grids_accepted(self):
         # The small scenario of the harness and CLI tests: spacing 0.051 rad
         # against a main lobe of 2*pi/15 = 0.42 rad.
         cfg = ScenarioConfig(
             grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            search=PhaseSearchConfig(slope_grid_points=32),
+            slope_points=32,
         )
         assert cfg.pilot_grid().num_pilots == 16
 
@@ -165,6 +171,7 @@ class TestParsing:
             "search.include_log_det",
             "channel.model",
             "search.slope_bound",
+            "search.objective",
         ],
     )
     def test_removed_key_says_removed(self, key):
@@ -190,7 +197,7 @@ class TestParsing:
         assert again.normalized_doppler == cfg.normalized_doppler
         assert again.channel == cfg.channel
         assert again.grid == cfg.grid
-        assert again.search == cfg.search
+        assert again.slope_points == cfg.slope_points
         assert again.detectors == cfg.detectors
         assert again.resolved_max_slope() == cfg.resolved_max_slope()
 

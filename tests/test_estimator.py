@@ -4,7 +4,7 @@ import pytest
 from csiguard import _kernels
 from csiguard.acceptance import PHASE_RECOVERY_TOLERANCE
 from csiguard.channel import make_profile
-from csiguard.config import PhaseSearchConfig, default_slope
+from csiguard.config import ScenarioConfig, default_slope
 from csiguard.errors import NumericalError
 from csiguard.observation import partial_dft
 
@@ -21,6 +21,9 @@ from oracles import (
 )
 from test_channel import DOPPLER_FOR_ALPHA_09, simulate_steps, undistorted
 
+# The default coarse slope grid, search.slope_points.
+POINTS = ScenarioConfig.slope_points
+
 
 def _random_predicted(rng, grid, num_paths, cov_scale=0.3):
     mean = (rng.standard_normal(num_paths) + 1j * rng.standard_normal(num_paths)) / 2
@@ -33,11 +36,11 @@ def _random_obs(rng, grid):
     return rng.standard_normal(q) + 1j * rng.standard_normal(q)
 
 
-def _estimate(obs, pred, grid, noise_var, cfg, bound):
+def _estimate(obs, pred, grid, noise_var, bound):
     """Phase pair of one observation: phase_search on a one-row batch."""
     tables = _kernels.grid_tables(grid, len(pred.mean))
     prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-    offset, slope = _kernels.phase_search(obs[None], prep, grid, tables, cfg, bound)
+    offset, slope = _kernels.phase_search(obs[None], prep, tables, POINTS, bound)
     return PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
 
 
@@ -130,7 +133,6 @@ class TestProfiledObjectiveAgainstDense:
             h=obs[None],
             zvec=obs[None] * prep.w.conj(),
             base_quad=np.array([np.vdot(obs, obs).real / s2]),
-            const=prep.m_quad,
         )
         for slope in (-0.15, 0.0, 0.07):
             ramp = tables.ramp(np.array([slope]))
@@ -179,17 +181,17 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
     return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
-def _profiled_objective(obs, prep, tables, cfg):
+def _profiled_objective(obs, prep, tables):
     """Slope -> offset-profiled objective per observation, as phase_search scores it."""
-    terms = _kernels._search_terms(obs, prep, cfg)
+    terms = _kernels._search_terms(obs, prep)
     return lambda x: _kernels._candidate_objective(tables.ramp(x), terms, prep, tables)[0]
 
 
-def _check_derivatives(obs, prep, tables, cfg, x):
+def _check_derivatives(obs, prep, tables, x):
     """Analytic f', f'' against Richardson-extrapolated central differences."""
-    terms = _kernels._search_terms(obs, prep, cfg)
+    terms = _kernels._search_terms(obs, prep)
     d1, d2 = _kernels._slope_derivatives(tables.ramp(x), terms, prep, tables)
-    f = _profiled_objective(obs, prep, tables, cfg)
+    f = _profiled_objective(obs, prep, tables)
 
     def differences(step):
         lo, mid, hi = f(x - step), f(x), f(x + step)
@@ -202,12 +204,12 @@ def _check_derivatives(obs, prep, tables, cfg, x):
     assert np.allclose(d2, fd2, rtol=1e-6, atol=0)
 
 
-def _check_no_worse_than_fine_sweep(obs, prep, grid, tables, cfg):
+def _check_no_worse_than_fine_sweep(obs, prep, grid, tables):
     """phase_search stays in its bracket and scores no worse than a 1001-point sweep of it."""
     bound = default_slope(grid.dft_size)
-    _, est_slope = _kernels.phase_search(obs, prep, grid, tables, cfg, bound)
-    f = _profiled_objective(obs, prep, tables, cfg)
-    slopes = _kernels.slope_tables(grid, tables.c.shape[1], cfg.slope_grid_points, bound)[0]
+    _, est_slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+    f = _profiled_objective(obs, prep, tables)
+    slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
     grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
     idx = np.argmin(grid_obj, axis=-1)
     lo = slopes[np.maximum(idx - 1, 0)]
@@ -223,48 +225,41 @@ class TestNewtonStage:
     result no worse than a fine sweep of the bracket it searches."""
 
     @pytest.mark.parametrize("zero_mean", [False, True])
-    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
-    def test_derivatives_match_central_differences(self, grid114, rng, objective, zero_mean):
+    def test_derivatives_match_central_differences(self, grid114, rng, zero_mean):
         # With a zero predicted mean, zc vanishes at every slope and the
         # derivatives must drop its terms rather than divide by |zc| = 0.
-        cfg = PhaseSearchConfig(objective=objective)
         obs, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
         bound = default_slope(grid114.dft_size)
-        _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, 8))
+        _check_derivatives(obs, prep, tables, rng.uniform(-bound, bound, 8))
 
     @pytest.mark.parametrize("zero_mean", [False, True])
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
     def test_no_worse_than_fine_sweep_of_bracket(self, grid114, rng, snr_db, zero_mean):
         obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
-        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables, PhaseSearchConfig())
+        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables)
 
     def test_stacked_link_axis(self, grid114, rng):
         # Alice's and eve's packets as one (2, T, Q) batch against alice's
         # prediction, as run_batch scores them.
-        cfg = PhaseSearchConfig()
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=8, stacked=True)
         bound = default_slope(grid114.dft_size)
-        _check_derivatives(obs, prep, tables, cfg, rng.uniform(-bound, bound, (2, 8)))
-        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables, cfg)
+        _check_derivatives(obs, prep, tables, rng.uniform(-bound, bound, (2, 8)))
+        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables)
 
 
 class TestLinkAxisAndTables:
     """A stacked (2, T, Q) batch is two (T, Q) batches in one call, and the
     GEMM tables hold the projections they stand for."""
 
-    @pytest.mark.parametrize("objective", ["whitened", "paper-literal"])
     @pytest.mark.parametrize("trials", [1, 3, 16, 64])
-    def test_stacked_equals_separate_calls(self, grid114, rng, trials, objective):
-        cfg = PhaseSearchConfig(objective=objective)
+    def test_stacked_equals_separate_calls(self, grid114, rng, trials):
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
         bound = default_slope(grid114.dft_size)
-        offset, slope = _kernels.phase_search(obs, prep, grid114, tables, cfg, bound)
+        offset, slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
         y, quad = _kernels.whitened_quadform(obs, prep, tables)
         assert offset.shape == slope.shape == quad.shape == (2, trials)
         for link in (0, 1):
-            one_offset, one_slope = _kernels.phase_search(
-                obs[link], prep, grid114, tables, cfg, bound
-            )
+            one_offset, one_slope = _kernels.phase_search(obs[link], prep, tables, POINTS, bound)
             one_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
             assert np.array_equal(offset[link], one_offset)
             assert np.array_equal(slope[link], one_slope)
@@ -278,7 +273,7 @@ class TestLinkAxisAndTables:
 
     def test_coarse_table_projects_every_grid_slope(self, grid114, rng):
         tables = _kernels.grid_tables(grid114, 8)
-        slopes, phi_t, table = _kernels.slope_tables(grid114, 8, 64, 0.2)
+        slopes, phi_t, table = _kernels.slope_tables(tables, 64, 0.2)
         h = _random_obs(rng, grid114)
         s = (h @ table).reshape(len(slopes), 8)
         c = partial_dft(grid114, 8)
@@ -304,8 +299,7 @@ class TestEstimatePhase:
         profile = make_profile(4, 1e-4, 0.5)
         [(link, _)] = simulate_steps(profile, [5], 1, grid=small_grid, noise_var=1e-12)
         pred = KalmanState(mean=link.taps[0], cov_diag=1e-6 * profile.pdp, kind="predicted")
-        cfg = PhaseSearchConfig()
-        d = _estimate(undistorted(link, small_grid)[0], pred, small_grid, 1e-12, cfg, 0.3)
+        d = _estimate(undistorted(link, small_grid)[0], pred, small_grid, 1e-12, 0.3)
         assert abs(d.offset) < PHASE_RECOVERY_TOLERANCE
         assert abs(d.slope) < PHASE_RECOVERY_TOLERANCE
 
@@ -313,8 +307,7 @@ class TestEstimatePhase:
         profile = make_profile(8, 1e-4, 0.5)
         [(link, _)] = simulate_steps(profile, [6], 1, grid=grid114, noise_var=1e-12, max_slope=0.1)
         pred = KalmanState(mean=link.taps[0], cov_diag=1e-8 * profile.pdp, kind="predicted")
-        cfg = PhaseSearchConfig()
-        d = _estimate(link.obs[0], pred, grid114, 1e-12, cfg, default_slope(grid114.dft_size))
+        d = _estimate(link.obs[0], pred, grid114, 1e-12, default_slope(grid114.dft_size))
         assert d.slope == pytest.approx(link.slope[0], abs=PHASE_RECOVERY_TOLERANCE)
         assert d.offset == pytest.approx(link.offset[0], abs=PHASE_RECOVERY_TOLERANCE)
 
@@ -322,12 +315,11 @@ class TestEstimatePhase:
         # The refined estimate must score at least as well as a brute-force
         # sweep of the likelihood over a fine slope/offset grid.
         profile = make_profile(4, 1e-4, 0.5)
-        cfg = PhaseSearchConfig()
         for trial in range(3):
             pred = _random_predicted(rng, small_grid, 4, cov_scale=0.05)
             obs = _random_obs(rng, small_grid)
             s2 = 0.5
-            d = _estimate(obs, pred, small_grid, s2, cfg, 0.2)
+            d = _estimate(obs, pred, small_grid, s2, 0.2)
             best = negative_log_likelihood(d, obs, pred, small_grid, s2)
             slopes = np.linspace(-0.2, 0.2, 81)
             offsets = np.linspace(-np.pi, np.pi, 181, endpoint=False)
@@ -341,8 +333,7 @@ class TestEstimatePhase:
     def test_scale_invariance(self, small_grid, rng):
         pred = _random_predicted(rng, small_grid, 4)
         obs = _random_obs(rng, small_grid)
-        cfg = PhaseSearchConfig()
-        d1 = _estimate(obs, pred, small_grid, 0.3, cfg, 0.2)
+        d1 = _estimate(obs, pred, small_grid, 0.3, 0.2)
         c = 2.5
         scaled_pred = KalmanState(
             mean=c * pred.mean,
@@ -350,32 +341,9 @@ class TestEstimatePhase:
             kind="predicted",
         )
         scaled_obs = c * obs
-        d2 = _estimate(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, cfg, 0.2)
+        d2 = _estimate(scaled_obs, scaled_pred, small_grid, c**2 * 0.3, 0.2)
         assert d2.slope == pytest.approx(d1.slope, abs=1e-7)
         assert d2.offset == pytest.approx(d1.offset, abs=1e-7)
-
-    def test_paper_literal_objective(self, small_grid, rng):
-        # The literal variant drops the whitening from the cross term; its
-        # minimizer must match a dense brute-force sweep of that objective.
-        pred = _random_predicted(rng, small_grid, 4, cov_scale=0.05)
-        obs = _random_obs(rng, small_grid)
-        s2 = 0.4
-        cfg = PhaseSearchConfig(objective="paper-literal")
-        d = _estimate(obs, pred, small_grid, s2, cfg, 0.2)
-        c = partial_dft(small_grid, 4)
-
-        def literal(offset, slope):
-            b = phase_diagonal(PhaseDistortion(offset, slope), small_grid)[:, None] * c
-            sigma = (b * pred.cov_diag) @ b.conj().T + s2 * np.eye(small_grid.num_pilots)
-            term = np.real(
-                obs.conj() @ np.linalg.solve(sigma, obs)
-            ) - 2 * np.real(obs.conj() @ (b @ pred.mean))
-            return term
-
-        best = literal(d.offset, d.slope)
-        for slope in np.linspace(-0.2, 0.2, 41):
-            for offset in np.linspace(-np.pi, np.pi, 37, endpoint=False):
-                assert best <= literal(offset, slope) + 1e-6
 
 
 class TestGainUpdate:
@@ -443,13 +411,12 @@ class TestFilterStep:
         # aligning that one free phase.
         profile = make_profile(8, 1e-4, 0.5)
         noise_var = 1e-14
-        cfg = PhaseSearchConfig()
         state = init_state(profile)
         bound = default_slope(grid114.dft_size)
         steps = simulate_steps(profile, [7], 100, grid=grid114, noise_var=noise_var, max_slope=0.1)
         for alice, _ in steps:
             state, d_est, residual, sigma = filter_step(
-                state, alice.obs[0], profile, grid114, noise_var, cfg, bound
+                state, alice.obs[0], profile, grid114, noise_var, POINTS, bound
             )
         h = alice.taps[0]
         inner = np.vdot(state.mean, h)
@@ -482,7 +449,7 @@ class TestFilterStep:
         profile = make_profile(8, 1e-4, 0.5)
         [(alice, _)] = simulate_steps(profile, [9], 1, grid=grid114, noise_var=0.1)
         state, d, residual, sigma = filter_step(
-            init_state(profile), alice.obs[0], profile, grid114, 0.1, PhaseSearchConfig(),
+            init_state(profile), alice.obs[0], profile, grid114, 0.1, POINTS,
             default_slope(grid114.dft_size),
         )
         q = grid114.num_pilots
@@ -496,12 +463,11 @@ class TestFilterStep:
         # so the diagonal covariance can never exceed it.
         profile = make_profile(8, 1e-4, 0.5)
         noise_var = 0.1
-        cfg = PhaseSearchConfig()
         state = init_state(profile)
         steps = simulate_steps(profile, [10], 150, grid=grid114, noise_var=noise_var,
                                max_slope=0.19)
         bound = default_slope(grid114.dft_size)
         for alice, _ in steps:
-            state, *_ = filter_step(state, alice.obs[0], profile, grid114, noise_var, cfg, bound)
+            state, *_ = filter_step(state, alice.obs[0], profile, grid114, noise_var, POINTS, bound)
             assert np.all(state.cov_diag >= 0.0)
             assert np.all(state.cov_diag <= profile.pdp * (1 + 1e-9))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from csiguard import _kernels
 from csiguard.channel import simulate
-from csiguard.config import ChannelConfig, GridConfig, PhaseSearchConfig, ScenarioConfig
+from csiguard.config import ChannelConfig, GridConfig, ScenarioConfig
 from csiguard.detector import threshold
 from csiguard.harness import (
     RocResult,
@@ -35,7 +35,7 @@ FAST = ScenarioConfig(
     num_trials=3,
     channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
     grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-    search=PhaseSearchConfig(slope_grid_points=32),
+    slope_points=32,
 )
 
 
@@ -87,7 +87,7 @@ class TestRunTrial:
             detectors=("kalman", "magnitude_diff"),
             channel=ChannelConfig(num_paths=4),
             grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         pairs = trial_records(cfg, 1)
         kalman = [r for d, r in pairs if d == "kalman"]
@@ -113,7 +113,7 @@ class TestProtocol:
             num_trials=4,
             channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
             grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
         batch = run_batch(cfg, seeds, clone_eve=True)
@@ -150,7 +150,7 @@ def _corner_configs(draw):
         num_trials=2,
         channel=ChannelConfig(num_paths=num_paths, pdp_decay=draw(st.floats(0.0, 50.0))),
         grid=GridConfig(dft_size=32, pilot_spec=f"first:{draw(st.integers(2, num_paths))}"),
-        search=FAST.search,
+        slope_points=FAST.slope_points,
     )
 
 
@@ -189,7 +189,7 @@ class TestCollectPhase:
             assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset)
             assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope)
             offset, slope = _kernels.phase_search(
-                link.obs, prep, grid, tables, cfg.search, cfg.resolved_max_slope()
+                link.obs, prep, tables, cfg.slope_points, cfg.resolved_max_slope()
             )
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
             assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
@@ -228,10 +228,10 @@ class TestRunnerAgainstPublicOps:
         for k, (alice, eve) in zip(range(1, cfg.num_steps + 1), links):
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
-                state, eve.obs[0], profile, grid, noise_var, cfg.search, max_slope
+                state, eve.obs[0], profile, grid, noise_var, cfg.slope_points, max_slope
             )
             state, _, eps_alice, sigma_alice = filter_step(
-                state, alice.obs[0], profile, grid, noise_var, cfg.search, max_slope
+                state, alice.obs[0], profile, grid, noise_var, cfg.slope_points, max_slope
             )
             lam_alice = residual_statistic(eps_alice, sigma_alice)
             lam_eve = residual_statistic(eps_eve, sigma_eve)
@@ -247,7 +247,7 @@ class TestSweep:
             num_trials=1,
             channel=FAST.channel,
             grid=FAST.grid,
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         a = sweep(cfg, "snr_db", [10.0])
         b = sweep(cfg, "snr_db", [10.0])
@@ -263,7 +263,7 @@ class TestSweep:
             detectors=("kalman", "magnitude_diff"),
             channel=FAST.channel,
             grid=FAST.grid,
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         result = sweep(cfg, "snr_db", [0.0, 10.0])
         assert len(result.points) == 4
@@ -285,7 +285,7 @@ class TestSweep:
         result = sweep(
             ScenarioConfig(
                 num_steps=40, num_trials=1, channel=FAST.channel, grid=FAST.grid,
-                search=FAST.search,
+                slope_points=FAST.slope_points,
             ),
             "normalized_doppler",
             [1e-4],
@@ -340,7 +340,7 @@ class TestCsv:
     def test_sweep_round_trip(self, tmp_path):
         cfg = ScenarioConfig(
             num_steps=40, num_trials=2, channel=FAST.channel, grid=FAST.grid,
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         result = sweep(cfg, "snr_db", [0.0, 10.0])
         path = tmp_path / "sweep.csv"
@@ -359,7 +359,7 @@ class TestCsv:
     def test_sweep_csv_format(self, tmp_path):
         cfg = ScenarioConfig(
             num_steps=40, num_trials=1, channel=FAST.channel, grid=FAST.grid,
-            search=FAST.search,
+            slope_points=FAST.slope_points,
         )
         result = sweep(cfg, "snr_db", [10.0])
         path = tmp_path / "sweep.csv"

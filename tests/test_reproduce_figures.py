@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from csiguard._kernels import PHASE_PARAMETERS
-from csiguard.config import ChannelConfig, GridConfig, PhaseSearchConfig, ScenarioConfig
+from csiguard.config import ChannelConfig, GridConfig, ScenarioConfig
 from csiguard.detector import null_dof
 from csiguard.harness import derive_trial_seed, roc_points, run_batch
 from csiguard.numerics import chi2_cdf
@@ -22,7 +22,7 @@ FAST = ScenarioConfig(
     num_trials=2,
     channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
     grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-    search=PhaseSearchConfig(slope_grid_points=32),
+    slope_points=32,
 )
 
 
