@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Write the five gate CSVs and print one digest line per file.
+"""Write the six gate CSVs and print one digest line per file.
 
 Usage, from a checkout whose ``src`` holds the csiguard to check:
 
     PYTHONPATH=src python scripts/check_outputs.py OUT_DIR
 
 Each command runs through ``csiguard.cli.cli_main`` at ``--seed 3`` and
-writes one CSV under OUT_DIR.  For each file the script prints its name,
+writes one CSV under OUT_DIR.  The sixth reads a config file that the
+script writes to OUT_DIR first and that sets every key away from its
+default.  For each file the script prints its name,
 the ``config_hash`` of its first line and the sha256 of its body (every
 line after the first).  To check that a change leaves the results
 byte-identical, run the script against both checkouts (point PYTHONPATH
@@ -42,6 +44,23 @@ COMMANDS = (
                           "--set", "grid.pilot_spec=all"]),
 )
 
+# Every config key at a value other than its default.
+CONFIG_TEXT = """\
+snr_db = 7.5
+doppler = 3e-4
+num_steps = 240
+num_trials = 3
+p_fa = 0.05
+seed = 3
+detectors = kalman,magnitude_diff
+phase.max_slope = 0.3
+channel.num_paths = 6
+channel.pdp_decay = 0.25
+grid.dft_size = 64
+grid.pilot_spec = 2-30,34-62
+search.slope_points = 80
+"""
+
 
 def digest(path) -> tuple[str, str]:
     """(config_hash of line 1, sha256 hex of every line after the first)."""
@@ -60,7 +79,9 @@ def main(argv) -> int:
 
     out_dir = pathlib.Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, args in COMMANDS:
+    config = out_dir / "all_keys.cfg"
+    config.write_text(CONFIG_TEXT, encoding="utf-8")
+    for name, args in (*COMMANDS, ("roc_all_keys.csv", ["roc", "--config", str(config)])):
         path = out_dir / name
         # The CLI's "wrote ..." lines go to stderr, so stdout holds only digests.
         with contextlib.redirect_stdout(sys.stderr):

@@ -63,10 +63,7 @@ def roc_curves(cfg: ScenarioConfig, out_dir: pathlib.Path, snrs) -> None:
             for thr, fa, dr in roc_points(lam[:, :, 0].ravel(), lam[:, :, 1].ravel(), 201)
         ]
         out = out_dir / f"roc_snr{snr:g}.csv"
-        write_csv(
-            RocResult(points=points, metadata={"config_hash": config_hash(point_cfg), "seed": cfg.seed}),
-            out,
-        )
+        write_csv(RocResult(points=points), out, point_cfg)
         print(f"wrote {out}")
 
 
@@ -96,10 +93,10 @@ def main(argv=None) -> int:
 
     if not args.skip_sweeps:
         result = sweep(base, "snr_db", [0.0, 5.0, 10.0, 15.0])
-        write_csv(result, out_dir / "sweep_snr.csv")
+        write_csv(result, out_dir / "sweep_snr.csv", base)
         print(f"wrote {out_dir / 'sweep_snr.csv'}")
         result = sweep(base, "normalized_doppler", [1e-5, 3e-5, 1e-4, 3e-4, 1e-3])
-        write_csv(result, out_dir / "sweep_doppler.csv")
+        write_csv(result, out_dir / "sweep_doppler.csv", base)
         print(f"wrote {out_dir / 'sweep_doppler.csv'}")
 
     print(f"done in {time.perf_counter() - t0:.0f} s")

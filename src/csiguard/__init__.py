@@ -8,7 +8,7 @@ transmitter.
 """
 
 from .channel import ChannelProfile, Link, make_profile, simulate
-from .config import ChannelConfig, GridConfig, ScenarioConfig
+from .config import ScenarioConfig
 from .detector import (
     DetectionRecord,
     calibrate_empirical_threshold,

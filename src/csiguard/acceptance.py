@@ -391,6 +391,10 @@ def run_all(numbers=None) -> list[CriterionResult]:
             f"no acceptance criterion {unknown[0]}; the criteria are "
             f"{', '.join(str(n) for n in sorted(ALL_CRITERIA))}"
         )
+    if len(set(selected)) < len(selected):
+        raise ConfigError(
+            f"criteria {','.join(str(n) for n in selected)} name a criterion more than once"
+        )
     results = []
     for number in selected:
         result = ALL_CRITERIA[number]()

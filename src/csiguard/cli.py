@@ -8,11 +8,12 @@ Subcommands:
 * ``sweep-doppler`` detection rate versus normalized Doppler as CSV
 * ``selftest``      run the acceptance property suite
 
-Every subcommand accepts ``--config FILE`` plus flag overrides; any
-configuration key can be forced with ``--set key=value``.  Exit codes:
-0 success, 2 usage or configuration error (including too few steps to
-calibrate a detector), 3 numerical failure,
-4 I/O failure (selftest returns 1 when a criterion fails).
+Every subcommand but ``selftest`` accepts ``--config FILE`` plus
+overrides: any configuration key can be forced with ``--set key=value``,
+and each undotted key is also a flag, with hyphens for underscores.
+Exit codes: 0 success, 2 usage or configuration error (including too few
+steps to calibrate a detector), 3 numerical failure, 4 I/O failure
+(selftest returns 1 when a criterion fails).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import sys
 import numpy as np
 
 from .config import (
+    CONFIG_KEYS,
     ScenarioConfig,
     config_from_mapping,
-    config_hash,
     parse_config_text,
 )
 from .errors import CalibrationError, ConfigError, NumericalError
@@ -39,26 +40,14 @@ from .harness import (
     write_csv,
 )
 
-_FLAG_KEYS = [
-    ("snr_db", "snr_db"),
-    ("doppler", "doppler"),
-    ("num_steps", "num_steps"),
-    ("num_trials", "num_trials"),
-    ("p_fa", "p_fa"),
-    ("seed", "seed"),
-    ("detectors", "detectors"),
-]
+_FLAG_KEYS = [key for key in CONFIG_KEYS if "." not in key]
 
 
 def _add_common(parser: argparse.ArgumentParser, default_out: str | None) -> None:
     parser.add_argument("--config", help="configuration file (key = value lines)")
-    parser.add_argument("--snr-db", dest="snr_db")
-    parser.add_argument("--doppler", dest="doppler")
-    parser.add_argument("--num-steps", dest="num_steps")
-    parser.add_argument("--num-trials", dest="num_trials")
-    parser.add_argument("--p-fa", dest="p_fa")
-    parser.add_argument("--seed", dest="seed")
-    parser.add_argument("--detectors", dest="detectors")
+    for key in _FLAG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar="VALUE",
+                            help=f"same as --set {key}=VALUE")
     parser.add_argument(
         "--set",
         dest="overrides",
@@ -81,8 +70,8 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
             raise OSError(f"cannot read config {args.config}: {exc}") from exc
         cfg = config_from_mapping(parse_config_text(text), cfg)
     overrides: dict[str, str] = {}
-    for flag, key in _FLAG_KEYS:
-        value = getattr(args, flag)
+    for key in _FLAG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     for item in args.overrides:
@@ -93,17 +82,13 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return config_from_mapping(overrides, cfg)
 
 
-def _metadata(cfg: ScenarioConfig) -> dict:
-    return {"config_hash": config_hash(cfg), "seed": cfg.seed}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if args.trial_index < 0:
         raise ConfigError(f"--trial-index must be >= 0, got {args.trial_index}")
     seed = derive_trial_seed(cfg.seed, args.trial_index)
     pairs = trial_records(cfg, seed)
-    write_csv(pairs, args.out, metadata=_metadata(cfg))
+    write_csv(pairs, args.out, cfg)
     print(f"wrote {len(pairs)} records to {args.out}")
     return 0
 
@@ -121,8 +106,7 @@ def _cmd_roc(args: argparse.Namespace) -> int:
         h1 = stat[:, :, 1][~np.isnan(stat[:, :, 1])].ravel()
         for thr, fa, dr in roc_points(h0, h1, args.num_points):
             points.append((det, thr, fa, dr))
-    result = RocResult(points=points, metadata=_metadata(cfg))
-    write_csv(result, args.out)
+    write_csv(RocResult(points=points), args.out, cfg)
     print(f"wrote {len(points)} ROC points to {args.out}")
     return 0
 
@@ -134,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace, axis: str) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
     result = sweep(cfg, axis, values)
-    write_csv(result, args.out)
+    write_csv(result, args.out, cfg)
     print(f"wrote {len(result.points)} sweep rows to {args.out}")
     return 0
 

@@ -1,28 +1,29 @@
-"""Scenario configuration: dataclasses, the flat key-value file format, hashing.
+"""Scenario configuration: one flat dataclass, its key-value file format, hashing.
 
 Config files are UTF-8 text, one ``key = value`` pair per line, ``#``
-comments, with dotted prefixes for the nested sections
+comments.  :data:`CONFIG_KEYS` lists every key once, with the
+:class:`ScenarioConfig` field it sets and how its text is parsed and
+written; some keys carry a dotted prefix that groups them
 (``channel.num_paths``, ``grid.pilot_spec``, ``search.slope_points``, ...).
-Command-line flags override file values; the effective configuration is
-hashed (sha256 over its canonical serialization) so result files can name
-the exact setup that produced them.
+The undotted keys are also command-line flags.  The effective
+configuration is hashed (sha256 over its canonical serialization) so
+result files can name the exact setup that produced them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelProfile, make_profile
 from .errors import ConfigError
-from .observation import PilotGrid, partial_dft
+from .observation import PilotGrid, partial_dft, snr_to_noise_var
 
 __all__ = [
-    "ChannelConfig",
-    "GridConfig",
     "ScenarioConfig",
+    "CONFIG_KEYS",
     "parse_config_text",
     "config_from_mapping",
     "format_config",
@@ -46,16 +47,26 @@ _REMOVED_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    num_paths: int = 8
-    pdp_decay: float = 0.5
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in value.split(",") if n.strip())
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    dft_size: int = 128
-    pilot_spec: str = "ieee80211n-40mhz"
+# Config key -> (ScenarioConfig field, parse from text, write as text).
+CONFIG_KEYS = {
+    "snr_db": ("snr_db", float, repr),
+    "doppler": ("normalized_doppler", float, repr),
+    "num_steps": ("num_steps", int, str),
+    "num_trials": ("num_trials", int, str),
+    "p_fa": ("nominal_false_alarm", float, repr),
+    "seed": ("seed", int, str),
+    "detectors": ("detectors", _names, ",".join),
+    "phase.max_slope": ("max_slope", float, repr),
+    "channel.num_paths": ("num_paths", int, str),
+    "channel.pdp_decay": ("pdp_decay", float, repr),
+    "grid.dft_size": ("dft_size", int, str),
+    "grid.pilot_spec": ("pilot_spec", str, str),
+    "search.slope_points": ("slope_points", int, str),
+}
 
 
 def default_slope(dft_size: int) -> float:
@@ -69,15 +80,22 @@ def default_slope(dft_size: int) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; :data:`CONFIG_KEYS` names the config key of each field.
+
+    Construction refuses values that cannot give a valid run.
+    """
+
     snr_db: float = 10.0
     normalized_doppler: float = 1e-4
     num_steps: int = 2000
     num_trials: int = 200
     nominal_false_alarm: float = 0.1
     seed: int = 12345
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
-    # search.slope_points: the coarse slope grid on [-max_slope, max_slope].
+    num_paths: int = 8
+    pdp_decay: float = 0.5
+    dft_size: int = 128
+    pilot_spec: str = "ieee80211n-40mhz"
+    # The coarse slope grid on [-max_slope, max_slope].
     # phase_search refines its argmin by three Newton steps confined to the
     # neighbouring grid cells, so the grid must be finer than the
     # likelihood's main lobe (checked below).
@@ -86,8 +104,17 @@ class ScenarioConfig:
     max_slope: float | None = None  # None: 2*pi*4/dft_size
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db!r}")
+        # Beyond about +-3,000 dB the noise variance underflows to 0 or
+        # overflows, and the run would fail at its first step.
+        try:
+            noise_var = snr_to_noise_var(self.snr_db)
+        except OverflowError:
+            noise_var = np.inf
+        if not 0.0 < noise_var < np.inf:
+            raise ConfigError(
+                f"snr_db = {self.snr_db!r} does not give a positive finite noise "
+                "variance 10^(-snr_db/10)"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # The slope is searched over the drawn range, so a zero range would
@@ -116,10 +143,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"detectors {','.join(self.detectors)!r} names a detector more than once"
             )
-        pilots = resolve_pilot_spec(self.grid.pilot_spec, self.grid.dft_size)
+        pilots = resolve_pilot_spec(self.pilot_spec, self.dft_size)
         if len(pilots) < 2:
             raise ConfigError(
-                f"grid.pilot_spec {self.grid.pilot_spec!r} gives {len(pilots)} pilot; "
+                f"grid.pilot_spec {self.pilot_spec!r} gives {len(pilots)} pilot; "
                 "at least 2 are needed: with one pilot the fitted phase offset and "
                 "slope are the same phase and the residual keeps no degrees of freedom"
             )
@@ -136,31 +163,31 @@ class ScenarioConfig:
                 f"search.slope_points = {self.slope_points} spaces the "
                 f"slope grid {spacing:.3g} rad apart, wider than the likelihood's "
                 f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
-                f"{self.grid.pilot_spec!r}; use at least {needed} points or a smaller "
+                f"{self.pilot_spec!r}; use at least {needed} points or a smaller "
                 "phase.max_slope"
             )
         try:
             partial_dft(self.pilot_grid(), self.channel_profile().num_paths)
         except ValueError as exc:
             raise ConfigError(
-                f"channel.num_paths = {self.channel.num_paths}, channel.pdp_decay = "
-                f"{self.channel.pdp_decay!r}, doppler = {self.normalized_doppler!r}: {exc}"
+                f"channel.num_paths = {self.num_paths}, channel.pdp_decay = "
+                f"{self.pdp_decay!r}, doppler = {self.normalized_doppler!r}: {exc}"
             ) from exc
 
     def resolved_max_slope(self) -> float:
         if self.max_slope is not None:
             return self.max_slope
-        return default_slope(self.grid.dft_size)
+        return default_slope(self.dft_size)
 
     def channel_profile(self) -> ChannelProfile:
         return make_profile(
-            self.channel.num_paths, self.normalized_doppler, self.channel.pdp_decay
+            self.num_paths, self.normalized_doppler, self.pdp_decay
         )
 
     def pilot_grid(self) -> PilotGrid:
         return PilotGrid(
-            dft_size=self.grid.dft_size,
-            pilot_indices=resolve_pilot_spec(self.grid.pilot_spec, self.grid.dft_size),
+            dft_size=self.dft_size,
+            pilot_indices=resolve_pilot_spec(self.pilot_spec, self.dft_size),
         )
 
 
@@ -224,77 +251,38 @@ def parse_config_text(text: str) -> dict[str, str]:
     return mapping
 
 
-def _parse(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
-
-
 def config_from_mapping(
     mapping: dict[str, str], base: ScenarioConfig | None = None
 ) -> ScenarioConfig:
     """Apply a flat key-value mapping on top of a base configuration."""
-    cfg = base if base is not None else ScenarioConfig()
-    channel = cfg.channel
-    grid = cfg.grid
-    top: dict = {}
+    changes = {}
     for key, value in mapping.items():
-        if key == "snr_db":
-            top["snr_db"] = _parse(key, value, float)
-        elif key == "doppler":
-            top["normalized_doppler"] = _parse(key, value, float)
-        elif key == "num_steps":
-            top["num_steps"] = _parse(key, value, int)
-        elif key == "num_trials":
-            top["num_trials"] = _parse(key, value, int)
-        elif key == "p_fa":
-            top["nominal_false_alarm"] = _parse(key, value, float)
-        elif key == "seed":
-            top["seed"] = _parse(key, value, int)
-        elif key == "detectors":
-            names = tuple(n.strip() for n in value.split(",") if n.strip())
-            top["detectors"] = names
-        elif key == "phase.max_slope":
-            top["max_slope"] = _parse(key, value, float)
-        elif key == "channel.num_paths":
-            channel = replace(channel, num_paths=_parse(key, value, int))
-        elif key == "channel.pdp_decay":
-            channel = replace(channel, pdp_decay=_parse(key, value, float))
-        elif key == "grid.dft_size":
-            grid = replace(grid, dft_size=_parse(key, value, int))
-        elif key == "grid.pilot_spec":
-            grid = replace(grid, pilot_spec=value)
-        elif key == "search.slope_points":
-            top["slope_points"] = _parse(key, value, int)
-        elif key in _REMOVED_KEYS:
+        if key in _REMOVED_KEYS:
             raise ConfigError(f"config key {key!r} was removed: {_REMOVED_KEYS[key]}")
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        name, parse, _ = CONFIG_KEYS[key]
+        try:
+            changes[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from exc
     try:
-        return replace(cfg, channel=channel, grid=grid, **top)
+        return replace(base if base is not None else ScenarioConfig(), **changes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def format_config(cfg: ScenarioConfig) -> str:
-    """Canonical serialization (sorted keys); parses back to an equal config."""
-    lines = {
-        "snr_db": repr(cfg.snr_db),
-        "doppler": repr(cfg.normalized_doppler),
-        "num_steps": str(cfg.num_steps),
-        "num_trials": str(cfg.num_trials),
-        "p_fa": repr(cfg.nominal_false_alarm),
-        "seed": str(cfg.seed),
-        "detectors": ",".join(cfg.detectors),
-        "phase.max_slope": repr(cfg.resolved_max_slope()),
-        "channel.num_paths": str(cfg.channel.num_paths),
-        "channel.pdp_decay": repr(cfg.channel.pdp_decay),
-        "grid.dft_size": str(cfg.grid.dft_size),
-        "grid.pilot_spec": cfg.grid.pilot_spec,
-        "search.slope_points": str(cfg.slope_points),
-    }
-    return "".join(f"{k} = {v}\n" for k, v in sorted(lines.items()))
+    """Canonical serialization (sorted keys); parses back to an equal config.
+
+    ``phase.max_slope`` is written resolved, so a config that sets it to its
+    default serializes like one that leaves it out.
+    """
+    lines = []
+    for key, (name, _, write) in sorted(CONFIG_KEYS.items()):
+        value = cfg.resolved_max_slope() if name == "max_slope" else getattr(cfg, name)
+        lines.append(f"{key} = {write(value)}\n")
+    return "".join(lines)
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

@@ -18,7 +18,7 @@ in the order documented by :func:`csiguard.channel.simulate`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .detector import (
     magnitude_diff_statistic,
     threshold,
 )
-from .errors import CalibrationError, NumericalError
+from .errors import CalibrationError, ConfigError, NumericalError
 from .observation import snr_to_noise_var
 
 __all__ = [
@@ -249,32 +249,34 @@ def trial_records(cfg: ScenarioConfig, trial_seed: int) -> list[tuple[str, Detec
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """Rates of one detector at one axis value, pooled over the test half."""
+
     axis_value: float
     detector: str
     detection_rate: float
     empirical_false_alarm: float
     num_trials: int
     num_steps: int
-    detected: int = 0
-    num_h1: int = 0
-    false_alarms: int = 0
-    num_h0: int = 0
 
 
 @dataclass(eq=False)
 class SweepResult:
+    """Sweep rows in axis order; ``write_csv(result, path, cfg)`` writes
+    them under the header line of ``cfg``."""
+
     axis: str
     points: list[SweepPoint]
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
 class RocResult:
+    """ROC rows; ``write_csv(result, path, cfg)`` writes them under the
+    header line of ``cfg``."""
+
     points: list[tuple[str, float, float, float]]  # detector, threshold, fa, dr
-    metadata: dict = field(default_factory=dict)
 
 
-_AXES = {"snr_db": "snr_db", "normalized_doppler": "normalized_doppler"}
+_AXES = ("snr_db", "normalized_doppler")
 
 
 def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
@@ -282,19 +284,23 @@ def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
 
     Rates are pooled over the test half of every trial (steps
     k > num_steps // 2).  All sweep points reuse the same per-trial seeds,
-    so realizations are common across the axis.
+    so realizations are common across the axis.  ``values`` must be
+    strictly ascending: a repeated value would only run its point twice.
     """
     if axis not in _AXES:
-        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     values = [float(v) for v in values]
     if not values:
         raise ValueError("values must be nonempty")
-    if sorted(values) != values:
-        raise ValueError("values must be sorted ascending")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(
+            f"{axis} values must be distinct and ascending, got "
+            f"{','.join(format(v, 'g') for v in values)}"
+        )
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
     points: list[SweepPoint] = []
     for value in values:
-        point_cfg = replace(cfg, **{_AXES[axis]: value})
+        point_cfg = replace(cfg, **{axis: value})
         batch = run_batch(point_cfg, seeds)
         for det in cfg.detectors:
             dec = batch.decisions(det)[:, batch.test_slice, :]
@@ -311,17 +317,9 @@ def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
                     empirical_false_alarm=false_alarms / num_h0,
                     num_trials=cfg.num_trials,
                     num_steps=cfg.num_steps,
-                    detected=detected,
-                    num_h1=num_h1,
-                    false_alarms=false_alarms,
-                    num_h0=num_h0,
                 )
             )
-    return SweepResult(
-        axis=axis,
-        points=points,
-        metadata={"config_hash": config_hash(cfg), "seed": cfg.seed},
-    )
+    return SweepResult(axis=axis, points=points)
 
 
 def roc_points(h0_samples, h1_samples, num_points: int) -> list[tuple[float, float, float]]:
@@ -360,14 +358,15 @@ def _fmt(x) -> str:
     return format(float(x), ".9g")
 
 
-def write_csv(result, path, *, metadata: dict | None = None) -> None:
+def write_csv(result, path, cfg: ScenarioConfig) -> None:
     """Write a sweep result, ROC result, or record list as CSV.
 
-    The first line is a ``# config_hash=... seed=...`` comment; the second
-    is the header.  Numeric fields carry 9 significant digits.
+    The first line is a ``# config_hash=... seed=...`` comment naming
+    ``cfg``, the configuration that produced ``result`` (for a sweep, the
+    base configuration before the axis is set); the second is the header.
+    Numeric fields carry 9 significant digits.
     """
     if isinstance(result, SweepResult):
-        meta = result.metadata
         header = [
             "axis",
             "axis_value",
@@ -390,14 +389,12 @@ def write_csv(result, path, *, metadata: dict | None = None) -> None:
             for p in result.points
         ]
     elif isinstance(result, RocResult):
-        meta = result.metadata
         header = ["detector", "threshold", "false_alarm_rate", "detection_rate"]
         rows = [
             [det, _fmt(thr), _fmt(fa), _fmt(dr)] for det, thr, fa, dr in result.points
         ]
     else:
         # list of (detector, DetectionRecord) pairs, see trial_records()
-        meta = metadata or {}
         header = ["k", "truth", "detector", "statistic", "threshold", "decision"]
         rows = [
             [
@@ -410,13 +407,9 @@ def write_csv(result, path, *, metadata: dict | None = None) -> None:
             ]
             for det, rec in result
         ]
-    if metadata is not None:
-        meta = metadata
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                f"# config_hash={meta.get('config_hash', '')} seed={meta.get('seed', '')}\n"
-            )
+            fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -424,53 +417,36 @@ def write_csv(result, path, *, metadata: dict | None = None) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _read_rows(path) -> tuple[dict, list[dict]]:
+def _read_rows(path) -> list[dict]:
+    """The rows of a CSV from :func:`write_csv`, below its comment line."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            first = fh.readline().strip()
-            meta = {}
-            if first.startswith("#"):
-                for token in first[1:].split():
-                    if "=" in token:
-                        key, value = token.split("=", 1)
-                        meta[key] = value
-            reader = csv.DictReader(fh)
-            return meta, list(reader)
+            fh.readline()
+            return list(csv.DictReader(fh))
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
 
 def read_sweep_csv(path) -> SweepResult:
-    """Parse a sweep CSV back into a SweepResult (counts are reconstructed)."""
-    meta, rows = _read_rows(path)
+    """Parse a sweep CSV back into a SweepResult."""
     points = []
     axis = "snr_db"
-    for row in rows:
+    for row in _read_rows(path):
         axis = row["axis"]
-        num_trials = int(row["num_trials"])
-        num_steps = int(row["num_steps"])
-        rate = float(row["detection_rate"])
-        fa = float(row["empirical_false_alarm"])
-        num_each = num_trials * (num_steps - num_steps // 2)
         points.append(
             SweepPoint(
                 axis_value=float(row["axis_value"]),
                 detector=row["detector"],
-                detection_rate=rate,
-                empirical_false_alarm=fa,
-                num_trials=num_trials,
-                num_steps=num_steps,
-                detected=round(rate * num_each),
-                num_h1=num_each,
-                false_alarms=round(fa * num_each),
-                num_h0=num_each,
+                detection_rate=float(row["detection_rate"]),
+                empirical_false_alarm=float(row["empirical_false_alarm"]),
+                num_trials=int(row["num_trials"]),
+                num_steps=int(row["num_steps"]),
             )
         )
-    return SweepResult(axis=axis, points=points, metadata=meta)
+    return SweepResult(axis=axis, points=points)
 
 
 def read_roc_csv(path) -> RocResult:
-    meta, rows = _read_rows(path)
     points = [
         (
             row["detector"],
@@ -478,13 +454,12 @@ def read_roc_csv(path) -> RocResult:
             float(row["false_alarm_rate"]),
             float(row["detection_rate"]),
         )
-        for row in rows
+        for row in _read_rows(path)
     ]
-    return RocResult(points=points, metadata=meta)
+    return RocResult(points=points)
 
 
 def read_records_csv(path) -> list[dict]:
-    _, rows = _read_rows(path)
     return [
         {
             "k": int(row["k"]),
@@ -494,5 +469,5 @@ def read_records_csv(path) -> list[dict]:
             "threshold": float(row["threshold"]),
             "decision": row["decision"],
         }
-        for row in rows
+        for row in _read_rows(path)
     ]

@@ -1,10 +1,13 @@
-"""The gate-output digest script: its body digest ignores the header line."""
+"""The gate-output digest script: its body digest ignores the header line,
+and its config-file command sets every key."""
 
 import hashlib
 import importlib.util
 import pathlib
 
 import pytest
+
+from csiguard.config import CONFIG_KEYS, ScenarioConfig, config_from_mapping, parse_config_text
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "check_outputs.py"
 
@@ -31,3 +34,11 @@ def test_body_digest_ignores_line_one(script, tmp_path):
 def test_needs_one_argument(script, capsys):
     assert script.main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_config_file_sets_every_key_off_default(script):
+    mapping = parse_config_text(script.CONFIG_TEXT)
+    assert sorted(mapping) == sorted(CONFIG_KEYS)
+    cfg = config_from_mapping(mapping)
+    default = ScenarioConfig()
+    assert all(getattr(cfg, f) != getattr(default, f) for f in vars(cfg))

@@ -1,6 +1,7 @@
 import pytest
 
-from csiguard.cli import cli_main
+from csiguard.cli import _build_config, build_parser, cli_main
+from csiguard.config import ScenarioConfig
 from csiguard.harness import read_records_csv, read_roc_csv, read_sweep_csv
 
 from oracles import chi2_quantile_quadrature
@@ -103,6 +104,27 @@ class TestSweeps:
         assert hash1 != hash2
 
 
+class TestFlags:
+    # Each undotted config key is a flag; the seven, with non-default values.
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--snr-db", "snr_db", "7.5"),
+            ("--doppler", "doppler", "3e-4"),
+            ("--num-steps", "num_steps", "240"),
+            ("--num-trials", "num_trials", "3"),
+            ("--p-fa", "p_fa", "0.05"),
+            ("--seed", "seed", "3"),
+            ("--detectors", "detectors", "kalman,magnitude_diff"),
+        ],
+    )
+    def test_flag_sets_its_key(self, flag, key, value):
+        parser = build_parser()
+        by_flag = _build_config(parser.parse_args(["roc", flag, value]))
+        by_set = _build_config(parser.parse_args(["roc", "--set", f"{key}={value}"]))
+        assert by_flag == by_set != ScenarioConfig()
+
+
 class TestErrors:
     def test_unknown_flag(self, capsys):
         assert cli_main(["simulate", "--frequency", "2.4GHz"]) == 2
@@ -160,7 +182,7 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("criteria", ["9", "x", "7,9", "1,"])
+    @pytest.mark.parametrize("criteria", ["9", "x", "7,9", "1,", "7,7"])
     def test_unknown_selftest_criteria(self, capsys, criteria):
         # Refused before any criterion runs.
         assert cli_main(["selftest", "--criteria", criteria]) == 2
@@ -192,6 +214,9 @@ class TestErrors:
             ["simulate", "--set", "grid.pilot_spec=0-5,9-7,12"],
             ["simulate", "--detectors", "kalman,kalman"],
             ["roc", "--num-points", "1"],
+            ["sweep-snr", "--values", "5,5"],
+            ["simulate", "--snr-db", "4000"],
+            ["simulate", "--snr-db", "-4000"],
         ],
     )
     def test_value_that_breaks_a_run_is_refused(self, config_file, tmp_path, capsys, args):

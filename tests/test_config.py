@@ -1,9 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from csiguard.config import (
-    ChannelConfig,
-    GridConfig,
     ScenarioConfig,
     config_from_mapping,
     config_hash,
@@ -61,7 +61,8 @@ class TestScenarioConfig:
             ScenarioConfig(detectors=("kalman", "magnitude_diff", "kalman"))
         with pytest.raises(ConfigError, match="more than once"):
             config_from_mapping({"detectors": "kalman,kalman"})
-        for snr_db in (float("nan"), float("inf"), -float("inf")):
+        # 4000 dB underflows the noise variance to 0, -4000 dB overflows it.
+        for snr_db in (float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0):
             with pytest.raises(ConfigError, match="snr_db"):
                 ScenarioConfig(snr_db=snr_db)
         with pytest.raises(ConfigError, match="seed"):
@@ -71,22 +72,22 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError, match="phase.max_slope"):
                 ScenarioConfig(max_slope=max_slope)
         # The channel profile and the partial DFT are built at construction.
-        for channel in (ChannelConfig(num_paths=0), ChannelConfig(num_paths=200),
-                        ChannelConfig(pdp_decay=-1.0), ChannelConfig(pdp_decay=float("nan"))):
+        for channel in ({"num_paths": 0}, {"num_paths": 200},
+                        {"pdp_decay": -1.0}, {"pdp_decay": float("nan")}):
             with pytest.raises(ConfigError, match="channel.num_paths"):
-                ScenarioConfig(channel=channel)
+                ScenarioConfig(**channel)
         with pytest.raises(ConfigError, match="doppler"):
             ScenarioConfig(normalized_doppler=0.6)
 
     @pytest.mark.parametrize("spec", ["first:1", "5"])
     def test_single_pilot_rejected(self, spec):
         with pytest.raises(ConfigError, match="at least 2"):
-            ScenarioConfig(grid=GridConfig(dft_size=16, pilot_spec=spec))
+            ScenarioConfig(dft_size=16, pilot_spec=spec)
         with pytest.raises(ConfigError, match="at least 2"):
             config_from_mapping({"grid.dft_size": "16", "grid.pilot_spec": spec})
 
     def test_two_pilots_accepted(self):
-        cfg = ScenarioConfig(grid=GridConfig(dft_size=16, pilot_spec="first:2"))
+        cfg = ScenarioConfig(dft_size=16, pilot_spec="first:2")
         assert cfg.pilot_grid().num_pilots == 2
 
     def test_slope_grid_coarser_than_main_lobe_rejected(self):
@@ -108,7 +109,8 @@ class TestScenarioConfig:
         # The small scenario of the harness and CLI tests: spacing 0.051 rad
         # against a main lobe of 2*pi/15 = 0.42 rad.
         cfg = ScenarioConfig(
-            grid=GridConfig(dft_size=32, pilot_spec="first:16"),
+            dft_size=32,
+            pilot_spec="first:16",
             slope_points=32,
         )
         assert cfg.pilot_grid().num_pilots == 16
@@ -119,7 +121,7 @@ class TestSlopeRange:
 
     def test_default_bound_follows_dft_size(self):
         for dft_size in (32, 64, 128):
-            cfg = ScenarioConfig(grid=GridConfig(dft_size=dft_size, pilot_spec="all"))
+            cfg = ScenarioConfig(dft_size=dft_size, pilot_spec="all")
             assert cfg.resolved_max_slope() == pytest.approx(2 * np.pi * 4 / dft_size)
 
 
@@ -154,7 +156,7 @@ class TestParsing:
         )
         assert cfg.snr_db == 3.5
         assert cfg.num_trials == 7
-        assert cfg.channel.num_paths == 4
+        assert cfg.num_paths == 4
         assert cfg.resolved_max_slope() == 0.25
         assert cfg.detectors == ("kalman", "magnitude_diff")
 
@@ -183,28 +185,37 @@ class TestParsing:
             config_from_mapping({"num_trials": "many"})
 
     def test_round_trip(self):
+        # Every key set away from its default.
         cfg = ScenarioConfig(
             snr_db=7.25,
             normalized_doppler=3e-4,
+            num_steps=300,
             num_trials=17,
+            nominal_false_alarm=0.05,
+            seed=7,
+            num_paths=5,
+            pdp_decay=0.75,
+            dft_size=64,
+            pilot_spec="first:20",
+            slope_points=80,
             detectors=("kalman", "magnitude_diff"),
-            channel=ChannelConfig(num_paths=5, pdp_decay=0.75),
-            grid=GridConfig(dft_size=64, pilot_spec="first:20"),
+            max_slope=0.3,
         )
-        again = config_from_mapping(parse_config_text(format_config(cfg)))
-        # max_slope resolves to an explicit value on round-trip
-        assert again.snr_db == cfg.snr_db
-        assert again.normalized_doppler == cfg.normalized_doppler
-        assert again.channel == cfg.channel
-        assert again.grid == cfg.grid
-        assert again.slope_points == cfg.slope_points
-        assert again.detectors == cfg.detectors
-        assert again.resolved_max_slope() == cfg.resolved_max_slope()
+        default = ScenarioConfig()
+        assert all(getattr(cfg, f) != getattr(default, f) for f in vars(cfg))
+        # A max_slope left at None comes back as its resolved value.
+        for c in (cfg, default):
+            again = config_from_mapping(parse_config_text(format_config(c)))
+            assert again == replace(c, max_slope=c.resolved_max_slope())
 
 
 class TestHash:
     def test_stable(self):
         assert config_hash(ScenarioConfig()) == config_hash(ScenarioConfig())
+
+    def test_default_hash_pinned(self):
+        # A change to a key, its order or its text changes every config_hash.
+        assert config_hash(ScenarioConfig()) == "dab9b2284003"
 
     def test_sensitive_to_changes(self):
         a = config_hash(ScenarioConfig())

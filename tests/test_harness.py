@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from csiguard import _kernels
 from csiguard.channel import simulate
-from csiguard.config import ChannelConfig, GridConfig, ScenarioConfig
+from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import threshold
 from csiguard.harness import (
     RocResult,
@@ -33,10 +34,17 @@ FAST = ScenarioConfig(
     normalized_doppler=1e-4,
     num_steps=40,
     num_trials=3,
-    channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
-    grid=GridConfig(dft_size=32, pilot_spec="first:16"),
+    num_paths=4,
+    pdp_decay=0.5,
+    dft_size=32,
+    pilot_spec="first:16",
     slope_points=32,
 )
+
+
+def _header(cfg):
+    """The first line that write_csv writes for cfg."""
+    return f"# config_hash={config_hash(cfg)} seed={cfg.seed}"
 
 
 class TestSeeds:
@@ -81,13 +89,8 @@ class TestRunTrial:
         assert [r.statistic for _, r in a] == [r.statistic for _, r in b]
 
     def test_magnitude_detector_records(self):
-        cfg = ScenarioConfig(
-            num_steps=250,
-            num_trials=1,
-            detectors=("kalman", "magnitude_diff"),
-            channel=ChannelConfig(num_paths=4),
-            grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            slope_points=FAST.slope_points,
+        cfg = replace(
+            FAST, num_steps=250, num_trials=1, detectors=("kalman", "magnitude_diff")
         )
         pairs = trial_records(cfg, 1)
         kalman = [r for d, r in pairs if d == "kalman"]
@@ -108,13 +111,7 @@ class TestProtocol:
         assert not np.array_equal(a.lam[:, :, 1], b.lam[:, :, 1])
 
     def test_clone_eve_detection_matches_false_alarm(self):
-        cfg = ScenarioConfig(
-            num_steps=1200,
-            num_trials=4,
-            channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
-            grid=GridConfig(dft_size=32, pilot_spec="first:16"),
-            slope_points=FAST.slope_points,
-        )
+        cfg = replace(FAST, num_steps=1200, num_trials=4)
         seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
         batch = run_batch(cfg, seeds, clone_eve=True)
         dec = batch.decisions("kalman")[:, batch.test_slice, :]
@@ -148,8 +145,10 @@ def _corner_configs(draw):
         normalized_doppler=draw(st.floats(0.0, 0.3)),
         num_steps=30,
         num_trials=2,
-        channel=ChannelConfig(num_paths=num_paths, pdp_decay=draw(st.floats(0.0, 50.0))),
-        grid=GridConfig(dft_size=32, pilot_spec=f"first:{draw(st.integers(2, num_paths))}"),
+        num_paths=num_paths,
+        pdp_decay=draw(st.floats(0.0, 50.0)),
+        dft_size=32,
+        pilot_spec=f"first:{draw(st.integers(2, num_paths))}",
         slope_points=FAST.slope_points,
     )
 
@@ -201,7 +200,7 @@ class TestDefaultSlopeRange:
         # search range fixed at 2*pi*4/128 could not reach half of them and
         # raised a false alarm on every legitimate packet (rate 1.0).
         cfg = ScenarioConfig(
-            num_steps=200, num_trials=2, grid=GridConfig(dft_size=64, pilot_spec="all")
+            num_steps=200, num_trials=2, dft_size=64, pilot_spec="all"
         )
         batch = run_batch(cfg, [derive_trial_seed(cfg.seed, i) for i in range(2)])
         decisions = batch.decisions("kalman")[:, batch.test_slice, :]
@@ -242,13 +241,7 @@ class TestRunnerAgainstPublicOps:
 
 class TestSweep:
     def test_single_value_single_trial(self):
-        cfg = ScenarioConfig(
-            num_steps=40,
-            num_trials=1,
-            channel=FAST.channel,
-            grid=FAST.grid,
-            slope_points=FAST.slope_points,
-        )
+        cfg = replace(FAST, num_trials=1)
         a = sweep(cfg, "snr_db", [10.0])
         b = sweep(cfg, "snr_db", [10.0])
         assert len(a.points) == 1
@@ -257,19 +250,16 @@ class TestSweep:
 
     def test_count_conservation(self):
         # magnitude_diff needs >= 100 calibration steps in the train half
-        cfg = ScenarioConfig(
-            num_steps=240,
-            num_trials=2,
-            detectors=("kalman", "magnitude_diff"),
-            channel=FAST.channel,
-            grid=FAST.grid,
-            slope_points=FAST.slope_points,
+        cfg = replace(
+            FAST, num_steps=240, num_trials=2, detectors=("kalman", "magnitude_diff")
         )
         result = sweep(cfg, "snr_db", [0.0, 10.0])
         assert len(result.points) == 4
+        # Both rates count decisions over every test-half step of every trial.
+        num_each = cfg.num_trials * (cfg.num_steps - cfg.num_steps // 2)
         for p in result.points:
-            assert p.detected + (p.num_h1 - p.detected) == p.num_h1
-            assert p.detection_rate * p.num_h1 == pytest.approx(p.detected, abs=1e-6)
+            for rate in (p.detection_rate, p.empirical_false_alarm):
+                assert rate * num_each == pytest.approx(round(rate * num_each), abs=1e-6)
             assert 0.0 <= p.detection_rate <= 1.0
             assert 0.0 <= p.empirical_false_alarm <= 1.0
 
@@ -280,18 +270,16 @@ class TestSweep:
             sweep(FAST, "snr_db", [])
         with pytest.raises(ValueError):
             sweep(FAST, "snr_db", [10.0, 0.0])
+        with pytest.raises(ValueError, match="distinct"):
+            sweep(FAST, "snr_db", [5.0, 5.0])
 
-    def test_metadata(self):
-        result = sweep(
-            ScenarioConfig(
-                num_steps=40, num_trials=1, channel=FAST.channel, grid=FAST.grid,
-                slope_points=FAST.slope_points,
-            ),
-            "normalized_doppler",
-            [1e-4],
-        )
-        assert "config_hash" in result.metadata
-        assert result.metadata["seed"] == 12345
+    def test_metadata(self, tmp_path):
+        # The header names the base configuration, not the swept point's.
+        cfg = replace(FAST, num_trials=1)
+        path = tmp_path / "sweep.csv"
+        write_csv(sweep(cfg, "normalized_doppler", [1e-3]), path, cfg)
+        first = path.read_text().splitlines()[0]
+        assert first == f"# config_hash={config_hash(cfg)} seed=12345"
 
 
 class TestRocCurve:
@@ -338,35 +326,27 @@ class TestRocCurve:
 
 class TestCsv:
     def test_sweep_round_trip(self, tmp_path):
-        cfg = ScenarioConfig(
-            num_steps=40, num_trials=2, channel=FAST.channel, grid=FAST.grid,
-            slope_points=FAST.slope_points,
-        )
+        cfg = replace(FAST, num_trials=2)
         result = sweep(cfg, "snr_db", [0.0, 10.0])
         path = tmp_path / "sweep.csv"
-        write_csv(result, path)
+        write_csv(result, path, cfg)
         again = read_sweep_csv(path)
         assert again.axis == result.axis
-        assert again.metadata["config_hash"] == result.metadata["config_hash"]
+        assert path.read_text().splitlines()[0] == _header(cfg)
         assert len(again.points) == len(result.points)
         for a, b in zip(again.points, result.points):
             assert a.detector == b.detector
             assert a.axis_value == pytest.approx(b.axis_value, rel=1e-8)
             # 9 significant digits in the file bounds the round-trip error
             assert a.detection_rate == pytest.approx(b.detection_rate, rel=1e-8)
-            assert a.detected == b.detected
 
     def test_sweep_csv_format(self, tmp_path):
-        cfg = ScenarioConfig(
-            num_steps=40, num_trials=1, channel=FAST.channel, grid=FAST.grid,
-            slope_points=FAST.slope_points,
-        )
+        cfg = replace(FAST, num_trials=1)
         result = sweep(cfg, "snr_db", [10.0])
         path = tmp_path / "sweep.csv"
-        write_csv(result, path)
+        write_csv(result, path, cfg)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("# config_hash=")
-        assert " seed=" in lines[0]
+        assert lines[0] == _header(cfg)
         assert (
             lines[1]
             == "axis,axis_value,detector,detection_rate,empirical_false_alarm,num_trials,num_steps"
@@ -378,7 +358,7 @@ class TestCsv:
 
     def test_empty_points_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv(SweepResult(axis="snr_db", points=[], metadata={}), path)
+        write_csv(SweepResult(axis="snr_db", points=[]), path, FAST)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("axis,")
@@ -386,10 +366,10 @@ class TestCsv:
     def test_roc_round_trip(self, tmp_path):
         result = RocResult(
             points=[("kalman", 250.0, 0.1, 0.9), ("kalman", 260.0, 0.05, 0.8)],
-            metadata={"config_hash": "abc", "seed": 1},
         )
         path = tmp_path / "roc.csv"
-        write_csv(result, path)
+        write_csv(result, path, FAST)
+        assert path.read_text().splitlines()[0] == _header(FAST)
         again = read_roc_csv(path)
         assert len(again.points) == 2
         assert again.points[0][0] == "kalman"
@@ -398,7 +378,8 @@ class TestCsv:
     def test_records_round_trip(self, tmp_path):
         pairs = trial_records(FAST, derive_trial_seed(FAST.seed, 0))
         path = tmp_path / "records.csv"
-        write_csv(pairs, path, metadata={"config_hash": "x", "seed": FAST.seed})
+        write_csv(pairs, path, FAST)
+        assert path.read_text().splitlines()[0] == _header(FAST)
         rows = read_records_csv(path)
         assert len(rows) == len(pairs)
         assert rows[0]["k"] == 1
@@ -408,6 +389,6 @@ class TestCsv:
         assert rows[0]["decision"] in ("H0", "H1")
 
     def test_write_failure_has_path_context(self):
-        result = SweepResult(axis="snr_db", points=[], metadata={})
+        result = SweepResult(axis="snr_db", points=[])
         with pytest.raises(OSError, match="no/such/dir"):
-            write_csv(result, "no/such/dir/out.csv")
+            write_csv(result, "no/such/dir/out.csv", FAST)

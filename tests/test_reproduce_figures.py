@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from csiguard._kernels import PHASE_PARAMETERS
-from csiguard.config import ChannelConfig, GridConfig, ScenarioConfig
+from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import null_dof
 from csiguard.harness import derive_trial_seed, roc_points, run_batch
 from csiguard.numerics import chi2_cdf
@@ -20,8 +20,10 @@ FAST = ScenarioConfig(
     snr_db=10.0,
     num_steps=40,
     num_trials=2,
-    channel=ChannelConfig(num_paths=4, pdp_decay=0.5),
-    grid=GridConfig(dft_size=32, pilot_spec="first:16"),
+    num_paths=4,
+    pdp_decay=0.5,
+    dft_size=32,
+    pilot_spec="first:16",
     slope_points=32,
 )
 
@@ -66,7 +68,7 @@ def test_statistic_histogram(script, tmp_path):
 def test_roc_curves(script, tmp_path):
     script.roc_curves(FAST, tmp_path, [10.0])
     first, rows = _read(tmp_path / "roc_snr10.csv")
-    assert first.startswith("# config_hash=")
+    assert first == f"# config_hash={config_hash(FAST)} seed={FAST.seed}\n"
     seeds = [derive_trial_seed(FAST.seed, i) for i in range(FAST.num_trials)]
     batch = run_batch(FAST, seeds)
     lam = batch.lam[:, batch.test_slice, :]
