@@ -78,7 +78,6 @@ class GridTables:
     c_conj: np.ndarray     # (Q, L)
     c_t: np.ndarray        # (L, Q) contiguous C.T for right-multiplication
     chc: np.ndarray        # (L, L) C^H C
-    chc_diag: np.ndarray   # (L,) real diagonal of C^H C
     q: np.ndarray          # (Q,) pilot indices as float
     ramp_derivs: np.ndarray  # (3, Q) [1, -1j q, -q^2]: d^k/dx^k ramp = ramp * row k
     c3: np.ndarray         # (Q, 3L) conj(C) * ramp_derivs[k], column k*L + l
@@ -122,7 +121,6 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     for a in arrays.values():
         a.setflags(write=False)
     return GridTables(
-        chc_diag=np.ascontiguousarray(arrays["chc"].diagonal().real),
         ramp_q0=int(qi[0]),
         ramp_groups=tuple(groups),
         **arrays,
@@ -391,16 +389,14 @@ def kalman_update(
     """Measurement update in the de-rotated frame.
 
     ``rotated_residual`` is E^H eps and ``y = Sigma0^{-1} rotated_residual``;
-    the phase matrices cancel out of both the mean correction
-    ``P C^H Sigma0^{-1} (E^H eps)`` and the covariance contraction
-    ``P - P C^H Sigma0^{-1} C P``, whose diagonal is kept.
-    Returns (new_mean, new_cov_diag); callers decide how to handle
-    negative diagonal entries (mathematically the diagonal is >= 0).
+    the phase matrices cancel out of the mean correction
+    ``P C^H Sigma0^{-1} (E^H eps)``.  The posterior covariance
+    ``(P^{-1} + C^H C / s2)^{-1} = P^{1/2} G^{-1} P^{1/2}`` is ``prep.gs``,
+    whose diagonal is kept; reading it there, rather than forming
+    ``P - P C^H Sigma0^{-1} C P``, avoids a difference that cancels to a
+    rounding error (and can go negative) once ``s2`` is far below ``P``.
+    Returns (new_mean, new_cov_diag).
     """
-    s2 = prep.noise_var
     new_mean = mean + cov_diag * (y @ tables.c_conj)
-    a1 = np.matmul(tables.chc[None], prep.gs)                 # (T, L, L)
-    quad_diag = np.einsum("tlk,kl->tl", a1, tables.chc).real
-    d_diag = tables.chc_diag[None] / s2 - quad_diag / (s2 * s2)
-    new_cov = cov_diag * (1.0 - cov_diag * d_diag)
+    new_cov = np.diagonal(prep.gs, axis1=-2, axis2=-1).real.copy()
     return new_mean, new_cov

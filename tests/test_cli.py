@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from csiguard.cli import _build_config, build_parser, cli_main
@@ -44,6 +46,17 @@ class TestSimulate:
         expected = chi2_quantile_quadrature(0.9, 2 * 16 - 2)
         for row in read_records_csv(out):
             assert row["threshold"] == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("snr_db", ["80", "120"])
+    def test_high_snr_runs(self, tmp_path, snr_db):
+        # Far above the channel power, P - P C^H Sigma0^{-1} C P cancels to
+        # rounding error; the update must still give a usable covariance.
+        out = str(tmp_path / "records.csv")
+        args = ["simulate", "--snr-db", snr_db, "--num-steps", "50", "--out", out]
+        assert cli_main(args) == 0
+        rows = read_records_csv(out)
+        assert len(rows) == 100
+        assert all(math.isfinite(r["statistic"]) for r in rows)
 
     def test_deterministic_bytes(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"
