@@ -23,12 +23,17 @@ For a fixed phase slope the objective is an exact cosine in the phase
 offset, so the offset is minimized in closed form and the numeric search
 runs over the slope axis only, in two stages:
 
-* a coarse grid of G slopes, all candidates evaluated at once as one flat
-  GEMM ``h @ table`` of the observations, reshaped to ``(..., T, Q)`` ->
-  ``(N, Q)``, against the cached ``(Q, G*L)`` table
-  ``phi[g, q] * conj(C[q, l])`` (:func:`slope_tables`); its argmin locates
-  the likelihood's main lobe, provided the grid is finer than the lobe (the
-  configuration refuses coarser grids);
+* a coarse grid of slopes ``x_g`` spaced ``2 pi / (k M)`` apart, all
+  scored at once; its argmin locates the likelihood's main lobe, provided
+  the grid is finer than the lobe (the configuration refuses coarser
+  grids).  Scoring slope ``x_g`` needs ``s_g = C^H (exp(-1j x_g q) * h)``,
+  whose tap-l entry is ``sum_q h_q exp(-1j q (x_g - 2 pi l / M))``: it
+  depends on the slope and the tap only through ``x_g - 2 pi l / M``, which
+  lies on the same lattice of step ``2 pi / (k M)``.  So ``h`` and
+  ``zvec`` (see :class:`SearchTerms`) are projected in one flat GEMM onto
+  the ``G + k (L - 1)`` lattice ramps (:func:`slope_tables`); ``s_g`` is
+  gathered from h's columns ``g - k l + k (L - 1)``, and the offset
+  couplings ``zc_g`` are zvec's columns of tap 0;
 * three Newton steps from the grid argmin, on the exact first and second
   slope derivatives of the profiled objective, each clipped to the grid
   cells on either side of that argmin.  Each step is one flat GEMM
@@ -47,6 +52,7 @@ arrays (:func:`_real_dot`), without forming ``conj(a)``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +81,7 @@ def _int_power(base: np.ndarray, k: int) -> np.ndarray:
 class GridTables:
     """Constant per-(grid, channel length) arrays used by every step."""
 
+    dft_size: int          # M
     c_conj: np.ndarray     # (Q, L)
     c_t: np.ndarray        # (L, Q) contiguous C.T for right-multiplication
     chc: np.ndarray        # (L, L) C^H C
@@ -117,45 +124,60 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     )
     q = arrays["q"]
     arrays["ramp_derivs"] = np.stack([np.ones_like(q), -1j * q, -q * q])
-    arrays["c3"] = _tap_table(arrays["ramp_derivs"], arrays["c_conj"])
+    # Column k*L + l holds ramp_derivs[k, q] * conj(C[q, l]).
+    c3 = np.multiply(
+        arrays["ramp_derivs"].T[:, :, None], arrays["c_conj"][:, None, :], order="C"
+    )
+    arrays["c3"] = c3.reshape(len(q), -1)
     for a in arrays.values():
         a.setflags(write=False)
     return GridTables(
+        dft_size=grid.dft_size,
         ramp_q0=int(qi[0]),
         ramp_groups=tuple(groups),
         **arrays,
     )
 
 
-def _tap_table(rows: np.ndarray, c_conj: np.ndarray) -> np.ndarray:
-    """(Q, K*L) table ``rows[k, q] * conj(C[q, l])`` at column k*L + l.
-
-    For pilot-domain vectors x of shape (N, Q), ``x @ table`` reshaped to
-    (N, K, L) holds ``C^H (rows[k] * x)`` for every k in one GEMM.
-    """
-    table = np.multiply(rows.T[:, :, None], c_conj[:, None, :], order="C")
-    return table.reshape(c_conj.shape[0], -1)
+def _ceil(x: float) -> int:
+    """ceil(x), except that x within rounding error of an integer gives that integer."""
+    n = round(x)
+    return n if abs(x - n) <= 1e-9 * max(1.0, abs(x)) else math.ceil(x)
 
 
 @functools.lru_cache(maxsize=16)
 def slope_tables(
     tables: GridTables, num_points: int, bound: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coarse slope grid and its tables: (slopes, Phi.T, coarse table).
+    """Coarse slope grid on the slope lattice: (slopes, lattice table, gather index).
 
-    ``Phi = exp(-1j slopes[:, None] q)`` has shape (G, Q); the coarse
-    table is the (Q, G*L) matrix ``Phi[g, q] * conj(C[q, l])`` that
-    scores every grid slope in one GEMM (see :func:`_tap_table`).  The
-    cache is keyed on the identity of ``tables``, which :func:`grid_tables`
-    returns once per (grid, channel length).
+    The grid is ``j * delta`` for ``|j| <= ceil(bound / delta)``, with
+    ``delta = 2 pi / (k M)`` and ``k = ceil(pi (num_points - 1) / (bound M))``
+    the fewest lattice points per DFT bin that space the grid no wider
+    than ``num_points`` points on ``[-bound, bound]`` would.  It is
+    symmetric, holds 0 and covers ``[-bound, bound]``; the default 64 points
+    give 65.  (The lattice is never coarser than ``2 pi / M``, so where
+    ``2 bound / (num_points - 1)`` exceeds that, k = 1 and the grid holds
+    more points than asked for.)
+
+    The lattice table is the (Q, G + k (L - 1)) matrix of ramps
+    ``exp(-1j q lam_i)`` at ``lam_i = (i - k (L - 1)) delta + slopes[0]``;
+    for pilot-domain rows x of shape (N, Q), column ``index[g, l]`` of
+    ``x @ table`` is ``(C^H (exp(-1j slopes[g] q) * x))[l]``, and columns
+    ``k (L - 1):`` are ``x`` projected on each grid ramp.  The cache is
+    keyed on the identity of ``tables``, which :func:`grid_tables` returns
+    once per (grid, channel length).
     """
-    slopes = np.linspace(-bound, bound, num_points)
-    phi = np.exp(-1j * np.outer(slopes, tables.q))
-    phi_t = np.ascontiguousarray(phi.T)
-    table = _tap_table(phi, tables.c_conj)
-    for a in (slopes, phi_t, table):
+    k = max(1, _ceil(np.pi * (num_points - 1) / (bound * tables.dft_size)))
+    delta = 2.0 * np.pi / (k * tables.dft_size)
+    half = _ceil(bound / delta)
+    shift = k * (tables.c_conj.shape[1] - 1)
+    slopes = np.arange(-half, half + 1) * delta
+    table = np.exp(-1j * np.outer(tables.q, np.arange(-half - shift, half + 1) * delta))
+    index = np.arange(len(slopes))[:, None] - k * np.arange(tables.c_conj.shape[1]) + shift
+    for a in (slopes, table, index):
         a.setflags(write=False)
-    return slopes, phi_t, table
+    return slopes, table, index
 
 
 @dataclass(eq=False)
@@ -225,18 +247,28 @@ class SearchTerms(NamedTuple):
     residual energy, minimized over the offset, is
     ``base_quad - s^H gs s / s2^2 + m_quad - 2 |zc|`` with
     ``s = C^H (u * h)``, ``zc = sum(u * zvec)`` and ``m_quad`` from
-    :class:`StatePrep`.
+    :class:`StatePrep`.  ``h`` and ``zvec`` are the two rows of one array,
+    so that :func:`phase_search` projects both in one GEMM.
     """
 
-    h: np.ndarray          # (..., T, Q) observations
-    zvec: np.ndarray       # (..., T, Q) h * conj(Sigma0^{-1} m)
+    rows: np.ndarray       # (2, ..., T, Q): h, then zvec = h * conj(Sigma0^{-1} m)
     base_quad: np.ndarray  # (..., T) h^H h / s2
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def zvec(self) -> np.ndarray:
+        return self.rows[1]
 
 
 def _search_terms(h_obs: np.ndarray, prep: StatePrep) -> SearchTerms:
     """The :class:`SearchTerms` of a batch of observations."""
-    base_quad = _real_dot(h_obs, h_obs) / prep.noise_var
-    return SearchTerms(h_obs, h_obs * prep.w.conj(), base_quad)
+    rows = np.empty((2,) + h_obs.shape, dtype=np.complex128)
+    rows[0] = h_obs
+    np.multiply(h_obs, prep.w.conj(), out=rows[1])
+    return SearchTerms(rows, _real_dot(h_obs, h_obs) / prep.noise_var)
 
 
 def _candidate_objective(
@@ -316,10 +348,13 @@ def phase_search(
     separate calls.
 
     Minimizes the whitened residual energy with the offset profiled out
-    in closed form.  The slope is first the argmin of ``slope_points``
-    equally spaced slopes on ``[-bound, bound]``, all scored by one GEMM
-    against the coarse table of :func:`slope_tables`; the harness passes
-    ``search.slope_points`` and the drawn slope range ``phase.max_slope``.
+    in closed form.  The slope is first the argmin of the lattice grid of
+    :func:`slope_tables`, which covers ``[-bound, bound]`` at least as
+    densely as ``slope_points`` equally spaced slopes would; the harness
+    passes ``search.slope_points`` and the drawn slope range
+    ``phase.max_slope``.  One GEMM projects the observations and their
+    offset couplings onto the lattice ramps, and every grid slope's tap
+    projections are gathered from its columns.
     It then takes three Newton steps on the exact derivatives
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
     clipped to the grid cells on either side of the grid argmin and skipped
@@ -329,18 +364,21 @@ def phase_search(
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    slopes, phi_t, table = slope_tables(tables, slope_points, bound)
-
-    # Coarse grid, all candidates at once: s[..., g, :] = C^H (phi_g * h).
-    # s and g are the largest arrays of the search; they are freed before
-    # the per-observation terms are built.
-    s = (h_obs @ table).reshape(h_obs.shape[:-1] + (len(slopes), -1))   # (..., T, G, L)
-    g = np.matmul(s, np.conj(prep.gs))                        # rows s_g @ gs^T = (gs s_g)^T
-    s_gs_s = _real_dot(s, g)
-    del s, g
+    slopes, table, index = slope_tables(tables, slope_points, bound)
     terms = _search_terms(h_obs, prep)
-    quad = terms.base_quad[..., None] - s_gs_s / (s2 * s2)
-    zc = terms.zvec @ phi_t                                   # (..., T, G)
+
+    # Coarse grid, all candidates at once: one GEMM projects h and zvec on
+    # every lattice ramp; s[..., g, :] = C^H (phi_g * h) is gathered from h's
+    # columns and zc[..., g] = sum(phi_g * zvec) is the tail of zvec's.
+    # (take, unlike fancy indexing, keeps s's last axis contiguous for
+    # _real_dot.)
+    rows = terms.rows
+    proj = (rows.reshape(-1, rows.shape[-1]) @ table).reshape(rows.shape[:-1] + (-1,))
+    s = np.take(proj[0], index, axis=-1)                      # (..., T, G, L)
+    g = np.matmul(s, np.conj(prep.gs))                        # rows s_g @ gs^T = (gs s_g)^T
+    quad = terms.base_quad[..., None] - _real_dot(s, g) / (s2 * s2)
+    del s, g
+    zc = proj[1, ..., index[0, 0]:]                           # (..., T, G): tap 0 columns
     obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
 
     idx = _argmin_with_ties(obj, slopes, zc)

@@ -207,7 +207,8 @@ def criterion_6_phase_recovery() -> CriterionResult:
     grid = PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, 127)))
     # Near-noiseless, the likelihood valley narrows to ~1e-3 rad while
     # integer-bin slope aliases persist as local minima, so the coarse
-    # stage needs enough points to sample every basin near its floor.
+    # stage needs enough points to sample every basin near its floor (on
+    # the slope lattice, 512 requested points give 513).
     slope_points = 512
     noise_var = 1e-13
     max_slope = 2.0 * np.pi * 4.0 / 128.0

@@ -6,7 +6,7 @@ from csiguard.acceptance import PHASE_RECOVERY_TOLERANCE
 from csiguard.channel import make_profile
 from csiguard.config import ScenarioConfig, default_slope
 from csiguard.errors import NumericalError
-from csiguard.observation import partial_dft
+from csiguard.observation import PilotGrid, partial_dft
 
 from oracles import (
     KalmanState,
@@ -130,8 +130,7 @@ class TestProfiledObjectiveAgainstDense:
         tables = _kernels.grid_tables(grid114, num_paths)
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
         terms = _kernels.SearchTerms(
-            h=obs[None],
-            zvec=obs[None] * prep.w.conj(),
+            rows=np.stack((obs[None], obs[None] * prep.w.conj())),
             base_quad=np.array([np.vdot(obs, obs).real / s2]),
         )
         for slope in (-0.15, 0.0, 0.07):
@@ -272,14 +271,56 @@ class TestLinkAxisAndTables:
         assert np.array_equal(tables.ramp(x)[1], tables.ramp(x[1]))
 
     def test_coarse_table_projects_every_grid_slope(self, grid114, rng):
+        # Gathered lattice columns are C^H (exp(-1j x_g q) * h) for every grid
+        # slope x_g, and the tap-0 columns from index[0, 0] on are
+        # sum(exp(-1j x_g q) * h).
         tables = _kernels.grid_tables(grid114, 8)
-        slopes, phi_t, table = _kernels.slope_tables(tables, 64, 0.2)
-        h = _random_obs(rng, grid114)
-        s = (h @ table).reshape(len(slopes), 8)
         c = partial_dft(grid114, 8)
-        for g in range(len(slopes)):
-            expected = c.conj().T @ (phi_t[:, g] * h)
-            assert np.allclose(s[g], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+        h = _random_obs(rng, grid114)
+        for bound in (0.2, default_slope(grid114.dft_size)):
+            slopes, table, index = _kernels.slope_tables(tables, POINTS, bound)
+            proj = h @ table
+            s = np.take(proj, index, axis=-1)
+            assert s.shape == (len(slopes), 8)
+            assert proj.shape == (index.max() + 1,)
+            for g, x in enumerate(slopes):
+                phi = np.exp(-1j * x * tables.q)
+                expected = c.conj().T @ (phi * h)
+                assert np.allclose(s[g], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+                assert proj[index[0, 0] + g] == pytest.approx(phi @ h, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dft_size, pilots, bound, points, expected",
+        [
+            (128, None, default_slope(128), 64, 65),
+            # Acceptance criterion 6's grid.
+            (128, None, default_slope(128), 512, 513),
+            # scripts/check_outputs.py's all-keys scenario.
+            (64, tuple(range(2, 31)) + tuple(range(34, 63)), 0.3, 80, 81),
+            # k = 13 and bound / delta = 244 land a rounding error above an
+            # integer; a plain ceil would give 113 and 491 points.
+            (16, tuple(range(16)), default_slope(16), 105, 105),
+            (16, tuple(range(16)), default_slope(16), 483, 489),
+        ],
+    )
+    def test_grid_rule(self, grid114, dft_size, pilots, bound, points, expected):
+        # The slopes sit on the lattice 2 pi / (k M) with the fewest points
+        # per bin that space them no wider than `points` on [-bound, bound].
+        grid = grid114 if pilots is None else PilotGrid(dft_size, pilots)
+        tables = _kernels.grid_tables(grid, 8 if pilots is None else 6)
+        slopes, _, _ = _kernels.slope_tables(tables, points, bound)
+        assert len(slopes) == expected
+        spacing = np.diff(slopes)
+        k = round(2 * np.pi / (dft_size * spacing[0]))
+        assert np.allclose(spacing, 2 * np.pi / (k * dft_size), rtol=1e-12, atol=0)
+        assert spacing.max() <= 2 * bound / (points - 1) * (1 + 1e-12)
+        assert np.array_equal(slopes, -slopes[::-1])
+        assert 0.0 in slopes
+        assert slopes[-1] >= bound * (1 - 1e-12)
+        if bound == default_slope(dft_size):
+            # The default bound is a whole number of lattice steps.
+            linspace = np.linspace(-bound, bound, expected)
+            assert np.allclose(slopes, linspace, rtol=0, atol=1e-15 * bound)
 
     def test_c3_projects_ramp_derivatives(self, grid114, rng):
         tables = _kernels.grid_tables(grid114, 8)
