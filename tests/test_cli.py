@@ -49,8 +49,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("snr_db", ["80", "120"])
     def test_high_snr_runs(self, tmp_path, snr_db):
-        # Far above the channel power, P - P C^H Sigma0^{-1} C P cancels to
-        # rounding error; the update must still give a usable covariance.
+        # Noise variances of 1e-8 and 1e-12 of the tap power: the updated
+        # covariance must stay non-negative and the statistics finite.
         out = str(tmp_path / "records.csv")
         args = ["simulate", "--snr-db", snr_db, "--num-steps", "50", "--out", out]
         assert cli_main(args) == 0
