@@ -31,9 +31,9 @@ runs over the slope axis only, in two stages:
   depends on the slope and the tap only through ``x_g - 2 pi l / M``, which
   lies on the same lattice of step ``2 pi / (k M)``.  So ``h`` and
   ``zvec`` (see :class:`SearchTerms`) are projected in one flat GEMM onto
-  the ``G + k (L - 1)`` lattice ramps (:func:`slope_tables`); ``s_g`` is
-  gathered from h's columns ``g - k l + k (L - 1)``, and the offset
-  couplings ``zc_g`` are zvec's columns of tap 0;
+  the distinct lattice ramps, ``G + k (L - 1)`` of them at the defaults
+  (:func:`slope_tables`); ``s_g`` is gathered from h's columns, and the
+  offset couplings ``zc_g`` are zvec's columns of tap 0;
 * three Newton steps from the grid argmin, on the exact first and second
   slope derivatives of the profiled objective, each clipped to the grid
   cells on either side of that argmin.  Each step is one flat GEMM
@@ -160,21 +160,26 @@ def slope_tables(
     ``2 bound / (num_points - 1)`` exceeds that, k = 1 and the grid holds
     more points than asked for.)
 
-    The lattice table is the (Q, G + k (L - 1)) matrix of ramps
-    ``exp(-1j q lam_i)`` at ``lam_i = (i - k (L - 1)) delta + slopes[0]``;
-    for pilot-domain rows x of shape (N, Q), column ``index[g, l]`` of
-    ``x @ table`` is ``(C^H (exp(-1j slopes[g] q) * x))[l]``, and columns
-    ``k (L - 1):`` are ``x`` projected on each grid ramp.  The cache is
+    Tap l of ``C^H (exp(-1j slopes[g] q) * x)`` is ``x`` projected on the
+    ramp ``exp(-1j q lam)`` at ``lam = slopes[g] - 2 pi l / M``, which is
+    lattice step ``j_g - k l``.  The lattice table holds the ramps of the
+    distinct steps in ascending order, ``min(G + k (L - 1), G L)`` columns
+    for G slopes; for pilot-domain rows x of shape (N, Q), column
+    ``index[g, l]`` of ``x @ table`` is ``(C^H (exp(-1j slopes[g] q) * x))[l]``.
+    Tap 0 holds the largest steps, so columns ``index[0, 0]:`` are ``x``
+    projected on each grid ramp.  The cache is
     keyed on the identity of ``tables``, which :func:`grid_tables` returns
     once per (grid, channel length).
     """
     k = max(1, _ceil(np.pi * (num_points - 1) / (bound * tables.dft_size)))
     delta = 2.0 * np.pi / (k * tables.dft_size)
     half = _ceil(bound / delta)
-    shift = k * (tables.c_conj.shape[1] - 1)
-    slopes = np.arange(-half, half + 1) * delta
-    table = np.exp(-1j * np.outer(tables.q, np.arange(-half - shift, half + 1) * delta))
-    index = np.arange(len(slopes))[:, None] - k * np.arange(tables.c_conj.shape[1]) + shift
+    j = np.arange(-half, half + 1)
+    slopes = j * delta
+    # Lattice step j - k l of each (slope, tap); only the steps used are projected.
+    steps, index = np.unique(j[:, None] - k * np.arange(tables.c_conj.shape[1]), return_inverse=True)
+    index = index.reshape(len(j), -1)
+    table = np.exp(-1j * np.outer(tables.q, steps * delta))
     for a in (slopes, table, index):
         a.setflags(write=False)
     return slopes, table, index
@@ -348,13 +353,9 @@ def phase_search(
     separate calls.
 
     Minimizes the whitened residual energy with the offset profiled out
-    in closed form.  The slope is first the argmin of the lattice grid of
-    :func:`slope_tables`, which covers ``[-bound, bound]`` at least as
-    densely as ``slope_points`` equally spaced slopes would; the harness
-    passes ``search.slope_points`` and the drawn slope range
-    ``phase.max_slope``.  One GEMM projects the observations and their
-    offset couplings onto the lattice ramps, and every grid slope's tap
-    projections are gathered from its columns.
+    in closed form.  The slope is first the argmin of the grid of
+    :func:`slope_tables` (the harness passes ``search.slope_points`` and
+    the drawn slope range ``phase.max_slope``), scored by one GEMM.
     It then takes three Newton steps on the exact derivatives
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
     clipped to the grid cells on either side of the grid argmin and skipped
@@ -369,7 +370,7 @@ def phase_search(
 
     # Coarse grid, all candidates at once: one GEMM projects h and zvec on
     # every lattice ramp; s[..., g, :] = C^H (phi_g * h) is gathered from h's
-    # columns and zc[..., g] = sum(phi_g * zvec) is the tail of zvec's.
+    # columns and zc[..., g] = sum(phi_g * zvec) is zvec's tap-0 tail.
     # (take, unlike fancy indexing, keeps s's last axis contiguous for
     # _real_dot.)
     rows = terms.rows

@@ -95,13 +95,8 @@ class ScenarioConfig:
     pdp_decay: float = 0.5
     dft_size: int = 128
     pilot_spec: str = "ieee80211n-40mhz"
-    # The least density of the coarse slope grid on [-max_slope, max_slope]:
-    # the grid is the 2*pi/(k*M) lattice no coarser than this many points
-    # (65 for the default 64; see _kernels.slope_tables).  phase_search
-    # refines its argmin by three Newton steps confined to the neighbouring
-    # grid cells, so the grid must be finer than the likelihood's main lobe
-    # (checked below; the lattice spacing is never wider than the one
-    # checked).
+    # Least density of the coarse slope grid (see _kernels.slope_tables);
+    # it must be finer than the likelihood's main lobe (checked below).
     slope_points: int = 64
     detectors: tuple[str, ...] = ("kalman",)
     max_slope: float | None = None  # None: 2*pi*4/dft_size

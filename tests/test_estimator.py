@@ -273,16 +273,20 @@ class TestLinkAxisAndTables:
     def test_coarse_table_projects_every_grid_slope(self, grid114, rng):
         # Gathered lattice columns are C^H (exp(-1j x_g q) * h) for every grid
         # slope x_g, and the tap-0 columns from index[0, 0] on are
-        # sum(exp(-1j x_g q) * h).
+        # sum(exp(-1j x_g q) * h).  Every column is gathered: at a bound far
+        # below 2 pi / M the taps' lattice steps do not overlap, and the
+        # table has G L columns, not G + k (L - 1).
         tables = _kernels.grid_tables(grid114, 8)
         c = partial_dft(grid114, 8)
         h = _random_obs(rng, grid114)
-        for bound in (0.2, default_slope(grid114.dft_size)):
+        for bound in (0.2, default_slope(grid114.dft_size), 1e-4):
             slopes, table, index = _kernels.slope_tables(tables, POINTS, bound)
             proj = h @ table
             s = np.take(proj, index, axis=-1)
             assert s.shape == (len(slopes), 8)
-            assert proj.shape == (index.max() + 1,)
+            assert np.array_equal(np.unique(index), np.arange(table.shape[1]))
+            assert table.shape[1] <= len(slopes) * 8
+            assert index[0, 0] == table.shape[1] - len(slopes)
             for g, x in enumerate(slopes):
                 phi = np.exp(-1j * x * tables.q)
                 expected = c.conj().T @ (phi * h)
