@@ -89,18 +89,22 @@ class GridTables:
     ramp_derivs: np.ndarray  # (3, Q) [1, -1j q, -q^2]: d^k/dx^k ramp = ramp * row k
     c3: np.ndarray         # (Q, 3L) conj(C) * ramp_derivs[k], column k*L + l
     ramp_q0: int
-    ramp_groups: tuple[tuple[int, np.ndarray], ...]
+    ramp_step: int         # the most common index step
+    ramp_groups: tuple[tuple[int, np.ndarray], ...]  # the other steps and their columns
 
     def ramp(self, x: np.ndarray) -> np.ndarray:
         """exp(-1j * x[..., None] * q) via one exp per distinct index step.
 
         The pilot indices are integers, so the ramp is a cumulative
         product of per-step factors base**dq; this replaces Q complex
-        exponentials per trial with a handful plus one cumprod.
+        exponentials per trial with a handful plus one cumprod.  The
+        factors are broadcast at the most common step, and only the
+        columns of the other steps are overwritten.
         """
         base = np.exp(-1j * x)
         fac = np.empty(x.shape + self.q.shape, dtype=np.complex128)
         fac[..., 0] = _int_power(base, self.ramp_q0)
+        fac[..., 1:] = _int_power(base, self.ramp_step)[..., None]
         for power, cols in self.ramp_groups:
             fac[..., cols] = _int_power(base, power)[..., None]
         return np.cumprod(fac, axis=-1)
@@ -111,8 +115,10 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     c = partial_dft(grid, num_paths)
     qi = np.asarray(grid.pilot_indices, dtype=np.int64)
     diffs = np.diff(qi)
+    powers, counts = np.unique(diffs, return_counts=True)
+    common = int(powers[np.argmax(counts)]) if len(diffs) else 1
     groups = []
-    for power in np.unique(diffs):
+    for power in powers[powers != common]:
         cols = np.flatnonzero(diffs == power) + 1
         cols.setflags(write=False)
         groups.append((int(power), cols))
@@ -134,6 +140,7 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     return GridTables(
         dft_size=grid.dft_size,
         ramp_q0=int(qi[0]),
+        ramp_step=common,
         ramp_groups=tuple(groups),
         **arrays,
     )
@@ -268,9 +275,16 @@ class SearchTerms(NamedTuple):
         return self.rows[1]
 
 
-def _search_terms(h_obs: np.ndarray, prep: StatePrep) -> SearchTerms:
-    """The :class:`SearchTerms` of a batch of observations."""
-    rows = np.empty((2,) + h_obs.shape, dtype=np.complex128)
+def _search_terms(
+    h_obs: np.ndarray, prep: StatePrep, rows: np.ndarray | None = None
+) -> SearchTerms:
+    """The :class:`SearchTerms` of a batch of observations.
+
+    ``rows``, if given, is a complex ``(2,) + h_obs.shape`` array that
+    receives h and zvec; by default a new one is allocated.
+    """
+    if rows is None:
+        rows = np.empty((2,) + h_obs.shape, dtype=np.complex128)
     rows[0] = h_obs
     np.multiply(h_obs, prep.w.conj(), out=rows[1])
     return SearchTerms(rows, _real_dot(h_obs, h_obs) / prep.noise_var)
@@ -366,16 +380,15 @@ def phase_search(
     """
     s2 = prep.noise_var
     slopes, table, index = slope_tables(tables, slope_points, bound)
-    terms = _search_terms(h_obs, prep)
+    rows, proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
+    terms = _search_terms(h_obs, prep, rows)
 
     # Coarse grid, all candidates at once: one GEMM projects h and zvec on
     # every lattice ramp; s[..., g, :] = C^H (phi_g * h) is gathered from h's
     # columns and zc[..., g] = sum(phi_g * zvec) is zvec's tap-0 tail.
     # (mode="clip" lets take write straight into the buffer; "raise" would
     # gather into a temporary first.  index is always in range.)
-    rows = terms.rows
-    proj = (rows.reshape(-1, rows.shape[-1]) @ table).reshape(rows.shape[:-1] + (-1,))
-    s, g = _coarse_buffers(proj.shape[1:-1] + index.shape)
+    np.matmul(rows.reshape(-1, rows.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
     np.take(proj[0], index, axis=-1, out=s, mode="clip")      # (..., T, G, L)
     np.matmul(s, np.conj(prep.gs), out=g)                     # rows s_g @ gs^T = (gs s_g)^T
     quad = terms.base_quad[..., None] - _real_dot(s, g) / (s2 * s2)
@@ -401,27 +414,54 @@ def phase_search(
     return _wrap_offset(np.angle(zc_star)), slope
 
 
-@functools.lru_cache(maxsize=4)
-def _coarse_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Two complex (..., T, G, L) arrays that :func:`phase_search` reuses for s and g.
+class _CoarseWorkspace(NamedTuple):
+    """The complex arrays of :func:`phase_search`'s coarse stage that scale with T."""
 
-    Allocated afresh, arrays of this size go back to the system when freed
-    and page-fault again on the next step (glibc malloc: about 130 minor
-    faults per step at T = 16, and 1.5-3 ms of a 12 ms step at T = 64, on
-    a 2-vCPU host).  Reusing them removes that cost; it also means that
-    phase_search must not run in two threads at once.
+    rows: np.ndarray  # (2, ..., T, Q): h and zvec, filled by _search_terms
+    proj: np.ndarray  # (2, ..., T, C): rows projected on the C lattice ramps
+    s: np.ndarray     # (..., T, G, L): C^H (phi_g * h) per grid slope
+    g: np.ndarray     # (..., T, G, L): rows (gs s_g)^T
+
+
+@functools.lru_cache(maxsize=4)
+def _coarse_workspace(
+    obs_shape: tuple[int, ...], num_columns: int, index_shape: tuple[int, int]
+) -> _CoarseWorkspace:
+    """The :class:`_CoarseWorkspace` that :func:`phase_search` reuses for one shape.
+
+    ``obs_shape`` is ``h_obs.shape``, ``num_columns`` the lattice table's
+    column count and ``index_shape`` the gather index's (G, L).  Allocated
+    afresh, arrays of these sizes go back to the system when freed and
+    page-fault again on the next step (glibc malloc: at T = 64, 2 T = 128
+    stacked rows, rows and proj are 467 KB and 496 KB and s and g 1.06 MB
+    each, and the coarse stage took about 180 of a step's 220 minor faults;
+    s and g alone took about 130 per step at T = 16).  Reusing them leaves
+    about 25 faults per step at T = 64 and none at T = 16.  It also means
+    that phase_search must not run in two threads at once.
     """
-    return np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+    *lead, num_pilots = obs_shape
+    empty = functools.partial(np.empty, dtype=np.complex128)
+    return _CoarseWorkspace(
+        rows=empty((2, *lead, num_pilots)),
+        proj=empty((2, *lead, num_columns)),
+        s=empty((*lead, *index_shape)),
+        g=empty((*lead, *index_shape)),
+    )
 
 
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|."""
+    """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|.
+
+    The offset angle is computed only on the entries still tied after the
+    slope rule, usually one per row.
+    """
     best = obj.min(axis=-1, keepdims=True)
     tied = obj == best
     abs_slope = np.where(tied, np.abs(slopes), np.inf)
     best_slope = abs_slope.min(axis=-1, keepdims=True)
     tied &= abs_slope == best_slope
-    abs_offset = np.where(tied, np.abs(_wrap_offset(np.angle(zc))), np.inf)
+    abs_offset = np.full(obj.shape, np.inf)
+    abs_offset[tied] = np.abs(np.angle(zc[tied]))
     return np.argmin(abs_offset, axis=-1)
 
 

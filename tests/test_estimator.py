@@ -153,6 +153,29 @@ class TestProfiledObjectiveAgainstDense:
         expected = np.exp(-1j * x[:, None] * tables.q[None, :])
         assert np.allclose(tables.ramp(x), expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "dft_size, pilots, step",
+        [
+            # scripts/check_outputs.py's all-keys grid.pilot_spec = 2-30,34-62:
+            # steps 1 and 4.
+            (64, tuple(range(2, 31)) + tuple(range(34, 63)), 1),
+            # Steps 1, 3 and 4, and a grid whose most common step is not 1.
+            (32, (0, 1, 2, 5, 6, 10, 11, 12), 1),
+            (32, (3, 5, 7, 9, 10, 13, 15, 17, 21), 2),
+            # One pilot: no step at all.
+            (16, (5,), 1),
+        ],
+    )
+    def test_ramp_with_several_index_steps(self, rng, dft_size, pilots, step):
+        # ramp broadcasts the factor of the most common index step and
+        # overwrites the columns of the others.
+        tables = _kernels.grid_tables(PilotGrid(dft_size, pilots), 4)
+        assert tables.ramp_step == step
+        assert all(power != step for power, _ in tables.ramp_groups)
+        x = rng.uniform(-0.3, 0.3, size=(2, 5))
+        expected = np.exp(-1j * x[..., None] * np.asarray(pilots, dtype=float))
+        assert np.allclose(tables.ramp(x), expected, rtol=0, atol=1e-12)
+
 
 def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=False):
     """Observations of rotated channels with a Kalman-like prediction of them.
@@ -337,6 +360,71 @@ class TestLinkAxisAndTables:
         for k, u_k in enumerate((u, -1j * q * u, -q * q * u)):
             expected = c.conj().T @ (u_k * h)
             assert np.allclose(s[k], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+class TestCoarseWorkspace:
+    """phase_search reuses its coarse-stage arrays per shape; no result may
+    alias them, and a call must not depend on the calls before it."""
+
+    def test_outputs_survive_later_calls(self, grid114, rng):
+        bound = default_slope(grid114.dft_size)
+        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=64, stacked=True)
+        other_obs, other_prep, _ = _search_batch(grid114, 0.0, False, rng, trials=64, stacked=True)
+        one_obs, one_prep, _ = _search_batch(grid114, 10.0, False, rng, trials=1, stacked=True)
+
+        offset, slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        first = (offset.copy(), slope.copy())
+        other = _kernels.phase_search(other_obs, other_prep, tables, POINTS, bound)
+        assert not np.array_equal(other[1], first[1])
+        assert np.array_equal(offset, first[0])
+        assert np.array_equal(slope, first[1])
+
+        _kernels.phase_search(one_obs, one_prep, tables, POINTS, bound)
+        again = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        assert np.array_equal(again[0], first[0])
+        assert np.array_equal(again[1], first[1])
+
+
+class TestTieRule:
+    """Exact objective ties on the coarse grid go to the smaller |slope|,
+    then to the smaller |offset| (the angle of zc)."""
+
+    def test_argmin_with_ties(self):
+        slopes = np.array([-0.2, -0.1, 0.0, 0.1, 0.2])
+        obj = np.array(
+            [
+                [3.0, 1.0, 2.0, 4.0, 5.0],  # no tie
+                [1.0, 2.0, 3.0, 1.0, 4.0],  # -0.2 and 0.1: smaller |slope|
+                [5.0, 1.0, 3.0, 1.0, 4.0],  # -0.1 and 0.1: smaller |offset| ...
+                [5.0, 1.0, 3.0, 1.0, 4.0],  # ... whichever side holds it
+                [2.0, 1.0, 3.0, 1.0, 1.0],  # three-way: |slope| then |offset|
+            ]
+        )
+        angle = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 3.0, 0.0],
+                [2.0, 0.5, 0.0, -0.4, 0.0],
+                [0.0, 0.4, 0.0, -0.5, 0.0],
+                [0.0, -1.5, 0.0, 1.0, 0.1],
+            ]
+        )
+        zc = 2.0 * np.exp(1j * angle)
+        idx = _kernels._argmin_with_ties(obj, slopes, zc)
+        assert idx.tolist() == [1, 3, 3, 1, 3]
+
+    def test_all_tied_gives_zero_pair(self, grid114):
+        # A zero observation scores every slope and offset the same.
+        tables = _kernels.grid_tables(grid114, 8)
+        prep = _kernels.prepare_state(
+            np.full((3, 8), 0.5 + 0.5j), np.full((3, 8), 0.1), 0.1, tables
+        )
+        obs = np.zeros((2, 3, grid114.num_pilots), dtype=np.complex128)
+        offset, slope = _kernels.phase_search(
+            obs, prep, tables, POINTS, default_slope(grid114.dft_size)
+        )
+        assert np.array_equal(offset, np.zeros((2, 3)))
+        assert np.array_equal(slope, np.zeros((2, 3)))
 
 
 class TestEstimatePhase:

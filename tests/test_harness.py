@@ -1,3 +1,5 @@
+import platform
+import sys
 import warnings
 from dataclasses import replace
 
@@ -97,6 +99,26 @@ class TestRunTrial:
         magnitude = [r for d, r in pairs if d == "magnitude_diff"]
         assert len(kalman) == 2 * 250
         assert len(magnitude) == 2 * 249  # no previous observation at k=1
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="fault counts follow glibc malloc's trim and mmap thresholds",
+)
+def test_wide_batch_steps_do_not_page_fault():
+    # Fresh arrays above glibc's mmap threshold go back to the system when
+    # freed and page-fault again on the next step: about 220 minor faults
+    # per step at T = 64 before phase_search reused its coarse-stage
+    # arrays, about 25 after.
+    import resource
+
+    cfg = ScenarioConfig(num_steps=40, num_trials=64)
+    seeds = range(64)
+    run_batch(cfg, seeds)  # fills the caches and the work buffers
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_batch(cfg, seeds)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / cfg.num_steps <= 60
 
 
 class TestProtocol:
