@@ -434,10 +434,11 @@ def _coarse_workspace(
     afresh, arrays of these sizes go back to the system when freed and
     page-fault again on the next step (glibc malloc: at T = 64, 2 T = 128
     stacked rows, rows and proj are 467 KB and 496 KB and s and g 1.06 MB
-    each, and the coarse stage took about 180 of a step's 220 minor faults;
-    s and g alone took about 130 per step at T = 16).  Reusing them leaves
-    about 25 faults per step at T = 64 and none at T = 16.  It also means
-    that phase_search must not run in two threads at once.
+    each; with s and g reused, phase_search still took 176 of a run_batch
+    step's 213 minor faults, and fresh s and g had taken about 130 per
+    step at T = 16).  Reusing all four leaves about 28 faults per step at
+    T = 64 (4 in phase_search) and none at T = 16.  It also means that
+    phase_search must not run in two threads at once.
     """
     *lead, num_pilots = obs_shape
     empty = functools.partial(np.empty, dtype=np.complex128)
@@ -453,7 +454,8 @@ def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np
     """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|.
 
     The offset angle is computed only on the entries still tied after the
-    slope rule, usually one per row.
+    slope rule, usually one per row.  (Its magnitude needs no
+    :func:`_wrap_offset`: pi and -pi have the same.)
     """
     best = obj.min(axis=-1, keepdims=True)
     tied = obj == best
