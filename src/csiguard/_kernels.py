@@ -414,25 +414,22 @@ def phase_search(
     return _wrap_offset(np.angle(zc_star)), slope
 
 
-class _CoarseWorkspace(NamedTuple):
-    """The complex arrays of :func:`phase_search`'s coarse stage that scale with T."""
-
-    rows: np.ndarray  # (2, ..., T, Q): h and zvec, filled by _search_terms
-    proj: np.ndarray  # (2, ..., T, C): rows projected on the C lattice ramps
-    s: np.ndarray     # (..., T, G, L): C^H (phi_g * h) per grid slope
-    g: np.ndarray     # (..., T, G, L): rows (gs s_g)^T
-
-
 @functools.lru_cache(maxsize=4)
 def _coarse_workspace(
     obs_shape: tuple[int, ...], num_columns: int, index_shape: tuple[int, int]
-) -> _CoarseWorkspace:
-    """The :class:`_CoarseWorkspace` that :func:`phase_search` reuses for one shape.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The complex arrays that :func:`phase_search`'s coarse stage reuses for one shape.
 
-    ``obs_shape`` is ``h_obs.shape``, ``num_columns`` the lattice table's
-    column count and ``index_shape`` the gather index's (G, L).  Allocated
-    afresh, arrays of these sizes go back to the system when freed and
-    page-fault again on the next step (glibc malloc: at T = 64, 2 T = 128
+    For ``h_obs`` of shape ``obs_shape = (..., T, Q)``, a lattice table of
+    C = ``num_columns`` columns and a gather index of shape
+    ``index_shape = (G, L)``, returns (rows, proj, s, g):
+
+    * rows ``(2, ..., T, Q)``: h and zvec, filled by :func:`_search_terms`;
+    * proj ``(2, ..., T, C)``: rows projected on the lattice ramps;
+    * s and g ``(..., T, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``.
+
+    Allocated afresh, arrays of these sizes go back to the system when
+    freed and page-fault again on the next step (glibc malloc: at T = 64, 2 T = 128
     stacked rows, rows and proj are 467 KB and 496 KB and s and g 1.06 MB
     each; with s and g reused, phase_search still took 176 of a run_batch
     step's 213 minor faults, and fresh s and g had taken about 130 per
@@ -441,13 +438,9 @@ def _coarse_workspace(
     phase_search must not run in two threads at once.
     """
     *lead, num_pilots = obs_shape
-    empty = functools.partial(np.empty, dtype=np.complex128)
-    return _CoarseWorkspace(
-        rows=empty((2, *lead, num_pilots)),
-        proj=empty((2, *lead, num_columns)),
-        s=empty((*lead, *index_shape)),
-        g=empty((*lead, *index_shape)),
-    )
+    shapes = ((2, *lead, num_pilots), (2, *lead, num_columns), (*lead, *index_shape))
+    rows, proj, s = (np.empty(shape, dtype=np.complex128) for shape in shapes)
+    return rows, proj, s, np.empty_like(s)
 
 
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
