@@ -275,16 +275,11 @@ class SearchTerms(NamedTuple):
         return self.rows[1]
 
 
-def _search_terms(
-    h_obs: np.ndarray, prep: StatePrep, rows: np.ndarray | None = None
-) -> SearchTerms:
+def _search_terms(h_obs: np.ndarray, prep: StatePrep, rows: np.ndarray) -> SearchTerms:
     """The :class:`SearchTerms` of a batch of observations.
 
-    ``rows``, if given, is a complex ``(2,) + h_obs.shape`` array that
-    receives h and zvec; by default a new one is allocated.
+    ``rows`` is a complex ``(2,) + h_obs.shape`` array that receives h and zvec.
     """
-    if rows is None:
-        rows = np.empty((2,) + h_obs.shape, dtype=np.complex128)
     rows[0] = h_obs
     np.multiply(h_obs, prep.w.conj(), out=rows[1])
     return SearchTerms(rows, _real_dot(h_obs, h_obs) / prep.noise_var)
@@ -428,14 +423,10 @@ def _coarse_workspace(
     * proj ``(2, ..., T, C)``: rows projected on the lattice ramps;
     * s and g ``(..., T, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``.
 
-    Allocated afresh, arrays of these sizes go back to the system when
-    freed and page-fault again on the next step (glibc malloc: at T = 64, 2 T = 128
-    stacked rows, rows and proj are 467 KB and 496 KB and s and g 1.06 MB
-    each; with s and g reused, phase_search still took 176 of a run_batch
-    step's 213 minor faults, and fresh s and g had taken about 130 per
-    step at T = 16).  Reusing all four leaves about 28 faults per step at
-    T = 64 (4 in phase_search) and none at T = 16.  It also means that
-    phase_search must not run in two threads at once.
+    Allocated afresh, arrays of these sizes (up to about 1 MB each at
+    T = 64) go back to the system when freed and page-fault again on the
+    next step (glibc malloc's mmap and trim thresholds).  Reusing them
+    means that phase_search must not run in two threads at once.
     """
     *lead, num_pilots = obs_shape
     shapes = ((2, *lead, num_pilots), (2, *lead, num_columns), (*lead, *index_shape))

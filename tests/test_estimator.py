@@ -203,15 +203,19 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
     return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
+def _search_terms(obs, prep):
+    return _kernels._search_terms(obs, prep, np.empty((2,) + obs.shape, dtype=complex))
+
+
 def _profiled_objective(obs, prep, tables):
     """Slope -> offset-profiled objective per observation, as phase_search scores it."""
-    terms = _kernels._search_terms(obs, prep)
+    terms = _search_terms(obs, prep)
     return lambda x: _kernels._candidate_objective(tables.ramp(x), terms, prep, tables)[0]
 
 
 def _check_derivatives(obs, prep, tables, x):
     """Analytic f', f'' against Richardson-extrapolated central differences."""
-    terms = _kernels._search_terms(obs, prep)
+    terms = _search_terms(obs, prep)
     d1, d2 = _kernels._slope_derivatives(tables.ramp(x), terms, prep, tables)
     f = _profiled_objective(obs, prep, tables)
 
