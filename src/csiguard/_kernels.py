@@ -29,21 +29,27 @@ runs over the slope axis only, in two stages:
   grids).  Scoring slope ``x_g`` needs ``s_g = C^H (exp(-1j x_g q) * h)``,
   whose tap-l entry is ``sum_q h_q exp(-1j q (x_g - 2 pi l / M))``: it
   depends on the slope and the tap only through ``x_g - 2 pi l / M``, which
-  lies on the same lattice of step ``2 pi / (k M)``.  So ``h`` and
-  ``zvec`` (see :class:`SearchTerms`) are projected in one flat GEMM onto
-  the distinct lattice ramps, ``G + k (L - 1)`` of them at the defaults
-  (:func:`slope_tables`); ``s_g`` is gathered from h's columns, and the
-  offset couplings ``zc_g`` are zvec's columns of tap 0;
+  lies on the same lattice of step ``2 pi / (k M)``.  So ``h`` is
+  projected in one flat GEMM onto the distinct lattice ramps,
+  ``G + k (L - 1)`` of them at the defaults (:func:`slope_tables`), and
+  ``s_g`` is gathered from its columns;
 * three Newton steps from the grid argmin, on the exact first and second
   slope derivatives of the profiled objective, each clipped to the grid
   cells on either side of that argmin.  Each step is one flat GEMM
   ``(ramp * h) @ C3`` against the ``(Q, 3L)`` table
-  ``C3 = conj(C) * [1, -1j q, -q^2]`` (:attr:`GridTables.c3`), plus
-  ``(ramp * zvec) @ ramp_derivs.T``.  Leaving the slope at grid
+  ``C3 = conj(C) * [1, -1j q, -q^2]`` (:attr:`GridTables.c3`), which
+  gives ``s`` and its first two slope derivatives.  Leaving the slope at grid
   resolution would leak into the offset estimate through the slope-offset
   coupling of the likelihood.  From within half a grid cell, three steps
   bring the slope within 1e-6 rad of the minimizer (measured worst case
   4e-7 rad, at 30 dB on the default grid) and usually within 1e-10.
+
+The prediction enters the search only through the offset coupling
+``zc = sum_q u_q h_q conj((Sigma0^{-1} m)_q)`` for the ramp ``u``.  Since
+``m = C mu``, ``Sigma0^{-1} m = C nu`` with the L-vector
+``nu = mu / s2 - gs (C^H C mu) / s2^2``, so ``zc = nu^H s`` is read off
+the tap projections ``s = C^H (u * h)`` that both stages already form
+(and its slope derivatives off ``s'`` and ``s''``).
 
 Real forms ``Re(a^H b)`` are summed over float views of the complex
 arrays (:func:`_real_dot`), without forming ``conj(a)``.
@@ -86,8 +92,7 @@ class GridTables:
     c_t: np.ndarray        # (L, Q) contiguous C.T for right-multiplication
     chc: np.ndarray        # (L, L) C^H C
     q: np.ndarray          # (Q,) pilot indices as float
-    ramp_derivs: np.ndarray  # (3, Q) [1, -1j q, -q^2]: d^k/dx^k ramp = ramp * row k
-    c3: np.ndarray         # (Q, 3L) conj(C) * ramp_derivs[k], column k*L + l
+    c3: np.ndarray         # (Q, 3L) conj(C) * [1, -1j q, -q^2][k], column k*L + l
     ramp_q0: int
     ramp_step: int         # the most common index step
     ramp_groups: tuple[tuple[int, np.ndarray], ...]  # the other steps and their columns
@@ -129,11 +134,10 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
         q=np.asarray(grid.pilot_indices, dtype=float),
     )
     q = arrays["q"]
-    arrays["ramp_derivs"] = np.stack([np.ones_like(q), -1j * q, -q * q])
-    # Column k*L + l holds ramp_derivs[k, q] * conj(C[q, l]).
-    c3 = np.multiply(
-        arrays["ramp_derivs"].T[:, :, None], arrays["c_conj"][:, None, :], order="C"
-    )
+    # d^k/dx^k exp(-1j x q) = exp(-1j x q) * ramp_derivs[k]; column k*L + l
+    # of c3 holds ramp_derivs[k, q] * conj(C[q, l]).
+    ramp_derivs = np.stack([np.ones_like(q), -1j * q, -q * q])
+    c3 = np.multiply(ramp_derivs.T[:, :, None], arrays["c_conj"][:, None, :], order="C")
     arrays["c3"] = c3.reshape(len(q), -1)
     for a in arrays.values():
         a.setflags(write=False)
@@ -197,15 +201,19 @@ class StatePrep:
     """Per-step quantities derived from the predicted state batch.
 
     gs is the scaled Woodbury core ``P^{1/2} G^{-1} P^{1/2}`` so that
-    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``.  Observations of
-    shape ``(..., T, Q)`` broadcast against these ``(T, ...)`` arrays.
+    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``.  With ``m = C mu``
+    that makes ``Sigma0^{-1} m = C nu`` for the L-vector
+    ``nu = mu/s2 - gs (C^H m) / s2^2``, held conjugated so that the offset
+    coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
+    ``nu = 0``.  Observations of shape ``(..., T, Q)`` broadcast against
+    these ``(T, ...)`` arrays.
     """
 
     noise_var: float
     gs: np.ndarray       # (T, L, L)
     m: np.ndarray        # (T, Q) predicted DFT-domain channel C mu
-    w: np.ndarray        # (T, Q) Sigma0^{-1} m
-    m_quad: np.ndarray   # (T,) real m^H Sigma0^{-1} m
+    nu_conj: np.ndarray  # (T, L) conj(nu), Sigma0^{-1} m = C nu
+    m_quad: np.ndarray   # (T,) real m^H Sigma0^{-1} m = Re((C^H m)^H nu)
 
 
 def prepare_state(
@@ -221,8 +229,9 @@ def prepare_state(
     gs = np.linalg.inv(core)
     gs *= sp[:, :, None] * sp[:, None, :]
     m = mean @ tables.c_t
-    w = _apply_whitener(m, gs, s2, tables)
-    return StatePrep(noise_var=s2, gs=gs, m=m, w=w, m_quad=_real_dot(m, w))
+    chm = m @ tables.c_conj                                   # (T, L) C^H m
+    nu = mean / s2 - np.matmul(gs, chm[..., None])[..., 0] / (s2 * s2)
+    return StatePrep(noise_var=s2, gs=gs, m=m, nu_conj=nu.conj(), m_quad=_real_dot(chm, nu))
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,20 +244,17 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", a.view(np.float64), b.view(np.float64))
 
 
-def _apply_whitener(
-    x: np.ndarray, gs: np.ndarray, s2: float, tables: GridTables
-) -> np.ndarray:
-    """Sigma0^{-1} x through the Woodbury identity, batched over (..., T)."""
-    ctx = x @ tables.c_conj                                   # (..., T, L) C^H x
-    g = np.matmul(gs, ctx[..., None])[..., 0]
-    return x / s2 - (g @ tables.c_t) / (s2 * s2)
-
-
 def whitened_quadform(
     r: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q)."""
-    y = _apply_whitener(r, prep.gs, prep.noise_var, tables)
+    """Return (Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q).
+
+    Sigma0^{-1} r is formed through the Woodbury identity, batched over (..., T).
+    """
+    s2 = prep.noise_var
+    ctx = r @ tables.c_conj                                   # (..., T, L) C^H r
+    g = np.matmul(prep.gs, ctx[..., None])[..., 0]
+    y = r / s2 - (g @ tables.c_t) / (s2 * s2)
     return y, _real_dot(r, y)
 
 
@@ -258,31 +264,12 @@ class SearchTerms(NamedTuple):
     For a slope candidate with ramp ``u = exp(-1j slope q)`` the whitened
     residual energy, minimized over the offset, is
     ``base_quad - s^H gs s / s2^2 + m_quad - 2 |zc|`` with
-    ``s = C^H (u * h)``, ``zc = sum(u * zvec)`` and ``m_quad`` from
-    :class:`StatePrep`.  ``h`` and ``zvec`` are the two rows of one array,
-    so that :func:`phase_search` projects both in one GEMM.
+    ``s = C^H (u * h)``, ``zc = s @ nu_conj`` and ``nu_conj``, ``m_quad``
+    from :class:`StatePrep`.
     """
 
-    rows: np.ndarray       # (2, ..., T, Q): h, then zvec = h * conj(Sigma0^{-1} m)
+    h: np.ndarray          # (..., T, Q) observations
     base_quad: np.ndarray  # (..., T) h^H h / s2
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def zvec(self) -> np.ndarray:
-        return self.rows[1]
-
-
-def _search_terms(h_obs: np.ndarray, prep: StatePrep, rows: np.ndarray) -> SearchTerms:
-    """The :class:`SearchTerms` of a batch of observations.
-
-    ``rows`` is a complex ``(2,) + h_obs.shape`` array that receives h and zvec.
-    """
-    rows[0] = h_obs
-    np.multiply(h_obs, prep.w.conj(), out=rows[1])
-    return SearchTerms(rows, _real_dot(h_obs, h_obs) / prep.noise_var)
 
 
 def _candidate_objective(
@@ -299,7 +286,7 @@ def _candidate_objective(
     s = (ramp * terms.h) @ tables.c_conj                      # (..., T, L)
     g = np.matmul(prep.gs, s[..., None])[..., 0]
     quad = terms.base_quad - _real_dot(s, g) / (s2 * s2)
-    zc = np.einsum("...q,...q->...", ramp, terms.zvec)
+    zc = np.einsum("...l,...l->...", s, prep.nu_conj)
     return quad + prep.m_quad - 2.0 * np.abs(zc), zc
 
 
@@ -309,22 +296,23 @@ def _slope_derivatives(
     """First and second slope derivatives of :func:`_candidate_objective`.
 
     With ``u = ramp``, ``u' = -1j q u`` and ``u'' = -q^2 u``, so
-    ``s = C^H (u h)`` and ``zc`` have the exact derivatives
-    ``s' = C^H (u' h)``, ``s'' = C^H (u'' h)`` (and likewise ``zc'``,
-    ``zc''``).  For ``f = base - s^H G s / s2^2 + m_quad - 2|zc|`` that gives
+    ``s = C^H (u h)`` and ``zc = nu^H s`` have the exact derivatives
+    ``s' = C^H (u' h)``, ``s'' = C^H (u'' h)``, ``zc' = nu^H s'`` and
+    ``zc'' = nu^H s''``.  For ``f = base - s^H G s / s2^2 + m_quad - 2|zc|``
+    that gives
 
     * ``f'  = -2 Re(s'^H G s) / s2^2 - 2 Re(conj(zc) zc') / |zc|``
     * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
       - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
 
     with ``G = prep.gs``.  All three of s, s', s'' come from one GEMM
-    against ``tables.c3``, and zc, zc', zc'' from one against
-    ``tables.ramp_derivs.T``.  Where ``zc = 0`` (a zero predicted mean
+    against ``tables.c3``, and zc, zc', zc'' from one product with
+    ``prep.nu_conj``.  Where ``zc = 0`` (a zero predicted mean
     makes it vanish for every slope) the coupling terms are dropped.
     """
     s2sq = prep.noise_var * prep.noise_var
     s = ((ramp * terms.h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., T, 3, L)
-    zcs = (ramp * terms.zvec) @ tables.ramp_derivs.T          # (..., T, 3): zc, zc', zc''
+    zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., T, 3): zc, zc', zc''
     zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
     g = np.matmul(s[..., :2, :], np.conj(prep.gs))           # rows (G s)^T, (G s')^T
     cross = _real_dot(s[..., 1:, :], g[..., :1, :])           # Re(s'^H G s), Re(s''^H G s)
@@ -375,19 +363,19 @@ def phase_search(
     """
     s2 = prep.noise_var
     slopes, table, index = slope_tables(tables, slope_points, bound)
-    rows, proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
-    terms = _search_terms(h_obs, prep, rows)
+    proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
+    terms = SearchTerms(h_obs, _real_dot(h_obs, h_obs) / s2)
 
-    # Coarse grid, all candidates at once: one GEMM projects h and zvec on
-    # every lattice ramp; s[..., g, :] = C^H (phi_g * h) is gathered from h's
-    # columns and zc[..., g] = sum(phi_g * zvec) is zvec's tap-0 tail.
-    # (mode="clip" lets take write straight into the buffer; "raise" would
-    # gather into a temporary first.  index is always in range.)
-    np.matmul(rows.reshape(-1, rows.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
-    np.take(proj[0], index, axis=-1, out=s, mode="clip")      # (..., T, G, L)
+    # Coarse grid, all candidates at once: one GEMM projects h on every
+    # lattice ramp, s[..., g, :] = C^H (phi_g * h) is gathered from its
+    # columns and zc[..., g] = nu^H s_g.  (mode="clip" lets take write
+    # straight into the buffer; "raise" would gather into a temporary
+    # first.  index is always in range.)
+    np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
+    np.take(proj, index, axis=-1, out=s, mode="clip")         # (..., T, G, L)
     np.matmul(s, np.conj(prep.gs), out=g)                     # rows s_g @ gs^T = (gs s_g)^T
     quad = terms.base_quad[..., None] - _real_dot(s, g) / (s2 * s2)
-    zc = proj[1, ..., index[0, 0]:]                           # (..., T, G): tap 0 columns
+    zc = np.matmul(s, prep.nu_conj[..., None])[..., 0]        # (..., T, G)
     obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
 
     idx = _argmin_with_ties(obj, slopes, zc)
@@ -412,15 +400,14 @@ def phase_search(
 @functools.lru_cache(maxsize=4)
 def _coarse_workspace(
     obs_shape: tuple[int, ...], num_columns: int, index_shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complex arrays that :func:`phase_search`'s coarse stage reuses for one shape.
 
     For ``h_obs`` of shape ``obs_shape = (..., T, Q)``, a lattice table of
     C = ``num_columns`` columns and a gather index of shape
-    ``index_shape = (G, L)``, returns (rows, proj, s, g):
+    ``index_shape = (G, L)``, returns (proj, s, g):
 
-    * rows ``(2, ..., T, Q)``: h and zvec, filled by :func:`_search_terms`;
-    * proj ``(2, ..., T, C)``: rows projected on the lattice ramps;
+    * proj ``(..., T, C)``: h projected on the lattice ramps;
     * s and g ``(..., T, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``.
 
     Allocated afresh, arrays of these sizes (up to about 1 MB each at
@@ -428,10 +415,10 @@ def _coarse_workspace(
     next step (glibc malloc's mmap and trim thresholds).  Reusing them
     means that phase_search must not run in two threads at once.
     """
-    *lead, num_pilots = obs_shape
-    shapes = ((2, *lead, num_pilots), (2, *lead, num_columns), (*lead, *index_shape))
-    rows, proj, s = (np.empty(shape, dtype=np.complex128) for shape in shapes)
-    return rows, proj, s, np.empty_like(s)
+    lead = obs_shape[:-1]
+    proj = np.empty((*lead, num_columns), dtype=np.complex128)
+    s = np.empty((*lead, *index_shape), dtype=np.complex128)
+    return proj, s, np.empty_like(s)
 
 
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
@@ -459,14 +446,13 @@ def _wrap_offset(theta: np.ndarray) -> np.ndarray:
 def kalman_update(
     mean: np.ndarray,
     cov_diag: np.ndarray,
-    rotated_residual: np.ndarray,
     y: np.ndarray,
     prep: StatePrep,
     tables: GridTables,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update in the de-rotated frame.
 
-    ``rotated_residual`` is E^H eps and ``y = Sigma0^{-1} rotated_residual``;
+    ``y = Sigma0^{-1} (E^H eps)`` is the whitened de-rotated residual;
     the phase matrices cancel out of the mean correction
     ``P C^H Sigma0^{-1} (E^H eps)``.  The posterior covariance
     ``(P^{-1} + C^H C / s2)^{-1} = P^{1/2} G^{-1} P^{1/2}`` is ``prep.gs``,

@@ -270,7 +270,7 @@ def criterion_7_scalar_kalman() -> CriterionResult:
         residual = np.array([[y]]) - prep.m
         whitened, _ = _kernels.whitened_quadform(residual, prep, tables)
         state_mean, state_cov = _kernels.kalman_update(
-            state_mean, state_cov, residual, whitened, prep, tables
+            state_mean, state_cov, whitened, prep, tables
         )
         means[k] = state_mean[0, 0]
         variances[k] = state_cov[0, 0]

@@ -171,9 +171,7 @@ def run_batch(
             phase_est[:, k - 1, :, 0] = est_offset.T
             phase_est[:, k - 1, :, 1] = est_slope.T
 
-        mean, cov = _kernels.kalman_update(
-            mean, cov, rotated_residual[0], y[0], prep, tables
-        )
+        mean, cov = _kernels.kalman_update(mean, cov, y[0], prep, tables)
         if np.any(cov < -1e-12):
             raise NumericalError(
                 f"trial batch aborted at step {k}: updated covariance reached "

@@ -130,8 +130,7 @@ class TestProfiledObjectiveAgainstDense:
         tables = _kernels.grid_tables(grid114, num_paths)
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
         terms = _kernels.SearchTerms(
-            rows=np.stack((obs[None], obs[None] * prep.w.conj())),
-            base_quad=np.array([np.vdot(obs, obs).real / s2]),
+            h=obs[None], base_quad=np.array([np.vdot(obs, obs).real / s2])
         )
         for slope in (-0.15, 0.0, 0.07):
             ramp = tables.ramp(np.array([slope]))
@@ -204,7 +203,7 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
 
 
 def _search_terms(obs, prep):
-    return _kernels._search_terms(obs, prep, np.empty((2,) + obs.shape, dtype=complex))
+    return _kernels.SearchTerms(obs, _kernels._real_dot(obs, obs) / prep.noise_var)
 
 
 def _profiled_objective(obs, prep, tables):
