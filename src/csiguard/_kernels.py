@@ -357,8 +357,11 @@ def phase_search(
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
     clipped to the grid cells on either side of the grid argmin and skipped
     where the second derivative is not positive.  The refined slope is
-    kept only where it scores no worse than the grid argmin.  The offset is
-    recovered in closed form at the final slope.  Exact objective ties on
+    kept only where it scores no worse than the grid argmin.  Where the
+    whole batch's prediction is zero, the refine also starts from the grid
+    points one DFT bin either side of the argmin, and the lowest of the
+    three objectives wins.  The offset is recovered in closed form at the
+    final slope.  Exact objective ties on
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
@@ -378,23 +381,44 @@ def phase_search(
     zc = np.matmul(s, prep.nu_conj[..., None])[..., 0]        # (..., T, G)
     obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
 
-    idx = _argmin_with_ties(obj, slopes, zc)
-    x0 = slopes[idx]
-    lo = slopes[np.maximum(idx - 1, 0)]
-    hi = slopes[np.minimum(idx + 1, len(slopes) - 1)]
-    f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
-    zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
-    x = x0
-    for _ in range(_NEWTON_STEPS):
-        d1, d2 = _slope_derivatives(tables.ramp(x), terms, prep, tables)
-        step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
-        x = np.minimum(np.maximum(x - step, lo), hi)
+    last = len(slopes) - 1
 
-    f_star, zc_star = _candidate_objective(tables.ramp(x), terms, prep, tables)
-    keep = f_star <= f_grid
-    slope = np.where(keep, x, x0)
-    zc_star = np.where(keep, zc_star, zc_grid)
-    return _wrap_offset(np.angle(zc_star)), slope
+    def refine(idx):
+        """(objective, slope, zc) after Newton from grid point idx, no worse than it."""
+        x0 = slopes[idx]
+        lo = slopes[np.maximum(idx - 1, 0)]
+        hi = slopes[np.minimum(idx + 1, last)]
+        x = x0
+        for _ in range(_NEWTON_STEPS):
+            d1, d2 = _slope_derivatives(tables.ramp(x), terms, prep, tables)
+            step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
+            x = np.minimum(np.maximum(x - step, lo), hi)
+        f_star, zc_star = _candidate_objective(tables.ramp(x), terms, prep, tables)
+        f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
+        zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
+        keep = f_star <= f_grid
+        return (
+            np.where(keep, f_star, f_grid),
+            np.where(keep, x, x0),
+            np.where(keep, zc_star, zc_grid),
+        )
+
+    idx = _argmin_with_ties(obj, slopes, zc)
+    f_best, slope, zc_best = refine(idx)
+    if not prep.nu_conj.any():
+        # A zero prediction (the first step) leaves zc = 0 at every slope,
+        # so nothing anchors the slope frame: a slope one DFT bin off is a
+        # one-tap cyclic delay, and at high SNR the true lobe can be too
+        # narrow for its grid point to beat that alias lobe's.  Refine from
+        # one bin (k lattice cells) either side too and keep the lowest.
+        k = round(2.0 * np.pi / (tables.dft_size * (slopes[1] - slopes[0])))
+        for start in (np.maximum(idx - k, 0), np.minimum(idx + k, last)):
+            f_alias, slope_alias, zc_alias = refine(start)
+            better = f_alias < f_best
+            f_best = np.where(better, f_alias, f_best)
+            slope = np.where(better, slope_alias, slope)
+            zc_best = np.where(better, zc_alias, zc_best)
+    return _wrap_offset(np.angle(zc_best)), slope
 
 
 @functools.lru_cache(maxsize=4)

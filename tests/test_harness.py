@@ -121,6 +121,35 @@ def test_wide_batch_steps_do_not_page_fault():
     assert faults / cfg.num_steps <= 60
 
 
+class TestFirstPacketSlopeLock:
+    """At the first step the prediction is zero, so nothing anchors the
+    slope frame.  A first slope one DFT bin off (a one-tap cyclic delay)
+    would make every later packet fit a shifted prediction and lock the
+    trial into false alarms."""
+
+    def test_seed_3006_trial_tracks(self):
+        # The first trial of seed 3006 at the defaults (10 dB) locked onto the
+        # +1-bin alias: step-1 slope error 0.0507 rad, median statistic / 2Q
+        # 2.43 on the test half.
+        cfg = ScenarioConfig(num_steps=400)
+        batch = run_batch(cfg, [derive_trial_seed(3006, 0)])
+        alice = batch.lam[0, batch.test_slice, 0]
+        ratio = np.median(alice) / (2 * cfg.pilot_grid().num_pilots)
+        assert 0.9 < ratio < 1.25
+
+    def test_few_locked_trials_at_20_db(self):
+        # A trial is locked when its alice false-alarm rate on the test half
+        # exceeds 0.5.  Refining from the grid argmin alone left 12 + 15 + 18
+        # of these 1,536 trials locked.
+        cfg = ScenarioConfig(snr_db=20.0, num_steps=60)
+        locked = 0
+        for seed in (1, 2, 3):
+            batch = run_batch(cfg, [derive_trial_seed(seed, i) for i in range(512)])
+            fa = batch.decisions("kalman")[:, batch.test_slice, 0].mean(axis=1)
+            locked += int(np.sum(fa > 0.5))
+        assert locked <= 2
+
+
 class TestProtocol:
     def test_filter_ignores_eve(self):
         # Cloning the attacker channel changes only attacker-side
