@@ -365,6 +365,40 @@ class TestLinkAxisAndTables:
             assert np.allclose(s[k], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
+class TestPrepareState:
+    """prepare_state's L-dimensional offset-coupling vector against the dense
+    innovation covariance: Sigma0^{-1} m = C nu and m_quad = m^H Sigma0^{-1} m."""
+
+    @pytest.mark.parametrize("snr_db", [10.0, 60.0])
+    def test_nu_matches_dense_solve(self, grid114, rng, snr_db):
+        num_paths = 8
+        tables = _kernels.grid_tables(grid114, num_paths)
+        c = partial_dft(grid114, num_paths)
+        s2 = 10.0 ** (-snr_db / 10.0)
+        mean = (rng.standard_normal((3, num_paths)) + 1j * rng.standard_normal((3, num_paths))) / 2
+        cov = 0.3 * np.abs(rng.standard_normal((3, num_paths))) + 1e-3
+        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        assert prep.nu_conj.shape == (3, num_paths)
+        # Sigma0's condition number grows as 1 / s2, and so do both forms' errors.
+        tol = 1e-13 / s2
+        for t in range(3):
+            sigma0 = (c * cov[t]) @ c.conj().T + s2 * np.eye(grid114.num_pilots)
+            m = c @ mean[t]
+            w = np.linalg.solve(sigma0, m)
+            assert np.allclose(prep.m[t], m, rtol=0, atol=1e-12 * np.abs(m).max())
+            cw = prep.nu_conj[t].conj() @ c.T
+            assert np.allclose(cw, w, rtol=0, atol=tol * np.abs(w).max())
+            assert prep.m_quad[t] == pytest.approx(np.vdot(m, w).real, rel=tol)
+
+    def test_zero_mean_gives_zero_coupling(self, grid114):
+        tables = _kernels.grid_tables(grid114, 8)
+        prep = _kernels.prepare_state(
+            np.zeros((3, 8), dtype=np.complex128), np.full((3, 8), 0.1), 0.1, tables
+        )
+        assert not prep.nu_conj.any()
+        assert not prep.m_quad.any()
+
+
 class TestCoarseWorkspace:
     """phase_search reuses its coarse-stage arrays per shape; no result may
     alias them, and a call must not depend on the calls before it."""
