@@ -49,7 +49,10 @@ The prediction enters the search only through the offset coupling
 ``m = C mu``, ``Sigma0^{-1} m = C nu`` with the L-vector
 ``nu = mu / s2 - gs (C^H C mu) / s2^2``, so ``zc = nu^H s`` is read off
 the tap projections ``s = C^H (u * h)`` that both stages already form
-(and its slope derivatives off ``s'`` and ``s''``).
+(and its slope derivatives off ``s'`` and ``s''``).  A zero prediction
+(the first step) makes ``zc`` vanish at every slope, so nothing anchors
+the slope against a one-bin alias; there the refine also starts one DFT
+bin either side of the grid argmin (:func:`phase_search`).
 
 Real forms ``Re(a^H b)`` are summed over float views of the complex
 arrays (:func:`_real_dot`), without forming ``conj(a)``.
