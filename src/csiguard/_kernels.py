@@ -54,6 +54,14 @@ the tap projections ``s = C^H (u * h)`` that both stages already form
 the slope against a one-bin alias; there the refine also starts one DFT
 bin either side of the grid argmin (:func:`phase_search`).
 
+The statistic and the update need only two things of the residual ``r``
+at the estimated phases: ``r^H Sigma0^{-1} r`` and the L-vector
+``C^H Sigma0^{-1} r``.  Both follow from ``ctx = C^H r`` and
+``g = gs ctx`` (:func:`whitened_quadform`), so after one projection of
+``r`` nothing per step is Q-dimensional; :func:`phase_search` also hands
+back the ramp at the slope it returns, so the residual is de-rotated
+without recomputing it.
+
 Real forms ``Re(a^H b)`` are summed over float views of the complex
 arrays (:func:`_real_dot`), without forming ``conj(a)``.
 """
@@ -250,15 +258,21 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def whitened_quadform(
     r: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q).
+    """Return (C^H Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q).
 
-    Sigma0^{-1} r is formed through the Woodbury identity, batched over (..., T).
+    Through the Woodbury identity, with ``ctx = C^H r`` and ``g = gs ctx``,
+    ``C^H Sigma0^{-1} r = ctx/s2 - (C^H C) g/s2^2`` and
+    ``r^H Sigma0^{-1} r = ||r||^2/s2 - Re(ctx^H g)/s2^2``, batched over
+    (..., T); the first is ``(..., T, L)``, the second ``(..., T)``.  The
+    energy ``||r||^2`` is summed from ``r`` itself.  The search's profiled
+    objective equals the same form at its optimum, but as ``||h||^2/s2``
+    less terms of about its size, which cancel to a few digits at high SNR.
     """
     s2 = prep.noise_var
     ctx = r @ tables.c_conj                                   # (..., T, L) C^H r
     g = np.matmul(prep.gs, ctx[..., None])[..., 0]
-    y = r / s2 - (g @ tables.c_t) / (s2 * s2)
-    return y, _real_dot(r, y)
+    ch_y = ctx / s2 - (g @ tables.chc.T) / (s2 * s2)
+    return ch_y, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
 
 
 class SearchTerms(NamedTuple):
@@ -343,14 +357,17 @@ def phase_search(
     tables: GridTables,
     slope_points: int,
     bound: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
 
     ``h_obs`` has shape ``(..., T, Q)``: any leading axes (the harness
     stacks alice's and eve's packets as ``(2, T, Q)``) broadcast against
     the ``(T, ...)`` arrays of ``prep``, and the estimates come back with
     shape ``(..., T)``.  A stacked batch gives the same estimates as
-    separate calls.
+    separate calls.  Returns (offset, slope, ramp), where ``ramp`` is
+    ``tables.ramp(slope)``, shape ``(..., T, Q)``, bit for bit: refined
+    rows reuse the ramp of the final objective, and only the rows that
+    keep their grid slope compute it afresh.
 
     Minimizes the whitened residual energy with the offset profiled out
     in closed form.  The slope is first the argmin of the grid of
@@ -387,7 +404,7 @@ def phase_search(
     last = len(slopes) - 1
 
     def refine(idx):
-        """(objective, slope, zc) after Newton from grid point idx, no worse than it."""
+        """(objective, slope, zc, ramp) after Newton from grid point idx, no worse than it."""
         x0 = slopes[idx]
         lo = slopes[np.maximum(idx - 1, 0)]
         hi = slopes[np.minimum(idx + 1, last)]
@@ -396,18 +413,23 @@ def phase_search(
             d1, d2 = _slope_derivatives(tables.ramp(x), terms, prep, tables)
             step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
-        f_star, zc_star = _candidate_objective(tables.ramp(x), terms, prep, tables)
+        u = tables.ramp(x)
+        f_star, zc_star = _candidate_objective(u, terms, prep, tables)
         f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
         zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
         keep = f_star <= f_grid
+        if not keep.all():
+            # ramp works row by row, so this matches ramp of the returned slope.
+            u[~keep] = tables.ramp(x0[~keep])
         return (
             np.where(keep, f_star, f_grid),
             np.where(keep, x, x0),
             np.where(keep, zc_star, zc_grid),
+            u,
         )
 
     idx = _argmin_with_ties(obj, slopes, zc)
-    f_best, slope, zc_best = refine(idx)
+    f_best, slope, zc_best, u_best = refine(idx)
     if not prep.nu_conj.any():
         # A zero prediction (the first step) leaves zc = 0 at every slope,
         # so nothing anchors the slope frame: a slope one DFT bin off is a
@@ -416,12 +438,13 @@ def phase_search(
         # one bin (k lattice cells) either side too and keep the lowest.
         k = round(2.0 * np.pi / (tables.dft_size * (slopes[1] - slopes[0])))
         for start in (np.maximum(idx - k, 0), np.minimum(idx + k, last)):
-            f_alias, slope_alias, zc_alias = refine(start)
+            f_alias, slope_alias, zc_alias, u_alias = refine(start)
             better = f_alias < f_best
             f_best = np.where(better, f_alias, f_best)
             slope = np.where(better, slope_alias, slope)
             zc_best = np.where(better, zc_alias, zc_best)
-    return _wrap_offset(np.angle(zc_best)), slope
+            u_best = np.where(better[..., None], u_alias, u_best)
+    return _wrap_offset(np.angle(zc_best)), slope, u_best
 
 
 @functools.lru_cache(maxsize=4)
@@ -473,13 +496,13 @@ def _wrap_offset(theta: np.ndarray) -> np.ndarray:
 def kalman_update(
     mean: np.ndarray,
     cov_diag: np.ndarray,
-    y: np.ndarray,
+    ch_y: np.ndarray,
     prep: StatePrep,
-    tables: GridTables,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update in the de-rotated frame.
 
-    ``y = Sigma0^{-1} (E^H eps)`` is the whitened de-rotated residual;
+    ``ch_y = C^H Sigma0^{-1} (E^H eps)``, shape ``(T, L)``, is the
+    projected whitened de-rotated residual from :func:`whitened_quadform`;
     the phase matrices cancel out of the mean correction
     ``P C^H Sigma0^{-1} (E^H eps)``.  The posterior covariance
     ``(P^{-1} + C^H C / s2)^{-1} = P^{1/2} G^{-1} P^{1/2}`` is ``prep.gs``,
@@ -488,6 +511,6 @@ def kalman_update(
     rounding error (and can go negative) once ``s2`` is far below ``P``.
     Returns (new_mean, new_cov_diag).
     """
-    new_mean = mean + cov_diag * (y @ tables.c_conj)
+    new_mean = mean + cov_diag * ch_y
     new_cov = np.diagonal(prep.gs, axis1=-2, axis2=-1).real.copy()
     return new_mean, new_cov

@@ -218,7 +218,7 @@ def criterion_6_phase_recovery() -> CriterionResult:
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
     prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
-    est_offset, est_slope = _kernels.phase_search(
+    est_offset, est_slope, _ = _kernels.phase_search(
         alice.obs, prep, tables, slope_points, max_slope
     )
 
@@ -268,10 +268,8 @@ def criterion_7_scalar_kalman() -> CriterionResult:
         state_cov = profile.alpha**2 * state_cov + profile.process_noise_diag
         prep = _kernels.prepare_state(state_mean, state_cov, noise_var, tables)
         residual = np.array([[y]]) - prep.m
-        whitened, _ = _kernels.whitened_quadform(residual, prep, tables)
-        state_mean, state_cov = _kernels.kalman_update(
-            state_mean, state_cov, whitened, prep, tables
-        )
+        ch_y, _ = _kernels.whitened_quadform(residual, prep, tables)
+        state_mean, state_cov = _kernels.kalman_update(state_mean, state_cov, ch_y, prep)
         means[k] = state_mean[0, 0]
         variances[k] = state_cov[0, 0]
 

@@ -63,9 +63,12 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
 class TrialBatch:
     """Raw per-step statistics of a batch of trials run in lockstep.
 
-    lam and mag have shape (trials, steps, 2) with alice in column 0 and
-    eve in column 1; mag is NaN at the first step (no previous
-    observation).  Optional collections: phase_true/phase_est with shape
+    lam has shape (trials, steps, 2) with alice in column 0 and eve in
+    column 1.  mag has the same shape, and is NaN at the first step (no
+    previous observation), when ``cfg.detectors`` holds "magnitude_diff";
+    otherwise it is None, as is mag_threshold, and asking for that
+    detector's statistic or decisions raises CalibrationError.  Optional
+    collections: phase_true/phase_est with shape
     (trials, steps, 2, 2) storing (offset, slope) per observation, and
     mse with shape (trials, steps) holding the per-pilot mean squared
     channel-estimate error after each update.
@@ -74,7 +77,7 @@ class TrialBatch:
     cfg: ScenarioConfig
     trial_seeds: tuple[int, ...]
     lam: np.ndarray
-    mag: np.ndarray
+    mag: np.ndarray | None
     kalman_threshold: float
     mag_threshold: np.ndarray | None
     phase_true: np.ndarray | None = None
@@ -90,6 +93,8 @@ class TrialBatch:
         if detector == "kalman":
             return self.lam
         if detector == "magnitude_diff":
+            if self.mag is None:
+                raise CalibrationError("magnitude_diff detector was not run")
             return self.mag
         raise ValueError(f"unknown detector {detector!r}")
 
@@ -139,7 +144,8 @@ def run_batch(
     cov = np.tile(profile.pdp, (num_trials, 1))
 
     lam = np.empty((num_trials, num_steps, 2))
-    mag = np.full((num_trials, num_steps, 2), np.nan)
+    with_mag = "magnitude_diff" in cfg.detectors
+    mag = np.full((num_trials, num_steps, 2), np.nan) if with_mag else None
     phase_true = np.empty((num_trials, num_steps, 2, 2)) if collect_phase else None
     phase_est = np.empty((num_trials, num_steps, 2, 2)) if collect_phase else None
     mse = np.empty((num_trials, num_steps)) if collect_mse else None
@@ -153,38 +159,38 @@ def run_batch(
 
         # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
         obs = np.stack((alice.obs, eve.obs))
-        est_offset, est_slope = _kernels.phase_search(
+        est_offset, est_slope, ramp = _kernels.phase_search(
             obs, prep, tables, cfg.slope_points, max_slope
         )
-        v = tables.ramp(est_slope) * obs
-        rotated_residual = np.exp(-1j * est_offset)[..., None] * v - prep.m
-        y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
+        rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * obs) - prep.m
+        ch_y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
         lam[:, k - 1, :] = 2.0 * quad.T
 
-        cur_abs = np.abs(obs)
-        if prev_alice_abs is not None:
-            for col in (0, 1):
-                mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs[col], prev_alice_abs)
+        if with_mag:
+            cur_abs = np.abs(obs)
+            if prev_alice_abs is not None:
+                for col in (0, 1):
+                    mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs[col], prev_alice_abs)
+            prev_alice_abs = cur_abs[0]
         if collect_phase:
             phase_true[:, k - 1, :, 0] = np.stack((alice.offset, eve.offset), axis=1)
             phase_true[:, k - 1, :, 1] = np.stack((alice.slope, eve.slope), axis=1)
             phase_est[:, k - 1, :, 0] = est_offset.T
             phase_est[:, k - 1, :, 1] = est_slope.T
 
-        mean, cov = _kernels.kalman_update(mean, cov, y[0], prep, tables)
+        mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
         if np.any(cov < -1e-12):
             raise NumericalError(
                 f"trial batch aborted at step {k}: updated covariance reached "
                 f"{cov.min():.3e}"
             )
         cov = np.maximum(cov, 0.0)
-        prev_alice_abs = cur_abs[0]
         if collect_mse:
             err = (mean - alice.taps) @ tables.c_t
             mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
 
     mag_threshold = None
-    if "magnitude_diff" in cfg.detectors:
+    if with_mag:
         half = num_steps // 2
         mag_threshold = np.array(
             [

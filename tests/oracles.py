@@ -308,7 +308,7 @@ def filter_step(
     else:
         tables = _kernels.grid_tables(grid, len(pred.mean))
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-        offset, slope = _kernels.phase_search(values[None], prep, tables, slope_points, bound)
+        offset, slope, _ = _kernels.phase_search(values[None], prep, tables, slope_points, bound)
         d = PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
     b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
     residual = values - b @ pred.mean

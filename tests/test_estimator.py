@@ -10,6 +10,7 @@ from csiguard.observation import PilotGrid, partial_dft
 
 from oracles import (
     KalmanState,
+    hermitian_solve,
     PhaseDistortion,
     filter_step,
     gain,
@@ -17,6 +18,7 @@ from oracles import (
     negative_log_likelihood,
     phase_diagonal,
     predict,
+    residual_statistic,
     update,
 )
 from test_channel import DOPPLER_FOR_ALPHA_09, simulate_steps, undistorted
@@ -40,7 +42,7 @@ def _estimate(obs, pred, grid, noise_var, bound):
     """Phase pair of one observation: phase_search on a one-row batch."""
     tables = _kernels.grid_tables(grid, len(pred.mean))
     prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-    offset, slope = _kernels.phase_search(obs[None], prep, tables, POINTS, bound)
+    offset, slope, _ = _kernels.phase_search(obs[None], prep, tables, POINTS, bound)
     return PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
 
 
@@ -232,7 +234,7 @@ def _check_derivatives(obs, prep, tables, x):
 def _check_no_worse_than_fine_sweep(obs, prep, grid, tables):
     """phase_search stays in its bracket and scores no worse than a 1001-point sweep of it."""
     bound = default_slope(grid.dft_size)
-    _, est_slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+    _, est_slope, _ = _kernels.phase_search(obs, prep, tables, POINTS, bound)
     f = _profiled_objective(obs, prep, tables)
     slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
     grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
@@ -280,15 +282,18 @@ class TestLinkAxisAndTables:
     def test_stacked_equals_separate_calls(self, grid114, rng, trials):
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
         bound = default_slope(grid114.dft_size)
-        offset, slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
-        y, quad = _kernels.whitened_quadform(obs, prep, tables)
+        searched = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        ch_y, quad = _kernels.whitened_quadform(obs, prep, tables)
+        offset, slope, ramp = searched
         assert offset.shape == slope.shape == quad.shape == (2, trials)
+        assert ramp.shape == obs.shape
+        assert ch_y.shape == (2, trials, 8)
         for link in (0, 1):
-            one_offset, one_slope = _kernels.phase_search(obs[link], prep, tables, POINTS, bound)
-            one_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
-            assert np.array_equal(offset[link], one_offset)
-            assert np.array_equal(slope[link], one_slope)
-            assert np.array_equal(y[link], one_y)
+            one_searched = _kernels.phase_search(obs[link], prep, tables, POINTS, bound)
+            one_ch_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
+            for stacked, one in zip(searched, one_searched):
+                assert np.array_equal(stacked[link], one)
+            assert np.array_equal(ch_y[link], one_ch_y)
             assert np.array_equal(quad[link], one_quad)
 
     def test_ramp_takes_leading_axes(self, grid114, rng):
@@ -399,6 +404,73 @@ class TestPrepareState:
         assert not prep.m_quad.any()
 
 
+class TestWhitenedQuadform:
+    """whitened_quadform's two L-dimensional-path outputs against the dense
+    innovation covariance: C^H Sigma0^{-1} r and r^H Sigma0^{-1} r."""
+
+    @pytest.mark.parametrize("snr_db", [10.0, 60.0])
+    def test_matches_dense_solve(self, grid114, rng, snr_db):
+        num_paths, trials = 8, 3
+        tables = _kernels.grid_tables(grid114, num_paths)
+        c = partial_dft(grid114, num_paths)
+        s2 = 10.0 ** (-snr_db / 10.0)
+        mean = (rng.standard_normal((trials, num_paths))
+                + 1j * rng.standard_normal((trials, num_paths))) / 2
+        cov = 0.3 * np.abs(rng.standard_normal((trials, num_paths))) + 1e-3
+        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        # Innovation-sized residuals for both links: C x with x ~ CN(0, P), plus noise.
+        shape = (2, trials, num_paths)
+        x = np.sqrt(cov / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        noise_shape = (2, trials, grid114.num_pilots)
+        r = x @ c.T + np.sqrt(s2 / 2) * (
+            rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
+        )
+        ch_y, quad = _kernels.whitened_quadform(r, prep, tables)
+        assert ch_y.shape == shape
+        assert quad.shape == (2, trials)
+        # Sigma0's condition number grows as 1 / s2, and so do both forms' errors.
+        tol = 1e-13 / s2
+        for t in range(trials):
+            sigma0 = (c * cov[t]) @ c.conj().T + s2 * np.eye(grid114.num_pilots)
+            for link in (0, 1):
+                expected = c.conj().T @ hermitian_solve(sigma0, r[link, t])
+                assert np.allclose(ch_y[link, t], expected, rtol=0, atol=tol * np.abs(expected).max())
+                dense = residual_statistic(r[link, t], sigma0) / 2
+                assert quad[link, t] == pytest.approx(dense, rel=tol)
+
+
+class TestSearchRamp:
+    """phase_search hands back tables.ramp at the slope it returns, bit for bit,
+    whichever start and stage that slope came from."""
+
+    @pytest.mark.parametrize(
+        "zero_mean, snr_db",
+        [
+            # A wide batch at a later step: several rows keep their grid slope.
+            (False, 10.0),
+            # The first step: the prediction is zero, and at 30 dB a one-bin
+            # alias start wins in some rows.
+            (True, 30.0),
+        ],
+    )
+    def test_ramp_is_ramp_of_returned_slope(self, grid114, rng, zero_mean, snr_db):
+        obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng, trials=64, stacked=True)
+        bound = default_slope(grid114.dft_size)
+        _, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        assert np.array_equal(ramp, tables.ramp(slope))
+
+        f = _profiled_objective(obs, prep, tables)
+        slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
+        grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
+        x0 = slopes[np.argmin(grid_obj, axis=-1)]
+        if zero_mean:
+            # Some rows end more than one grid cell from the grid argmin, where
+            # only an alias start can reach.
+            assert np.any(np.abs(slope - x0) > 1.5 * (slopes[1] - slopes[0]))
+        else:
+            assert np.any(slope == x0)
+
+
 class TestCoarseWorkspace:
     """phase_search reuses its coarse-stage arrays per shape; no result may
     alias them, and a call must not depend on the calls before it."""
@@ -409,17 +481,18 @@ class TestCoarseWorkspace:
         other_obs, other_prep, _ = _search_batch(grid114, 0.0, False, rng, trials=64, stacked=True)
         one_obs, one_prep, _ = _search_batch(grid114, 10.0, False, rng, trials=1, stacked=True)
 
-        offset, slope = _kernels.phase_search(obs, prep, tables, POINTS, bound)
-        first = (offset.copy(), slope.copy())
+        offset, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        first = (offset.copy(), slope.copy(), ramp.copy())
         other = _kernels.phase_search(other_obs, other_prep, tables, POINTS, bound)
         assert not np.array_equal(other[1], first[1])
         assert np.array_equal(offset, first[0])
         assert np.array_equal(slope, first[1])
+        assert np.array_equal(ramp, first[2])
 
         _kernels.phase_search(one_obs, one_prep, tables, POINTS, bound)
         again = _kernels.phase_search(obs, prep, tables, POINTS, bound)
-        assert np.array_equal(again[0], first[0])
-        assert np.array_equal(again[1], first[1])
+        for a, b in zip(again, first):
+            assert np.array_equal(a, b)
 
 
 class TestTieRule:
@@ -457,7 +530,7 @@ class TestTieRule:
             np.full((3, 8), 0.5 + 0.5j), np.full((3, 8), 0.1), 0.1, tables
         )
         obs = np.zeros((2, 3, grid114.num_pilots), dtype=np.complex128)
-        offset, slope = _kernels.phase_search(
+        offset, slope, _ = _kernels.phase_search(
             obs, prep, tables, POINTS, default_slope(grid114.dft_size)
         )
         assert np.array_equal(offset, np.zeros((2, 3)))

@@ -12,6 +12,7 @@ from csiguard import _kernels
 from csiguard.channel import simulate
 from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import threshold
+from csiguard.errors import CalibrationError
 from csiguard.harness import (
     RocResult,
     SweepResult,
@@ -99,6 +100,18 @@ class TestRunTrial:
         magnitude = [r for d, r in pairs if d == "magnitude_diff"]
         assert len(kalman) == 2 * 250
         assert len(magnitude) == 2 * 249  # no previous observation at k=1
+
+    def test_kalman_only_batch_has_no_magnitude_statistic(self):
+        # Nothing reads the magnitude statistic unless the detector is
+        # configured, so it is not computed: asking for it raises.
+        assert FAST.detectors == ("kalman",)
+        batch = run_batch(FAST, [derive_trial_seed(FAST.seed, 0)])
+        assert batch.mag is None
+        assert batch.mag_threshold is None
+        with pytest.raises(CalibrationError):
+            batch.statistic("magnitude_diff")
+        with pytest.raises(CalibrationError):
+            batch.decisions("magnitude_diff")
 
 
 @pytest.mark.skipif(
@@ -238,7 +251,7 @@ class TestCollectPhase:
         for col, link in enumerate((alice, eve)):
             assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset)
             assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope)
-            offset, slope = _kernels.phase_search(
+            offset, slope, _ = _kernels.phase_search(
                 link.obs, prep, tables, cfg.slope_points, cfg.resolved_max_slope()
             )
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
