@@ -365,9 +365,9 @@ def phase_search(
     the ``(T, ...)`` arrays of ``prep``, and the estimates come back with
     shape ``(..., T)``.  A stacked batch gives the same estimates as
     separate calls.  Returns (offset, slope, ramp), where ``ramp`` is
-    ``tables.ramp(slope)``, shape ``(..., T, Q)``, bit for bit: refined
-    rows reuse the ramp of the final objective, and only the rows that
-    keep their grid slope compute it afresh.
+    ``tables.ramp(slope)``, shape ``(..., T, Q)``, bit for bit: it is the
+    ramp of the final objective, recomputed only on rows where Newton
+    moved the slope but the grid slope scored better.
 
     Minimizes the whitened residual energy with the offset profiled out
     in closed form.  The slope is first the argmin of the grid of
@@ -418,9 +418,12 @@ def phase_search(
         f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
         zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
         keep = f_star <= f_grid
-        if not keep.all():
-            # ramp works row by row, so this matches ramp of the returned slope.
-            u[~keep] = tables.ramp(x0[~keep])
+        # Rows that fall back to the grid slope after Newton moved need its
+        # ramp; ramp works row by row, so this matches ramp of the returned
+        # slope.  (Most fallback rows are ones Newton never moved.)
+        moved = ~keep & (x != x0)
+        if moved.any():
+            u[moved] = tables.ramp(x0[moved])
         return (
             np.where(keep, f_star, f_grid),
             np.where(keep, x, x0),

@@ -408,11 +408,15 @@ class TestWhitenedQuadform:
     """whitened_quadform's two L-dimensional-path outputs against the dense
     innovation covariance: C^H Sigma0^{-1} r and r^H Sigma0^{-1} r."""
 
+    # The default grid (upper band ending at 126) is symmetric about M/2, so
+    # its C^H C is real; with the upper band cut short it is complex.
+    @pytest.mark.parametrize("upper_end", [127, 110])
     @pytest.mark.parametrize("snr_db", [10.0, 60.0])
-    def test_matches_dense_solve(self, grid114, rng, snr_db):
+    def test_matches_dense_solve(self, rng, upper_end, snr_db):
+        grid = PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, upper_end)))
         num_paths, trials = 8, 3
-        tables = _kernels.grid_tables(grid114, num_paths)
-        c = partial_dft(grid114, num_paths)
+        tables = _kernels.grid_tables(grid, num_paths)
+        c = partial_dft(grid, num_paths)
         s2 = 10.0 ** (-snr_db / 10.0)
         mean = (rng.standard_normal((trials, num_paths))
                 + 1j * rng.standard_normal((trials, num_paths))) / 2
@@ -421,7 +425,7 @@ class TestWhitenedQuadform:
         # Innovation-sized residuals for both links: C x with x ~ CN(0, P), plus noise.
         shape = (2, trials, num_paths)
         x = np.sqrt(cov / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        noise_shape = (2, trials, grid114.num_pilots)
+        noise_shape = (2, trials, grid.num_pilots)
         r = x @ c.T + np.sqrt(s2 / 2) * (
             rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
         )
@@ -431,7 +435,7 @@ class TestWhitenedQuadform:
         # Sigma0's condition number grows as 1 / s2, and so do both forms' errors.
         tol = 1e-13 / s2
         for t in range(trials):
-            sigma0 = (c * cov[t]) @ c.conj().T + s2 * np.eye(grid114.num_pilots)
+            sigma0 = (c * cov[t]) @ c.conj().T + s2 * np.eye(grid.num_pilots)
             for link in (0, 1):
                 expected = c.conj().T @ hermitian_solve(sigma0, r[link, t])
                 assert np.allclose(ch_y[link, t], expected, rtol=0, atol=tol * np.abs(expected).max())
@@ -469,6 +473,22 @@ class TestSearchRamp:
             assert np.any(np.abs(slope - x0) > 1.5 * (slopes[1] - slopes[0]))
         else:
             assert np.any(slope == x0)
+
+    def test_ramp_where_newton_lands_worse(self, grid114, rng, monkeypatch):
+        # Force every Newton step to the lower bracket end, which scores worse
+        # than the grid argmin: those rows return the grid slope, and the
+        # ramp must follow it rather than the point Newton reached.
+        def to_bracket_end(ramp, terms, prep, tables):
+            shape = ramp.shape[:-1]
+            return np.full(shape, 1e3), np.ones(shape)
+
+        monkeypatch.setattr(_kernels, "_slope_derivatives", to_bracket_end)
+        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=16, stacked=True)
+        bound = default_slope(grid114.dft_size)
+        _, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
+        assert np.all(np.isin(slope, slopes))
+        assert np.array_equal(ramp, tables.ramp(slope))
 
 
 class TestCoarseWorkspace:
