@@ -54,9 +54,8 @@ def statistic_histogram(cfg: ScenarioConfig, out: pathlib.Path) -> None:
 
 def roc_curves(cfg: ScenarioConfig, out_dir: pathlib.Path, snrs) -> None:
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
-    for snr in snrs:
-        point_cfg = replace(cfg, snr_db=snr)
-        batch = run_batch(point_cfg, seeds)
+    point_cfgs = [replace(cfg, snr_db=snr) for snr in snrs]
+    for snr, point_cfg, batch in zip(snrs, point_cfgs, run_batch(point_cfgs, seeds)):
         lam = batch.lam[:, batch.test_slice, :]
         points = [
             ("kalman", thr, fa, dr)

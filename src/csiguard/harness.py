@@ -13,12 +13,19 @@ Trials are mutually independent.  Trial ``i`` draws from
 and sweep points share channel and noise realizations (common random
 numbers across the sweep axis).  Within a trial the generator is consumed
 in the order documented by :func:`csiguard.channel.simulate`.
+
+:func:`run_batch` runs the points of a sweep (configurations that differ
+only in SNR or Doppler) in lockstep on one stream of draws: per step
+each trial's generator is drawn from once, and each point then runs its
+own filter over the same ``(2, T, Q)`` kernel calls as a one-point run,
+so a point's results do not depend on which other points ran beside it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -109,111 +116,165 @@ class TrialBatch:
             return stat > self.mag_threshold[:, None, None]
 
 
+# The fields a sweep varies: the only ones in which points run in
+# lockstep by run_batch may differ.
+_AXES = ("snr_db", "normalized_doppler")
+
+
 def run_batch(
-    cfg: ScenarioConfig,
+    cfg: ScenarioConfig | Sequence[ScenarioConfig],
     trial_seeds,
     *,
     clone_eve: bool = False,
     collect_phase: bool = False,
     collect_mse: bool = False,
-) -> TrialBatch:
+) -> TrialBatch | list[TrialBatch]:
     """Run a batch of trials in lockstep and collect per-step statistics.
+
+    ``cfg`` is one :class:`ScenarioConfig`, which gives one
+    :class:`TrialBatch`, or a sequence of configurations (points) that
+    differ only in ``snr_db`` and ``normalized_doppler``, which gives one
+    TrialBatch per point, in order.  The points run in lockstep on one
+    :func:`csiguard.channel.simulate` stream: each step draws once for all
+    of them, then each point runs its own filter, so every point's batch
+    is bit for bit the batch of a one-point run on the same seeds.  Points
+    that differ in anything else are refused with ConfigError.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
     attacker still gets independent noise and phase draws (see
-    :func:`csiguard.channel.simulate`).
+    :func:`csiguard.channel.simulate`).  A covariance that goes negative
+    or a test statistic that is negative or not finite aborts the batch
+    with NumericalError.
     """
-    profile = cfg.channel_profile()
-    grid = cfg.pilot_grid()
-    num_paths = profile.num_paths
+    cfgs = [cfg] if isinstance(cfg, ScenarioConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("run_batch needs at least one configuration")
+    base = cfgs[0]
+    differing = sorted(
+        {
+            f.name
+            for c in cfgs[1:]
+            for f in fields(ScenarioConfig)
+            if f.name not in _AXES and getattr(c, f.name) != getattr(base, f.name)
+        }
+    )
+    if differing:
+        raise ConfigError(
+            "points run in lockstep may differ only in "
+            f"{' and '.join(_AXES)}, not in {', '.join(differing)}"
+        )
+    profiles = [c.channel_profile() for c in cfgs]
+    noise_vars = [snr_to_noise_var(c.snr_db) for c in cfgs]
+    grid = base.pilot_grid()
+    num_paths = profiles[0].num_paths
     num_pilots = grid.num_pilots
-    num_steps = cfg.num_steps
-    noise_var = snr_to_noise_var(cfg.snr_db)
-    max_slope = cfg.resolved_max_slope()
+    num_steps = base.num_steps
+    max_slope = base.resolved_max_slope()
     tables = _kernels.grid_tables(grid, num_paths)
     seeds = tuple(int(s) for s in trial_seeds)
     num_trials = len(seeds)
+    num_points = len(cfgs)
     rngs = [np.random.default_rng(s) for s in seeds]
 
-    alpha = profile.alpha
-    process_noise = profile.process_noise_diag
-    links = simulate(profile, tables, noise_var, max_slope, rngs, clone_eve=clone_eve)
+    links = simulate(profiles, tables, noise_vars, max_slope, rngs, clone_eve=clone_eve)
 
-    mean = np.zeros((num_trials, num_paths), dtype=np.complex128)
-    cov = np.tile(profile.pdp, (num_trials, 1))
+    # Filter state per point: mean, covariance, previous alice magnitudes.
+    means = [np.zeros((num_trials, num_paths), dtype=np.complex128) for _ in cfgs]
+    covs = [np.tile(p.pdp, (num_trials, 1)) for p in profiles]
+    prev_alice_abs = [None] * num_points
 
-    lam = np.empty((num_trials, num_steps, 2))
-    with_mag = "magnitude_diff" in cfg.detectors
-    mag = np.full((num_trials, num_steps, 2), np.nan) if with_mag else None
+    shape = (num_points, num_trials, num_steps)
+    lam = np.empty((*shape, 2))
+    with_mag = "magnitude_diff" in base.detectors
+    mag = np.full((*shape, 2), np.nan) if with_mag else None
     phase_true = np.empty((num_trials, num_steps, 2, 2)) if collect_phase else None
-    phase_est = np.empty((num_trials, num_steps, 2, 2)) if collect_phase else None
-    mse = np.empty((num_trials, num_steps)) if collect_mse else None
+    phase_est = np.empty((*shape, 2, 2)) if collect_phase else None
+    mse = np.empty(shape) if collect_mse else None
 
-    prev_alice_abs = None
     # zip draws the next step from links only while range has steps left.
-    for k, (alice, eve) in zip(range(1, num_steps + 1), links):
-        mean *= alpha
-        cov = alpha**2 * cov + process_noise
-        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
-
-        # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
-        obs = np.stack((alice.obs, eve.obs))
-        est_offset, est_slope, ramp = _kernels.phase_search(
-            obs, prep, tables, cfg.slope_points, max_slope
-        )
-        rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * obs) - prep.m
-        ch_y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
-        lam[:, k - 1, :] = 2.0 * quad.T
-
-        if with_mag:
-            cur_abs = np.abs(obs)
-            if prev_alice_abs is not None:
-                for col in (0, 1):
-                    mag[:, k - 1, col] = magnitude_diff_statistic(cur_abs[col], prev_alice_abs)
-            prev_alice_abs = cur_abs[0]
+    for k, step in zip(range(1, num_steps + 1), links):
         if collect_phase:
+            alice, eve = step[0]
             phase_true[:, k - 1, :, 0] = np.stack((alice.offset, eve.offset), axis=1)
             phase_true[:, k - 1, :, 1] = np.stack((alice.slope, eve.slope), axis=1)
-            phase_est[:, k - 1, :, 0] = est_offset.T
-            phase_est[:, k - 1, :, 1] = est_slope.T
+        for p, (alice, eve) in enumerate(step):
+            alpha = profiles[p].alpha
+            noise_var = noise_vars[p]
+            mean = means[p]
+            mean *= alpha
+            cov = alpha**2 * covs[p] + profiles[p].process_noise_diag
+            prep = _kernels.prepare_state(mean, cov, noise_var, tables)
 
-        mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
-        if np.any(cov < -1e-12):
-            raise NumericalError(
-                f"trial batch aborted at step {k}: updated covariance reached "
-                f"{cov.min():.3e}"
+            # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
+            obs = np.stack((alice.obs, eve.obs))
+            est_offset, est_slope, ramp = _kernels.phase_search(
+                obs, prep, tables, base.slope_points, max_slope
             )
-        cov = np.maximum(cov, 0.0)
-        if collect_mse:
-            err = (mean - alice.taps) @ tables.c_t
-            mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
+            rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * obs) - prep.m
+            ch_y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
+            lam[p, :, k - 1, :] = 2.0 * quad.T
 
-    mag_threshold = None
-    if with_mag:
-        half = num_steps // 2
-        mag_threshold = np.array(
-            [
-                calibrate_empirical_threshold(
-                    mag[t, 1:half, 0], cfg.nominal_false_alarm
+            if with_mag:
+                cur_abs = np.abs(obs)
+                if prev_alice_abs[p] is not None:
+                    for col in (0, 1):
+                        mag[p, :, k - 1, col] = magnitude_diff_statistic(
+                            cur_abs[col], prev_alice_abs[p]
+                        )
+                prev_alice_abs[p] = cur_abs[0]
+            if collect_phase:
+                phase_est[p, :, k - 1, :, 0] = est_offset.T
+                phase_est[p, :, k - 1, :, 1] = est_slope.T
+
+            mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
+            if np.any(cov < -1e-12):
+                raise NumericalError(
+                    f"trial batch aborted at step {k}: updated covariance reached "
+                    f"{cov.min():.3e}"
                 )
-                for t in range(num_trials)
-            ]
-        )
+            bad = ~(np.isfinite(quad) & (quad >= 0.0))
+            if bad.any():
+                raise NumericalError(
+                    f"trial batch aborted at step {k}: test statistic reached "
+                    f"{2.0 * quad[bad][0]:.3e}"
+                )
+            means[p] = mean
+            covs[p] = np.maximum(cov, 0.0)
+            if collect_mse:
+                err = (mean - alice.taps) @ tables.c_t
+                mse[p, :, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
 
-    return TrialBatch(
-        cfg=cfg,
-        trial_seeds=seeds,
-        lam=lam,
-        mag=mag,
-        kalman_threshold=threshold(
-            cfg.nominal_false_alarm, num_pilots, fitted_params=_kernels.PHASE_PARAMETERS
-        ),
-        mag_threshold=mag_threshold,
-        phase_true=phase_true,
-        phase_est=phase_est,
-        mse=mse,
+    kalman_threshold = threshold(
+        base.nominal_false_alarm, num_pilots, fitted_params=_kernels.PHASE_PARAMETERS
     )
+    batches = []
+    for p, point_cfg in enumerate(cfgs):
+        mag_threshold = None
+        if with_mag:
+            half = num_steps // 2
+            mag_threshold = np.array(
+                [
+                    calibrate_empirical_threshold(
+                        mag[p, t, 1:half, 0], base.nominal_false_alarm
+                    )
+                    for t in range(num_trials)
+                ]
+            )
+        batches.append(
+            TrialBatch(
+                cfg=point_cfg,
+                trial_seeds=seeds,
+                lam=lam[p],
+                mag=mag[p] if with_mag else None,
+                kalman_threshold=kalman_threshold,
+                mag_threshold=mag_threshold,
+                phase_true=phase_true.copy() if collect_phase else None,
+                phase_est=phase_est[p] if collect_phase else None,
+                mse=mse[p] if collect_mse else None,
+            )
+        )
+    return batches[0] if isinstance(cfg, ScenarioConfig) else batches
 
 
 def trial_records(cfg: ScenarioConfig, trial_seed: int) -> list[tuple[str, DetectionRecord]]:
@@ -280,16 +341,15 @@ class RocResult:
     points: list[tuple[str, float, float, float]]  # detector, threshold, fa, dr
 
 
-_AXES = ("snr_db", "normalized_doppler")
-
-
 def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
     """Detection and false-alarm rates over an axis of scenario values.
 
     Rates are pooled over the test half of every trial (steps
-    k > num_steps // 2).  All sweep points reuse the same per-trial seeds,
-    so realizations are common across the axis.  ``values`` must be
-    strictly ascending: a repeated value would only run its point twice.
+    k > num_steps // 2).  All sweep points run in lockstep in one
+    :func:`run_batch` on the same per-trial seeds, so they share every
+    channel, noise and phase draw (common random numbers across the axis)
+    and each step's draws are made once for all of them.  ``values`` must
+    be strictly ascending: a repeated value would only run its point twice.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
@@ -302,10 +362,9 @@ def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
             f"{','.join(format(v, 'g') for v in values)}"
         )
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
+    batches = run_batch([replace(cfg, **{axis: value}) for value in values], seeds)
     points: list[SweepPoint] = []
-    for value in values:
-        point_cfg = replace(cfg, **{axis: value})
-        batch = run_batch(point_cfg, seeds)
+    for value, batch in zip(values, batches):
         for det in cfg.detectors:
             dec = batch.decisions(det)[:, batch.test_slice, :]
             valid = ~np.isnan(batch.statistic(det)[:, batch.test_slice, :])

@@ -23,8 +23,8 @@ def simulate_steps(
     grid = grid or PilotGrid(max(8, profile.num_paths), (0, 1, 3))
     tables = _kernels.grid_tables(grid, profile.num_paths)
     rngs = [np.random.default_rng(s) for s in seeds]
-    links = simulate(profile, tables, noise_var, max_slope, rngs, clone_eve=clone_eve)
-    return list(itertools.islice(links, steps))
+    links = simulate([profile], tables, [noise_var], max_slope, rngs, clone_eve=clone_eve)
+    return [point for (point,) in itertools.islice(links, steps)]
 
 
 def alice_taps(profile, seeds, steps):

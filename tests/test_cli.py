@@ -240,6 +240,26 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate"],
+            ["roc", "--num-trials", "2"],
+            ["sweep-snr", "--values", "10,200", "--num-trials", "2"],
+            ["sweep-doppler", "--values", "1e-4,1e-2", "--num-trials", "2"],
+        ],
+    )
+    def test_negative_statistic_is_a_numerical_failure(self, tmp_path, capsys, args):
+        # At 200 dB the whitened residual energy cancels below float64's
+        # rounding and the statistic goes negative at the first step.
+        out = tmp_path / "x.csv"
+        argv = [*args, "--snr-db", "200", "--num-steps", "20", "--out", str(out)]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "test statistic" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 4
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csiguard import _kernels
-from csiguard.channel import simulate
+from csiguard.channel import make_profile, simulate
 from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import threshold
-from csiguard.errors import CalibrationError
+from csiguard.errors import CalibrationError, ConfigError
 from csiguard.harness import (
     RocResult,
     SweepResult,
@@ -163,6 +163,66 @@ class TestFirstPacketSlopeLock:
         assert locked <= 2
 
 
+# Enough steps (202) for the magnitude baseline's 100 calibration samples.
+LOCKSTEP = replace(FAST, num_steps=202, num_trials=2, detectors=("kalman", "magnitude_diff"))
+
+
+class TestLockstepPoints:
+    """Points run in lockstep share draws but nothing else: each point's
+    batch equals a one-point run on the same seeds, bit for bit."""
+
+    @pytest.mark.parametrize("clone_eve", [False, True])
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("snr_db", [0.0, 5.0, 10.0, 15.0]), ("normalized_doppler", [1e-4, 1e-2])],
+    )
+    def test_each_point_equals_its_one_point_run(self, axis, values, clone_eve):
+        seeds = [derive_trial_seed(LOCKSTEP.seed, i) for i in range(LOCKSTEP.num_trials)]
+        opts = dict(clone_eve=clone_eve, collect_phase=True, collect_mse=True)
+        cfgs = [replace(LOCKSTEP, **{axis: v}) for v in values]
+        batches = run_batch(cfgs, seeds, **opts)
+        assert len(batches) == len(values)
+        for cfg, batch in zip(cfgs, batches):
+            single = run_batch(cfg, seeds, **opts)
+            assert batch.cfg == cfg
+            for name in ("lam", "mag", "mag_threshold", "phase_true", "phase_est", "mse"):
+                # mag is NaN at the first step, where no previous packet exists.
+                assert np.array_equal(
+                    getattr(batch, name), getattr(single, name), equal_nan=True
+                ), name
+            assert batch.kalman_threshold == single.kalman_threshold
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(num_paths=3),
+            dict(num_steps=41),
+            dict(max_slope=0.1),
+            dict(detectors=("kalman", "magnitude_diff")),
+            dict(pilot_spec="first:12"),
+            dict(nominal_false_alarm=0.05),
+        ],
+    )
+    def test_points_differing_off_the_axes_are_refused(self, change):
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            run_batch([FAST, replace(FAST, snr_db=5.0, **change)], [1, 2])
+
+    def test_draw_order_does_not_depend_on_the_number_of_points(self):
+        # After k steps each trial's generator is where a one-point run
+        # leaves it, so the documented per-trial draw order still holds.
+        profiles = [make_profile(4, d, 0.5) for d in (1e-4, 1e-2, 1e-3)]
+        tables = _kernels.grid_tables(FAST.pilot_grid(), 4)
+        seeds = [derive_trial_seed(7, i) for i in range(3)]
+        states = []
+        for points in (profiles[:1], profiles):
+            rngs = [np.random.default_rng(s) for s in seeds]
+            links = simulate(points, tables, [0.1] * len(points), 0.2, rngs)
+            for _ in range(5):
+                assert len(next(links)) == len(points)
+            states.append([rng.bit_generator.state for rng in rngs])
+        assert states[0] == states[1]
+
+
 class TestProtocol:
     def test_filter_ignores_eve(self):
         # Cloning the attacker channel changes only attacker-side
@@ -244,7 +304,9 @@ class TestCollectPhase:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         rngs = [np.random.default_rng(s) for s in seeds]
-        alice, eve = next(simulate(profile, tables, noise_var, cfg.resolved_max_slope(), rngs))
+        [(alice, eve)] = next(
+            simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs)
+        )
         cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
         prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
                                       noise_var, tables)
@@ -286,9 +348,9 @@ class TestRunnerAgainstPublicOps:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         max_slope = cfg.resolved_max_slope()
-        links = simulate(profile, tables, noise_var, max_slope, [np.random.default_rng(seed)])
+        links = simulate([profile], tables, [noise_var], max_slope, [np.random.default_rng(seed)])
         state = init_state(profile)
-        for k, (alice, eve) in zip(range(1, cfg.num_steps + 1), links):
+        for k, [(alice, eve)] in zip(range(1, cfg.num_steps + 1), links):
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
                 state, eve.obs[0], profile, grid, noise_var, cfg.slope_points, max_slope

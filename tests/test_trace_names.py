@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from csiguard import harness
+from csiguard.config import ScenarioConfig
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -37,3 +40,29 @@ def test_traced_method_resolves(module, cls_name, attr):
     assert cls is not None, f"csiguard.{module}.{cls_name}"
     # The tracer patches the class attribute itself, so it must be defined there.
     assert callable(cls.__dict__.get(attr)), f"csiguard.{module}.{cls_name}.{attr}"
+
+
+def test_sweep_records_one_batch_span_over_every_point_step():
+    # perfbench reads the step gaps of a sweep from the prepare_state spans
+    # directly under the run_batch span, so the points of a sweep must run
+    # inside one run_batch call: here 2 points x 5 steps.
+    cfg = ScenarioConfig(
+        num_steps=5, num_trials=2, num_paths=4, dft_size=32, pilot_spec="first:16",
+        slope_points=32,
+    )
+    tracer = TRACED.Tracer()
+    tracer.reset("sweep")
+    patches = TRACED.Patches()
+    patches.install(tracer)
+    try:
+        harness.sweep(cfg, "snr_db", [5.0, 10.0])
+    finally:
+        patches.uninstall()
+    assert patches.missing == []
+    spans = tracer.spans
+    batches = [i for i, span in enumerate(spans) if span[0] == TRACED.BATCH_SPAN]
+    assert len(batches) == 1
+    steps = [span for span in spans if span[0] == TRACED.STEP_SPAN]
+    assert len(steps) == 10
+    assert all(span[3] == batches[0] for span in steps)
+    assert TRACED.summarize(spans)["step_gaps_ms"]
