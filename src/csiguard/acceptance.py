@@ -213,7 +213,7 @@ def criterion_6_phase_recovery() -> CriterionResult:
     max_slope = 2.0 * np.pi * 4.0 / 128.0
     tables = _kernels.grid_tables(grid, 8)
     rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
-    alice, _ = next(simulate(profile, tables, noise_var, max_slope, rngs))
+    [(alice, _)] = next(simulate([profile], tables, [noise_var], max_slope, rngs))
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
     prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
