@@ -158,8 +158,7 @@ def criterion_4_baseline_dominance() -> CriterionResult:
     seeds = [derive_trial_seed(cfg.seed, i) for i in range(cfg.num_trials)]
     batch = run_batch(cfg, seeds)
     kalman = batch.decisions("kalman")[:, batch.test_slice, 1].mean(axis=1)
-    magnitude = batch.decisions("magnitude_diff")[:, batch.test_slice, 1]
-    magnitude = np.nanmean(magnitude, axis=1)
+    magnitude = batch.decisions("magnitude_diff")[:, batch.test_slice, 1].mean(axis=1)
     diff = kalman - magnitude
     sd = float(diff.std(ddof=1)) / math.sqrt(diff.size)
     checks = [
@@ -213,16 +212,16 @@ def criterion_6_phase_recovery() -> CriterionResult:
     max_slope = 2.0 * np.pi * 4.0 / 128.0
     tables = _kernels.grid_tables(grid, 8)
     rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
-    [(alice, _)] = next(simulate([profile], tables, [noise_var], max_slope, rngs))
+    [link] = next(simulate([profile], tables, [noise_var], max_slope, rngs))
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
-    prep = _kernels.prepare_state(alice.taps, cov, noise_var, tables)
+    prep = _kernels.prepare_state(link.taps[0], cov, noise_var, tables)
     est_offset, est_slope, _ = _kernels.phase_search(
-        alice.obs, prep, tables, slope_points, max_slope
+        link.obs[0], prep, tables, slope_points, max_slope
     )
 
-    offset_err = np.abs((est_offset - alice.offset + np.pi) % (2 * np.pi) - np.pi)
-    slope_err = np.abs(est_slope - alice.slope)
+    offset_err = np.abs((est_offset - link.offset[0] + np.pi) % (2 * np.pi) - np.pi)
+    slope_err = np.abs(est_slope - link.slope[0])
     tol = PHASE_RECOVERY_TOLERANCE
     hit = np.mean((offset_err <= tol) & (slope_err <= tol))
     checks = [

@@ -13,7 +13,7 @@ that share every random draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -27,30 +27,32 @@ __all__ = ["ChannelProfile", "Link", "make_profile", "simulate"]
 class ChannelProfile:
     """Static statistics of one simulated link.
 
-    pdp holds the per-tap variances (unit total power); alpha is the AR(1)
-    transition coefficient; process_noise_diag is the diagonal of the
-    innovation covariance, (1 - alpha^2) * pdp.
+    pdp holds the per-tap variances (unit total power) and
+    normalized_doppler the product fd*Ts.  The other fields follow from
+    them: num_paths is the length of pdp, alpha = J0(2 pi fd Ts) the AR(1)
+    transition coefficient, and process_noise_diag = (1 - alpha^2) * pdp
+    the diagonal of the innovation covariance.
     """
 
-    num_paths: int
     pdp: np.ndarray
     normalized_doppler: float
-    alpha: float
-    process_noise_diag: np.ndarray
+    num_paths: int = field(init=False)
+    alpha: float = field(init=False)
+    process_noise_diag: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pdp = np.asarray(self.pdp, dtype=float)
-        if self.num_paths < 1 or pdp.shape != (self.num_paths,):
-            raise ValueError(f"pdp must have shape ({self.num_paths},), got {pdp.shape}")
+        if pdp.ndim != 1 or pdp.size < 1:
+            raise ValueError(f"pdp must be a nonempty vector, got shape {pdp.shape}")
         if np.any(pdp <= 0.0):
             raise ValueError("pdp entries must be strictly positive")
         if abs(pdp.sum() - 1.0) > 1e-12:
             raise ValueError(f"pdp must sum to 1, got {pdp.sum()!r}")
-        if abs(self.alpha - bessel_j0(2.0 * np.pi * self.normalized_doppler)) > 1e-9:
-            raise ValueError("alpha is inconsistent with the normalized Doppler")
-        expected = (1.0 - self.alpha**2) * pdp
-        if np.max(np.abs(np.asarray(self.process_noise_diag) - expected)) > 1e-12:
-            raise ValueError("process_noise_diag must equal (1 - alpha^2) * pdp")
+        alpha = bessel_j0(2.0 * np.pi * self.normalized_doppler)
+        object.__setattr__(self, "pdp", pdp)
+        object.__setattr__(self, "num_paths", pdp.size)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "process_noise_diag", (1.0 - alpha**2) * pdp)
 
 
 def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) -> ChannelProfile:
@@ -70,28 +72,28 @@ def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) ->
         )
     pdp = np.exp(-pdp_decay * np.arange(num_paths, dtype=float))
     pdp /= pdp.sum()
-    alpha = bessel_j0(2.0 * np.pi * normalized_doppler)
-    return ChannelProfile(
-        num_paths=num_paths,
-        pdp=pdp,
-        normalized_doppler=normalized_doppler,
-        alpha=alpha,
-        process_noise_diag=(1.0 - alpha**2) * pdp,
-    )
+    return ChannelProfile(pdp=pdp, normalized_doppler=normalized_doppler)
 
 
 class Link(NamedTuple):
-    """One link at one step, batched over trials.
+    """Both links of one point at one step, batched over trials.
 
-    taps (T, L) is the true impulse response, obs (T, Q) its distorted,
-    noisy pilot observation, and offset, slope (T,) the phase distortion
-    applied to it.
+    Every field leads with the (alice, eve) link axis, alice in row 0 and
+    eve in row 1, the layout in which the kernels score both packets as
+    one batch: taps (2, T, L) is the true impulse response, obs (2, T, Q)
+    its distorted, noisy pilot observation, and offset, slope (2, T) the
+    phase distortion applied to it.
     """
 
     taps: np.ndarray
     obs: np.ndarray
     offset: np.ndarray
     slope: np.ndarray
+
+
+def _by_link(block: np.ndarray, n: int) -> np.ndarray:
+    """View a (T, 4n) draw block as (re/im, link, T, n): alice then eve, real parts first."""
+    return block.reshape(len(block), 2, 2, n).transpose(2, 1, 0, 3)
 
 
 def simulate(
@@ -102,14 +104,15 @@ def simulate(
     rngs,
     *,
     clone_eve: bool = False,
-) -> Iterator[tuple[tuple[Link, Link], ...]]:
-    """Yield (alice, eve) links for a batch of trials at several points, one step at a time.
+) -> Iterator[tuple[Link, ...]]:
+    """Yield both links of a batch of trials at several points, one step at a time.
 
     The generative model of every Monte Carlo run.  ``profiles`` and
     ``noise_vars`` hold one channel profile and one noise variance per
     point; the profiles must share their taps' number and powers (the
     points of a sweep differ only in SNR or Doppler).  Each step yields
-    one (alice, eve) pair per point, in point order.
+    one :class:`Link` per point, in point order: alice in row 0 and eve
+    in row 1 of every field's leading link axis.
 
     At every point both links are AR(1) channels with that point's
     profile, started at their stationary law.  At each step each link gets
@@ -136,9 +139,9 @@ def simulate(
     offset, alice slope, eve offset, eve slope).
 
     ``clone_eve`` makes eve's channel identical to alice's (the
-    indistinguishable-hypothesis case); eve's noise and phase draws are
-    unchanged.  The generator never ends; the caller takes as many steps
-    as it needs.
+    indistinguishable-hypothesis case: ``taps[1]`` is a copy of
+    ``taps[0]``); eve's noise and phase draws are unchanged.  The
+    generator never ends; the caller takes as many steps as it needs.
 
     Each generator fills its rows of two draw blocks, ``(T, 4L + 4Q)``
     normal and ``(T, 4)`` uniform, allocated once and refilled every
@@ -170,12 +173,9 @@ def simulate(
     ]
 
     init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
-    h_alice = chan_scale * (init[:, :num_paths] + 1j * init[:, num_paths : 2 * num_paths])
-    h_eve = chan_scale * (
-        init[:, 2 * num_paths : 3 * num_paths] + 1j * init[:, 3 * num_paths :]
-    )
-    # (alice, eve) taps per point; every point starts from the same draw.
-    taps = [(h_alice, h_eve)] * len(points)
+    re, im = _by_link(init, num_paths)
+    # Every point starts from the same (2, T, L) draw.
+    taps = [chan_scale * (re + 1j * im)] * len(points)
     nz = 4 * num_paths
     z = np.empty((len(init), nz + 4 * num_pilots))
     u = np.empty((len(init), 4))
@@ -186,28 +186,22 @@ def simulate(
             rng.standard_normal(out=z_row)
             rng.random(out=u_row)
 
-        innov_alice = z[:, :num_paths] + 1j * z[:, num_paths : 2 * num_paths]
-        innov_eve = z[:, 2 * num_paths : 3 * num_paths] + 1j * z[:, 3 * num_paths : nz]
-        # Both links at once on a (2, T) link axis: alice row 0, eve row 1.
+        re, im = _by_link(z[:, :nz], num_paths)
+        innov = re + 1j * im
+        noise = _by_link(z[:, nz:], num_pilots)
         offset = -np.pi + 2.0 * np.pi * u[:, 0::2].T
         slope = max_slope * (2.0 * u[:, 1::2].T - 1.0)
         phase = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
-        zn = z[:, nz:].reshape(-1, 2, 2, num_pilots).transpose(1, 2, 0, 3)  # (link, re/im, T, Q)
 
         step = []
         for i, (alpha, proc_scale, noise_scale) in enumerate(points):
-            h_alice, h_eve = taps[i]
-            h_alice = alpha * h_alice + proc_scale * innov_alice
-            h_eve = h_alice.copy() if clone_eve else alpha * h_eve + proc_scale * innov_eve
-            taps[i] = (h_alice, h_eve)
-            obs = np.stack((h_alice, h_eve)) @ tables.c_t
+            h = alpha * taps[i] + proc_scale * innov
+            if clone_eve:
+                h[1] = h[0]
+            taps[i] = h
+            obs = h @ tables.c_t
             np.multiply(phase, obs, out=obs)
-            obs.real += noise_scale * zn[:, 0]
-            obs.imag += noise_scale * zn[:, 1]
-            step.append(
-                (
-                    Link(h_alice, obs[0], offset[0], slope[0]),
-                    Link(h_eve, obs[1], offset[1], slope[1]),
-                )
-            )
+            obs.real += noise_scale * noise[0]
+            obs.imag += noise_scale * noise[1]
+            step.append(Link(h, obs, offset, slope))
         yield tuple(step)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import (
     CONFIG_KEYS,
     ScenarioConfig,
@@ -102,8 +100,7 @@ def _cmd_roc(args: argparse.Namespace) -> int:
     points = []
     for det in cfg.detectors:
         stat = batch.statistic(det)[:, batch.test_slice, :]
-        h0 = stat[:, :, 0][~np.isnan(stat[:, :, 0])].ravel()
-        h1 = stat[:, :, 1][~np.isnan(stat[:, :, 1])].ravel()
+        h0, h1 = stat[:, :, 0].ravel(), stat[:, :, 1].ravel()
         for thr, fa, dr in roc_points(h0, h1, args.num_points):
             points.append((det, thr, fa, dr))
     write_csv(RocResult(points=points), args.out, cfg)

@@ -87,18 +87,20 @@ def decide(statistic: float, d: float) -> str:
 def magnitude_diff_statistic(current_abs: np.ndarray, previous_abs: np.ndarray) -> np.ndarray:
     """Normalized squared magnitude change between consecutive observations.
 
-    Takes the (T, Q) magnitudes |current| and |previous| of a batch of
-    observations and returns || |current| - |previous| ||^2 / || |previous| ||^2
-    per row, shape (T,), insensitive to any phase distortion of either
+    Takes the (..., T, Q) magnitudes |current| of a batch of observations
+    (the harness passes both links' packets as one (2, T, Q) batch) and
+    the (T, Q) magnitudes |previous| they are all compared with, and
+    returns || |current| - |previous| ||^2 / || |previous| ||^2 per row,
+    shape (..., T), insensitive to any phase distortion of either
     observation.
     """
-    if current_abs.shape != previous_abs.shape:
-        raise ValueError("observations must have equal shape")
+    if previous_abs.ndim != 2 or current_abs.shape[-2:] != previous_abs.shape:
+        raise ValueError("observations must have shape (..., T, Q) against (T, Q)")
     denom = np.einsum("tq,tq->t", previous_abs, previous_abs)
     if np.any(denom == 0.0):
         raise ValueError("previous observation has zero magnitude")
     diff = current_abs - previous_abs
-    return np.einsum("tq,tq->t", diff, diff) / denom
+    return np.einsum("...tq,...tq->...t", diff, diff) / denom
 
 
 def calibrate_empirical_threshold(h0_samples, nominal_false_alarm: float) -> float:

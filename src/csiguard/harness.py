@@ -4,8 +4,10 @@ Protocol per trial (the parallel collection protocol): at every step both
 links evolve, each transmitter gets an independently drawn phase
 distortion and noise, the filter predicts once, phase estimation and the
 test statistic run for the legitimate (alice) and attacker (eve)
-observations, stacked into one batch, against the same predicted state,
-and only the alice observation updates the filter.
+observations against the same predicted state, and only the alice
+observation updates the filter.  Both links travel on one link axis,
+alice in row 0 and eve in row 1, from :func:`csiguard.channel.simulate`
+through the kernels to the statistics' last column.
 
 Trials are mutually independent.  Trial ``i`` draws from
 ``numpy.random.SeedSequence([master_seed, i])`` (see
@@ -17,8 +19,9 @@ in the order documented by :func:`csiguard.channel.simulate`.
 :func:`run_batch` runs the points of a sweep (configurations that differ
 only in SNR or Doppler) in lockstep on one stream of draws: per step
 each trial's generator is drawn from once, and each point then runs its
-own filter over the same ``(2, T, Q)`` kernel calls as a one-point run,
-so a point's results do not depend on which other points ran beside it.
+own filter over the ``(2, T, Q)`` observations that ``simulate`` yields
+for it, in the same kernel calls as a one-point run, so a point's
+results do not depend on which other points ran beside it.
 """
 
 from __future__ import annotations
@@ -93,7 +96,11 @@ class TrialBatch:
 
     @property
     def test_slice(self) -> slice:
-        """Steps used for evaluation: the second half, k > num_steps // 2."""
+        """Steps used for evaluation: the second half, k > num_steps // 2.
+
+        A configuration has at least two steps, so the test half never
+        holds the first step, where the magnitude statistic is NaN.
+        """
         return slice(self.cfg.num_steps // 2, None)
 
     def statistic(self, detector: str) -> np.ndarray:
@@ -138,7 +145,9 @@ def run_batch(
     :func:`csiguard.channel.simulate` stream: each step draws once for all
     of them, then each point runs its own filter, so every point's batch
     is bit for bit the batch of a one-point run on the same seeds.  Points
-    that differ in anything else are refused with ConfigError.
+    that differ in anything else are refused with ConfigError.  Each
+    point's yielded ``(2, T, Q)`` observations go to the phase search as
+    they are, and its filter updates from alice's row only.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
@@ -195,10 +204,9 @@ def run_batch(
     # zip draws the next step from links only while range has steps left.
     for k, step in zip(range(1, num_steps + 1), links):
         if collect_phase:
-            alice, eve = step[0]
-            phase_true[:, k - 1, :, 0] = np.stack((alice.offset, eve.offset), axis=1)
-            phase_true[:, k - 1, :, 1] = np.stack((alice.slope, eve.slope), axis=1)
-        for p, (alice, eve) in enumerate(step):
+            phase_true[:, k - 1, :, 0] = step[0].offset.T
+            phase_true[:, k - 1, :, 1] = step[0].slope.T
+        for p, link in enumerate(step):
             alpha = profiles[p].alpha
             noise_var = noise_vars[p]
             mean = means[p]
@@ -206,22 +214,19 @@ def run_batch(
             cov = alpha**2 * covs[p] + profiles[p].process_noise_diag
             prep = _kernels.prepare_state(mean, cov, noise_var, tables)
 
-            # Both observations in one (2, T, Q) batch: alice row 0, eve row 1.
-            obs = np.stack((alice.obs, eve.obs))
+            # Both observations as the one (2, T, Q) batch that simulate
+            # yields: alice row 0, eve row 1.
             est_offset, est_slope, ramp = _kernels.phase_search(
-                obs, prep, tables, base.slope_points, max_slope
+                link.obs, prep, tables, base.slope_points, max_slope
             )
-            rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * obs) - prep.m
+            rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * link.obs) - prep.m
             ch_y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
             lam[p, :, k - 1, :] = 2.0 * quad.T
 
             if with_mag:
-                cur_abs = np.abs(obs)
+                cur_abs = np.abs(link.obs)
                 if prev_alice_abs[p] is not None:
-                    for col in (0, 1):
-                        mag[p, :, k - 1, col] = magnitude_diff_statistic(
-                            cur_abs[col], prev_alice_abs[p]
-                        )
+                    mag[p, :, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs[p]).T
                 prev_alice_abs[p] = cur_abs[0]
             if collect_phase:
                 phase_est[p, :, k - 1, :, 0] = est_offset.T
@@ -242,7 +247,7 @@ def run_batch(
             means[p] = mean
             covs[p] = np.maximum(cov, 0.0)
             if collect_mse:
-                err = (mean - alice.taps) @ tables.c_t
+                err = (mean - link.taps[0]) @ tables.c_t
                 mse[p, :, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
 
     kalman_threshold = threshold(
@@ -367,17 +372,12 @@ def sweep(cfg: ScenarioConfig, axis: str, values) -> SweepResult:
     for value, batch in zip(values, batches):
         for det in cfg.detectors:
             dec = batch.decisions(det)[:, batch.test_slice, :]
-            valid = ~np.isnan(batch.statistic(det)[:, batch.test_slice, :])
-            num_h0 = int(valid[:, :, 0].sum())
-            num_h1 = int(valid[:, :, 1].sum())
-            false_alarms = int(dec[:, :, 0].sum())
-            detected = int(dec[:, :, 1].sum())
             points.append(
                 SweepPoint(
                     axis_value=value,
                     detector=det,
-                    detection_rate=detected / num_h1,
-                    empirical_false_alarm=false_alarms / num_h0,
+                    detection_rate=float(dec[:, :, 1].mean()),
+                    empirical_false_alarm=float(dec[:, :, 0].mean()),
                     num_trials=cfg.num_trials,
                     num_steps=cfg.num_steps,
                 )

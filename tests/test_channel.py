@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csiguard import _kernels
-from csiguard.channel import ChannelProfile, make_profile, simulate
+from csiguard.channel import ChannelProfile, Link, make_profile, simulate
+from csiguard.numerics import bessel_j0
 from csiguard.observation import PilotGrid
 
 from oracles import bessel_j0_first_zero, bessel_j0_series
@@ -16,15 +17,25 @@ ALPHA_AT_01 = 0.9037126420924663
 DOPPLER_FOR_ALPHA_09 = 0.10195957079712756
 
 
-def simulate_steps(
+def simulate_links(
     profile, seeds, steps, *, grid=None, noise_var=0.1, max_slope=0.2, clone_eve=False
 ):
-    """The first ``steps`` (alice, eve) pairs that simulate yields, one trial per seed."""
+    """The first ``steps`` Links that simulate yields, one trial per seed."""
     grid = grid or PilotGrid(max(8, profile.num_paths), (0, 1, 3))
     tables = _kernels.grid_tables(grid, profile.num_paths)
     rngs = [np.random.default_rng(s) for s in seeds]
     links = simulate([profile], tables, [noise_var], max_slope, rngs, clone_eve=clone_eve)
-    return [point for (point,) in itertools.islice(links, steps)]
+    return [link for (link,) in itertools.islice(links, steps)]
+
+
+def split(link):
+    """A Link's (alice, eve) rows, each a Link whose fields lack the link axis."""
+    return Link(*(field[0] for field in link)), Link(*(field[1] for field in link))
+
+
+def simulate_steps(profile, seeds, steps, **options):
+    """The first ``steps`` (alice, eve) pairs that simulate yields, one trial per seed."""
+    return [split(link) for link in simulate_links(profile, seeds, steps, **options)]
 
 
 def alice_taps(profile, seeds, steps):
@@ -76,15 +87,19 @@ class TestMakeProfile:
         with pytest.raises(ValueError):
             make_profile(2, 0.0, -1.0)
 
-    def test_profile_invariants_enforced(self):
+    def test_profile_derives_its_fields(self):
+        p = ChannelProfile(pdp=np.array([0.75, 0.25]), normalized_doppler=0.05)
+        assert p.num_paths == 2
+        assert p.alpha == bessel_j0(2 * np.pi * 0.05)
+        assert np.array_equal(p.process_noise_diag, (1 - p.alpha**2) * p.pdp)
+
+    @pytest.mark.parametrize(
+        "pdp", [[0.5, 0.6], [1.0, 0.0], [1.5, -0.5], [], [[0.5, 0.5]]]
+    )
+    def test_profile_refuses_bad_pdp(self, pdp):
         with pytest.raises(ValueError):
-            ChannelProfile(
-                num_paths=2,
-                pdp=np.array([0.5, 0.5]),
-                normalized_doppler=0.0,
-                alpha=0.5,  # inconsistent with J0(0) = 1
-                process_noise_diag=np.array([0.0, 0.0]),
-            )
+            ChannelProfile(pdp=np.array(pdp), normalized_doppler=0.0)
+
 
 
 class TestInitChannel:
@@ -163,15 +178,19 @@ class TestSimulate:
         grid = PilotGrid(16, (1, 2, 5, 9))
         noise_var, max_slope = 0.3, 0.2
         seeds = [11, 12]
-        steps = simulate_steps(p, seeds, 3, grid=grid, noise_var=noise_var, max_slope=max_slope)
+        links = simulate_links(p, seeds, 3, grid=grid, noise_var=noise_var, max_slope=max_slope)
         num_paths, num_pilots = 3, 4
+        for link in links:
+            assert link.taps.shape == (2, len(seeds), num_paths)
+            assert link.obs.shape == (2, len(seeds), num_pilots)
+            assert link.offset.shape == link.slope.shape == (2, len(seeds))
         c = np.exp(-2j * np.pi * np.outer(grid.pilot_indices, np.arange(num_paths)) / 16)
         q = np.asarray(grid.pilot_indices, dtype=float)
         for t, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             init = rng.standard_normal(4 * num_paths).reshape(4, num_paths)
             h = np.sqrt(p.pdp / 2) * (init[0::2] + 1j * init[1::2])  # rows alice, eve
-            for alice, eve in steps:
+            for link in links:
                 z = rng.standard_normal(4 * num_paths + 4 * num_pilots)
                 u = rng.uniform(size=4)
                 innov = z[: 4 * num_paths].reshape(4, num_paths)
@@ -179,14 +198,14 @@ class TestSimulate:
                 h = p.alpha * h + np.sqrt(p.process_noise_diag / 2) * (
                     innov[0::2] + 1j * innov[1::2]
                 )
-                for col, link in enumerate((alice, eve)):
+                for col in (0, 1):
                     offset = -np.pi + 2 * np.pi * u[2 * col]
                     slope = max_slope * (2 * u[2 * col + 1] - 1)
                     w = np.sqrt(noise_var / 2) * (noise[2 * col] + 1j * noise[2 * col + 1])
                     obs = np.exp(1j * (offset + slope * q)) * (c @ h[col]) + w
-                    assert np.array_equal(link.taps[t], h[col])
-                    assert (link.offset[t], link.slope[t]) == (offset, slope)
-                    assert np.allclose(link.obs[t], obs, rtol=0, atol=1e-12)
+                    assert np.array_equal(link.taps[col, t], h[col])
+                    assert (link.offset[col, t], link.slope[col, t]) == (offset, slope)
+                    assert np.allclose(link.obs[col, t], obs, rtol=0, atol=1e-12)
 
     def test_clone_eve_keeps_eve_draws(self):
         p = make_profile(3, 0.05, 0.5)

@@ -129,6 +129,22 @@ class TestMagnitudeDiff:
         with pytest.raises(ValueError):
             magnitude_diff_statistic(self._obs([1.0, 2.0]), self._obs([1.0]))
 
+    def test_link_batch_equals_separate_calls(self, rng):
+        # Both links' (T, Q) magnitudes as one (2, T, Q) batch, each row
+        # against the same previous magnitudes, bit for bit.
+        previous = np.abs(rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7)))
+        current = np.abs(rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7)))
+        batch = magnitude_diff_statistic(current, previous)
+        assert batch.shape == (2, 5)
+        for col in (0, 1):
+            assert np.array_equal(batch[col], magnitude_diff_statistic(current[col], previous))
+
+    @pytest.mark.parametrize("previous_shape", [(4, 7), (5, 6), (2, 5, 7), (7,)])
+    def test_batch_against_mismatched_previous(self, rng, previous_shape):
+        current = np.ones((2, 5, 7))
+        with pytest.raises(ValueError):
+            magnitude_diff_statistic(current, np.ones(previous_shape))
+
 
 class TestCalibrateEmpiricalThreshold:
     def test_nearest_rank_on_grid(self):

@@ -21,7 +21,7 @@ from oracles import (
     residual_statistic,
     update,
 )
-from test_channel import DOPPLER_FOR_ALPHA_09, simulate_steps, undistorted
+from test_channel import DOPPLER_FOR_ALPHA_09, simulate_links, simulate_steps, undistorted
 
 # The default coarse slope grid, search.slope_points.
 POINTS = ScenarioConfig.slope_points
@@ -183,7 +183,7 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
 
     With ``zero_mean`` the prediction is the prior (zero mean, stationary
     covariance), the first filter step, where the offset coupling zc is 0.
-    With ``stacked`` the observations are the (2, T, Q) stack of alice's
+    With ``stacked`` the observations are the (2, T, Q) batch of alice's
     packets and eve's, both scored against the prediction of alice's channel.
     """
     profile = make_profile(num_paths, 1e-4, 0.5)
@@ -191,8 +191,8 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
     s2 = 10.0 ** (-snr_db / 10.0)
     bound = default_slope(grid.dft_size)
     seeds = rng.integers(2**63, size=trials)
-    [(link, eve)] = simulate_steps(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
-    h = link.taps
+    [link] = simulate_links(profile, seeds, 1, grid=grid, noise_var=s2, max_slope=bound)
+    h = link.taps[0]
     if zero_mean:
         mean, cov = np.zeros_like(h), np.tile(profile.pdp, (trials, 1))
     else:
@@ -200,7 +200,7 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
             rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
         )
         mean, cov = h + error, np.tile(0.02 * profile.pdp, (trials, 1))
-    obs = np.stack((link.obs, eve.obs)) if stacked else link.obs
+    obs = link.obs if stacked else link.obs[0]
     return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 

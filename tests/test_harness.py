@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csiguard import _kernels
+from csiguard import _kernels, harness
 from csiguard.channel import make_profile, simulate
 from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import threshold
@@ -304,20 +304,44 @@ class TestCollectPhase:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         rngs = [np.random.default_rng(s) for s in seeds]
-        [(alice, eve)] = next(
-            simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs)
-        )
+        [link] = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs))
         cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
         prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
                                       noise_var, tables)
-        for col, link in enumerate((alice, eve)):
-            assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset)
-            assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope)
+        for col in (0, 1):
+            assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset[col])
+            assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope[col])
             offset, slope, _ = _kernels.phase_search(
-                link.obs, prep, tables, cfg.slope_points, cfg.resolved_max_slope()
+                link.obs[col], prep, tables, cfg.slope_points, cfg.resolved_max_slope()
             )
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
             assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
+
+
+class TestLinkAxis:
+    def test_search_gets_the_yielded_observations(self, monkeypatch):
+        # run_batch hands each step's (2, T, Q) observations to the phase
+        # search as simulate yields them, with no stacking copy between.
+        yielded, searched = [], []
+        phase_search = _kernels.phase_search
+
+        def recording_simulate(*args, **kwargs):
+            for step in simulate(*args, **kwargs):
+                yielded.append(step[0].obs)
+                yield step
+
+        def recording_search(h_obs, *args):
+            searched.append(h_obs)
+            return phase_search(h_obs, *args)
+
+        monkeypatch.setattr(harness, "simulate", recording_simulate)
+        monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
+        cfg = replace(FAST, num_steps=3)
+        run_batch(cfg, [derive_trial_seed(cfg.seed, i) for i in range(2)])
+        assert len(searched) == len(yielded) == cfg.num_steps
+        for obs, h_obs in zip(yielded, searched):
+            assert obs.shape == (2, 2, cfg.pilot_grid().num_pilots)
+            assert np.shares_memory(h_obs, obs)
 
 
 class TestDefaultSlopeRange:
@@ -350,13 +374,14 @@ class TestRunnerAgainstPublicOps:
         max_slope = cfg.resolved_max_slope()
         links = simulate([profile], tables, [noise_var], max_slope, [np.random.default_rng(seed)])
         state = init_state(profile)
-        for k, [(alice, eve)] in zip(range(1, cfg.num_steps + 1), links):
+        for k, [link] in zip(range(1, cfg.num_steps + 1), links):
+            alice_obs, eve_obs = link.obs[:, 0]
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
-                state, eve.obs[0], profile, grid, noise_var, cfg.slope_points, max_slope
+                state, eve_obs, profile, grid, noise_var, cfg.slope_points, max_slope
             )
             state, _, eps_alice, sigma_alice = filter_step(
-                state, alice.obs[0], profile, grid, noise_var, cfg.slope_points, max_slope
+                state, alice_obs, profile, grid, noise_var, cfg.slope_points, max_slope
             )
             lam_alice = residual_statistic(eps_alice, sigma_alice)
             lam_eve = residual_statistic(eps_eve, sigma_eve)
