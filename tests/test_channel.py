@@ -93,13 +93,10 @@ class TestMakeProfile:
         assert p.alpha == bessel_j0(2 * np.pi * 0.05)
         assert np.array_equal(p.process_noise_diag, (1 - p.alpha**2) * p.pdp)
 
-    @pytest.mark.parametrize(
-        "pdp", [[0.5, 0.6], [1.0, 0.0], [1.5, -0.5], [], [[0.5, 0.5]]]
-    )
+    @pytest.mark.parametrize("pdp", [[0.5, 0.6], [1.0, 0.0], [1.5, -0.5], [], [[0.5, 0.5]]])
     def test_profile_refuses_bad_pdp(self, pdp):
         with pytest.raises(ValueError):
             ChannelProfile(pdp=np.array(pdp), normalized_doppler=0.0)
-
 
 
 class TestInitChannel:
