@@ -9,13 +9,7 @@ transmitter.
 
 from .channel import ChannelProfile, Link, make_profile, simulate
 from .config import ScenarioConfig
-from .detector import (
-    DetectionRecord,
-    calibrate_empirical_threshold,
-    decide,
-    magnitude_diff_statistic,
-    threshold,
-)
+from .detector import calibrate_empirical_threshold, magnitude_diff_statistic, threshold
 from .errors import CalibrationError, ConfigError, NumericalError
 from .harness import (
     RocResult,

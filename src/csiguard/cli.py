@@ -85,9 +85,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trial_index < 0:
         raise ConfigError(f"--trial-index must be >= 0, got {args.trial_index}")
     seed = derive_trial_seed(cfg.seed, args.trial_index)
-    pairs = trial_records(cfg, seed)
-    write_csv(pairs, args.out, cfg)
-    print(f"wrote {len(pairs)} records to {args.out}")
+    rows = trial_records(cfg, seed)
+    write_csv(rows, args.out, cfg)
+    print(f"wrote {len(rows)} records to {args.out}")
     return 0
 
 

@@ -10,13 +10,15 @@ Carlo harness thresholds follows chi-squared(2Q - 2) rather than the
 paper's nominal chi-squared(2Q); a residual whose phase is known and not
 fitted keeps all 2Q.  The decision threshold for a target false-alarm rate
 is the quantile of that law.  A magnitude-difference detector over
-consecutive observations provides the classical phase-blind baseline.
+consecutive observations provides the classical phase-blind baseline,
+with an empirically calibrated threshold.  The decision itself, H1 where
+a statistic strictly exceeds its threshold, is made on whole batches by
+:meth:`csiguard.harness.TrialBatch.decisions`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,40 +26,11 @@ from .errors import CalibrationError
 from .numerics import chi2_quantile
 
 __all__ = [
-    "DetectionRecord",
     "null_dof",
     "threshold",
-    "decide",
     "magnitude_diff_statistic",
     "calibrate_empirical_threshold",
 ]
-
-H0 = "H0"
-H1 = "H1"
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One per-step detection outcome with its ground truth label."""
-
-    time_index: int
-    statistic: float
-    threshold: float
-    decision: str
-    truth: str
-    nominal_false_alarm: float
-
-    def __post_init__(self) -> None:
-        if self.statistic < 0.0:
-            raise ValueError("statistic must be nonnegative")
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
-        if self.truth not in ("alice", "eve"):
-            raise ValueError(f"truth must be 'alice' or 'eve', got {self.truth!r}")
-        if not (0.0 < self.nominal_false_alarm < 1.0):
-            raise ValueError("nominal_false_alarm must lie in (0, 1)")
-        if self.decision != decide(self.statistic, self.threshold):
-            raise ValueError("decision is inconsistent with statistic and threshold")
 
 
 def null_dof(num_pilots: int, fitted_params: int = 0) -> int:
@@ -79,11 +52,6 @@ def threshold(nominal_false_alarm: float, num_pilots: int, *, fitted_params: int
     return chi2_quantile(1.0 - nominal_false_alarm, null_dof(num_pilots, fitted_params))
 
 
-def decide(statistic: float, d: float) -> str:
-    """H1 iff the statistic strictly exceeds the threshold (boundary accepts)."""
-    return H1 if statistic > d else H0
-
-
 def magnitude_diff_statistic(current_abs: np.ndarray, previous_abs: np.ndarray) -> np.ndarray:
     """Normalized squared magnitude change between consecutive observations.
 
@@ -103,14 +71,18 @@ def magnitude_diff_statistic(current_abs: np.ndarray, previous_abs: np.ndarray) 
     return np.einsum("...tq,...tq->...t", diff, diff) / denom
 
 
-def calibrate_empirical_threshold(h0_samples, nominal_false_alarm: float) -> float:
-    """Empirical (1 - P_FA) quantile of null-hypothesis samples, nearest-rank rule."""
-    samples = np.sort(np.asarray(h0_samples, dtype=float))
-    if samples.size < 100:
+def calibrate_empirical_threshold(h0_samples, nominal_false_alarm: float):
+    """Empirical (1 - P_FA) quantile of null-hypothesis samples, nearest-rank rule.
+
+    Takes the samples along the last axis and returns one threshold per
+    row: a float for shape (n,), an array of shape (T,) for (T, n).
+    """
+    samples = np.sort(np.asarray(h0_samples, dtype=float), axis=-1)
+    if samples.shape[-1] < 100:
         raise CalibrationError(
-            f"need at least 100 calibration samples, got {samples.size}"
+            f"need at least 100 calibration samples, got {samples.shape[-1]}"
         )
     if not (0.0 < nominal_false_alarm < 1.0):
         raise ValueError("nominal_false_alarm must lie in (0, 1)")
-    rank = max(1, math.ceil((1.0 - nominal_false_alarm) * samples.size))
-    return float(samples[rank - 1])
+    rank = max(1, math.ceil((1.0 - nominal_false_alarm) * samples.shape[-1]))
+    return np.take(samples, rank - 1, axis=-1)

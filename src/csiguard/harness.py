@@ -22,6 +22,10 @@ each trial's generator is drawn from once, and each point then runs its
 own filter over the ``(2, T, Q)`` observations that ``simulate`` yields
 for it, in the same kernel calls as a one-point run, so a point's
 results do not depend on which other points ran beside it.
+
+:class:`TrialBatch` holds each detector's statistic and threshold and is
+the one place that makes decisions from them; sweeps, ROC data and the
+per-step records of :func:`trial_records` all read its arrays.
 """
 
 from __future__ import annotations
@@ -35,13 +39,7 @@ import numpy as np
 from . import _kernels
 from .channel import simulate
 from .config import ScenarioConfig, config_hash
-from .detector import (
-    DetectionRecord,
-    calibrate_empirical_threshold,
-    decide,
-    magnitude_diff_statistic,
-    threshold,
-)
+from .detector import calibrate_empirical_threshold, magnitude_diff_statistic, threshold
 from .errors import CalibrationError, ConfigError, NumericalError
 from .observation import snr_to_noise_var
 
@@ -77,7 +75,9 @@ class TrialBatch:
     column 1.  mag has the same shape, and is NaN at the first step (no
     previous observation), when ``cfg.detectors`` holds "magnitude_diff";
     otherwise it is None, as is mag_threshold, and asking for that
-    detector's statistic or decisions raises CalibrationError.  Optional
+    detector's statistic, thresholds or decisions raises CalibrationError.
+    kalman_threshold is the analytic chi-squared threshold and
+    mag_threshold, shape (trials,), each trial's calibrated one.  Optional
     collections: phase_true/phase_est with shape
     (trials, steps, 2, 2) storing (offset, slope) per observation, and
     mse with shape (trials, steps) holding the per-pilot mean squared
@@ -85,7 +85,6 @@ class TrialBatch:
     """
 
     cfg: ScenarioConfig
-    trial_seeds: tuple[int, ...]
     lam: np.ndarray
     mag: np.ndarray | None
     kalman_threshold: float
@@ -112,15 +111,24 @@ class TrialBatch:
             return self.mag
         raise ValueError(f"unknown detector {detector!r}")
 
-    def decisions(self, detector: str) -> np.ndarray:
-        """Boolean (trials, steps, 2) array of H1 decisions."""
-        stat = self.statistic(detector)
+    def thresholds(self, detector: str) -> float | np.ndarray:
+        """The detector's threshold, broadcastable against its statistic.
+
+        The scalar kalman_threshold, or mag_threshold as (trials, 1, 1).
+        """
+        self.statistic(detector)  # refuses an unknown detector or one not run
         if detector == "kalman":
-            return stat > self.kalman_threshold
-        if self.mag_threshold is None:
-            raise CalibrationError("magnitude_diff detector was not calibrated")
+            return self.kalman_threshold
+        return self.mag_threshold[:, None, None]
+
+    def decisions(self, detector: str) -> np.ndarray:
+        """Boolean (trials, steps, 2) array of H1 decisions.
+
+        H1 where the statistic strictly exceeds the threshold; a statistic
+        equal to it, or NaN (the magnitude statistic's first step), is H0.
+        """
         with np.errstate(invalid="ignore"):
-            return stat > self.mag_threshold[:, None, None]
+            return self.statistic(detector) > self.thresholds(detector)
 
 
 # The fields a sweep varies: the only ones in which points run in
@@ -181,10 +189,9 @@ def run_batch(
     num_steps = base.num_steps
     max_slope = base.resolved_max_slope()
     tables = _kernels.grid_tables(grid, num_paths)
-    seeds = tuple(int(s) for s in trial_seeds)
-    num_trials = len(seeds)
+    rngs = [np.random.default_rng(int(s)) for s in trial_seeds]
+    num_trials = len(rngs)
     num_points = len(cfgs)
-    rngs = [np.random.default_rng(s) for s in seeds]
 
     links = simulate(profiles, tables, noise_vars, max_slope, rngs, clone_eve=clone_eve)
 
@@ -253,27 +260,21 @@ def run_batch(
     kalman_threshold = threshold(
         base.nominal_false_alarm, num_pilots, fitted_params=_kernels.PHASE_PARAMETERS
     )
+    # Each trial's magnitude threshold comes from alice's steps 2 to num_steps // 2.
+    half = num_steps // 2
     batches = []
     for p, point_cfg in enumerate(cfgs):
-        mag_threshold = None
-        if with_mag:
-            half = num_steps // 2
-            mag_threshold = np.array(
-                [
-                    calibrate_empirical_threshold(
-                        mag[p, t, 1:half, 0], base.nominal_false_alarm
-                    )
-                    for t in range(num_trials)
-                ]
-            )
         batches.append(
             TrialBatch(
                 cfg=point_cfg,
-                trial_seeds=seeds,
                 lam=lam[p],
                 mag=mag[p] if with_mag else None,
                 kalman_threshold=kalman_threshold,
-                mag_threshold=mag_threshold,
+                mag_threshold=(
+                    calibrate_empirical_threshold(mag[p, :, 1:half, 0], base.nominal_false_alarm)
+                    if with_mag
+                    else None
+                ),
                 phase_true=phase_true.copy() if collect_phase else None,
                 phase_est=phase_est[p] if collect_phase else None,
                 mse=mse[p] if collect_mse else None,
@@ -282,39 +283,29 @@ def run_batch(
     return batches[0] if isinstance(cfg, ScenarioConfig) else batches
 
 
-def trial_records(cfg: ScenarioConfig, trial_seed: int) -> list[tuple[str, DetectionRecord]]:
-    """Run one trial and return (detector, record) pairs.
+def trial_records(cfg: ScenarioConfig, trial_seed: int) -> list[tuple]:
+    """Run one trial and return its rows (k, truth, detector, statistic, threshold, decision).
 
-    Per step there are two records per configured detector, alice-labeled
-    then eve-labeled (the magnitude detector starts at the second step,
-    which is the first with a previous observation).  Identical
-    (cfg, trial_seed) always produce an identical list.
+    The columns are those of the records CSV.  Per step there are two rows
+    per configured detector, alice then eve, with decision "H1" or "H0"
+    as :meth:`TrialBatch.decisions` gives it (the magnitude detector starts
+    at the second step, which is the first with a previous observation).
+    Identical (cfg, trial_seed) always produce an identical list.
     """
     batch = run_batch(cfg, [trial_seed])
-    pairs: list[tuple[str, DetectionRecord]] = []
-    p_fa = cfg.nominal_false_alarm
-    for k in range(1, cfg.num_steps + 1):
-        for det in cfg.detectors:
-            if det == "magnitude_diff" and k == 1:
-                continue
-            stat = batch.statistic(det)[0, k - 1]
-            thr = (
-                batch.kalman_threshold
-                if det == "kalman"
-                else float(batch.mag_threshold[0])
-            )
-            for col, truth in ((0, "alice"), (1, "eve")):
-                value = float(stat[col])
-                record = DetectionRecord(
-                    time_index=k,
-                    statistic=value,
-                    threshold=thr,
-                    decision=decide(value, thr),
-                    truth=truth,
-                    nominal_false_alarm=p_fa,
-                )
-                pairs.append((det, record))
-    return pairs
+    columns = []
+    for det in cfg.detectors:
+        stat = batch.statistic(det)
+        thr = np.broadcast_to(batch.thresholds(det), stat.shape)
+        dec = np.where(batch.decisions(det), "H1", "H0")
+        columns.append((det, stat[0].tolist(), thr[0].tolist(), dec[0].tolist()))
+    return [
+        (k, truth, det, stat[k - 1][col], thr[k - 1][col], dec[k - 1][col])
+        for k in range(1, cfg.num_steps + 1)
+        for det, stat, thr, dec in columns
+        if not (det == "magnitude_diff" and k == 1)
+        for col, truth in enumerate(("alice", "eve"))
+    ]
 
 
 @dataclass(frozen=True)
@@ -422,7 +413,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(result, path, cfg: ScenarioConfig) -> None:
-    """Write a sweep result, ROC result, or record list as CSV.
+    """Write a sweep result, ROC result, or the rows of :func:`trial_records` as CSV.
 
     The first line is a ``# config_hash=... seed=...`` comment naming
     ``cfg``, the configuration that produced ``result`` (for a sweep, the
@@ -457,18 +448,10 @@ def write_csv(result, path, cfg: ScenarioConfig) -> None:
             [det, _fmt(thr), _fmt(fa), _fmt(dr)] for det, thr, fa, dr in result.points
         ]
     else:
-        # list of (detector, DetectionRecord) pairs, see trial_records()
         header = ["k", "truth", "detector", "statistic", "threshold", "decision"]
         rows = [
-            [
-                _fmt(rec.time_index),
-                rec.truth,
-                det,
-                _fmt(rec.statistic),
-                _fmt(rec.threshold),
-                rec.decision,
-            ]
-            for det, rec in result
+            [_fmt(k), truth, det, _fmt(stat), _fmt(thr), dec]
+            for k, truth, det, stat, thr, dec in result
         ]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

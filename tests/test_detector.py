@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from csiguard.detector import (
-    DetectionRecord,
-    calibrate_empirical_threshold,
-    decide,
-    magnitude_diff_statistic,
-    threshold,
-)
+from csiguard.config import ScenarioConfig
+from csiguard.detector import calibrate_empirical_threshold, magnitude_diff_statistic, threshold
 from csiguard.errors import CalibrationError
+from csiguard.harness import TrialBatch
 
 from oracles import SingularMatrixError, chi2_quantile_quadrature, residual_statistic
 
@@ -74,14 +70,33 @@ class TestFittedPhaseThreshold:
 
 
 class TestDecide:
+    """The decision rule of TrialBatch.decisions: H1 iff the statistic
+    strictly exceeds the threshold, for both detectors."""
+
+    @staticmethod
+    def _decisions(statistic, d):
+        stat = np.full((1, 1, 2), statistic)
+        batch = TrialBatch(
+            cfg=ScenarioConfig(detectors=("kalman", "magnitude_diff")),
+            lam=stat,
+            mag=stat,
+            kalman_threshold=d,
+            mag_threshold=np.array([d]),
+        )
+        return [batch.decisions(det).tolist() for det in ("kalman", "magnitude_diff")]
+
     def test_zero_statistic(self):
-        assert decide(0.0, 1.0) == "H0"
+        assert self._decisions(0.0, 1.0) == [[[[False, False]]]] * 2
 
     def test_boundary_accepts(self):
-        assert decide(5.0, 5.0) == "H0"
+        assert self._decisions(5.0, 5.0) == [[[[False, False]]]] * 2
 
     def test_just_above_rejects(self):
-        assert decide(5.0 + 1e-9, 5.0) == "H1"
+        assert self._decisions(5.0 + 1e-9, 5.0) == [[[[True, True]]]] * 2
+
+    def test_nan_statistic_accepts(self):
+        # The magnitude statistic is NaN at the first step: H0, no warning.
+        assert self._decisions(np.nan, 5.0) == [[[[False, False]]]] * 2
 
 
 class TestFalseAlarmCalibration:
@@ -163,6 +178,20 @@ class TestCalibrateEmpiricalThreshold:
         with pytest.raises(ValueError):
             calibrate_empirical_threshold(np.arange(200.0), 1.0)
 
+    @pytest.mark.parametrize("p_fa", [0.01, 0.1, 0.3])
+    def test_rows_equal_one_row_calls(self, rng, p_fa):
+        samples = rng.chisquare(20, size=(7, 150))
+        rows = calibrate_empirical_threshold(samples, p_fa)
+        assert rows.shape == (7,)
+        for t in range(7):
+            one = calibrate_empirical_threshold(samples[t], p_fa)
+            assert isinstance(one, float)
+            assert rows[t] == one
+
+    def test_too_few_samples_per_row(self):
+        with pytest.raises(CalibrationError):
+            calibrate_empirical_threshold(np.ones((200, 99)), 0.1)
+
     def test_holdout_false_alarm(self):
         rng = np.random.default_rng(55)
         p_fa = 0.1
@@ -172,21 +201,3 @@ class TestCalibrateEmpiricalThreshold:
         fa = np.mean(test > thr)
         sd = np.sqrt(p_fa * (1 - p_fa) * (1 / train.size + 1 / test.size))
         assert abs(fa - p_fa) <= 3 * sd
-
-
-class TestDetectionRecord:
-    def test_consistent_record(self):
-        rec = DetectionRecord(3, 10.0, 5.0, "H1", "eve", 0.1)
-        assert rec.decision == "H1"
-
-    def test_inconsistent_decision_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionRecord(3, 10.0, 5.0, "H0", "eve", 0.1)
-
-    def test_bad_truth_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionRecord(3, 1.0, 5.0, "H0", "mallory", 0.1)
-
-    def test_negative_statistic_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionRecord(3, -1.0, 5.0, "H0", "alice", 0.1)

@@ -62,7 +62,7 @@ class TestSeeds:
 @pytest.fixture(scope="module")
 def paper_scale_records():
     cfg = ScenarioConfig(num_steps=2000, num_trials=1)
-    return cfg, [record for _, record in trial_records(cfg, derive_trial_seed(cfg.seed, 0))]
+    return cfg, trial_records(cfg, derive_trial_seed(cfg.seed, 0))
 
 
 class TestRunTrial:
@@ -73,33 +73,57 @@ class TestRunTrial:
 
     def test_alternating_truth_labels(self, paper_scale_records):
         _, records = paper_scale_records
-        assert all(r.truth == "alice" for r in records[0::2])
-        assert all(r.truth == "eve" for r in records[1::2])
+        assert all(r[1] == "alice" for r in records[0::2])
+        assert all(r[1] == "eve" for r in records[1::2])
 
     def test_decisions_consistent(self, paper_scale_records):
         _, records = paper_scale_records
         # Records de-rotate the residual by the fitted (offset, slope)
         # pair, so the threshold is the chi-squared(2Q - 2) quantile.
         thr = threshold(0.1, 114, fitted_params=2)
-        for rec in records[:200]:
-            assert rec.threshold == pytest.approx(thr)
-            assert (rec.decision == "H1") == (rec.statistic > rec.threshold)
+        for k, truth, det, stat, rec_thr, decision in records:
+            assert rec_thr == pytest.approx(thr)
+            assert (decision == "H1") == (stat > rec_thr)
 
     def test_bit_identical_reruns(self):
         seed = derive_trial_seed(FAST.seed, 0)
         a = trial_records(FAST, seed)
         b = trial_records(FAST, seed)
-        assert [r.statistic for _, r in a] == [r.statistic for _, r in b]
+        assert a == b
 
     def test_magnitude_detector_records(self):
         cfg = replace(
             FAST, num_steps=250, num_trials=1, detectors=("kalman", "magnitude_diff")
         )
-        pairs = trial_records(cfg, 1)
-        kalman = [r for d, r in pairs if d == "kalman"]
-        magnitude = [r for d, r in pairs if d == "magnitude_diff"]
+        rows = trial_records(cfg, 1)
+        kalman = [r for r in rows if r[2] == "kalman"]
+        magnitude = [r for r in rows if r[2] == "magnitude_diff"]
         assert len(kalman) == 2 * 250
         assert len(magnitude) == 2 * 249  # no previous observation at k=1
+
+    def test_rows_match_batch(self):
+        # Every row against the one-trial batch: count, order, the alice/eve
+        # alternation, and decision "H1" iff statistic > threshold.
+        cfg = replace(
+            FAST, num_steps=250, num_trials=1, detectors=("kalman", "magnitude_diff")
+        )
+        batch = run_batch(cfg, [7])
+        rows = trial_records(cfg, 7)
+        expected = []
+        for k in range(1, 251):
+            for det in ("kalman", "magnitude_diff"):
+                if det == "magnitude_diff" and k == 1:
+                    continue
+                stat = batch.statistic(det)[0, k - 1]
+                thr = batch.kalman_threshold if det == "kalman" else batch.mag_threshold[0]
+                for col, truth in ((0, "alice"), (1, "eve")):
+                    decision = "H1" if batch.decisions(det)[0, k - 1, col] else "H0"
+                    expected.append((k, truth, det, stat[col], thr, decision))
+        assert len(rows) == 2 * 250 + 2 * 249
+        assert rows == expected
+        for row in rows:
+            assert all(type(v) in (int, float, str) for v in row)
+            assert (row[5] == "H1") == (row[3] > row[4])
 
     def test_kalman_only_batch_has_no_magnitude_statistic(self):
         # Nothing reads the magnitude statistic unless the detector is
@@ -111,7 +135,11 @@ class TestRunTrial:
         with pytest.raises(CalibrationError):
             batch.statistic("magnitude_diff")
         with pytest.raises(CalibrationError):
+            batch.thresholds("magnitude_diff")
+        with pytest.raises(CalibrationError):
             batch.decisions("magnitude_diff")
+        with pytest.raises(ValueError):
+            batch.thresholds("energy")
 
 
 @pytest.mark.skipif(
@@ -527,16 +555,16 @@ class TestCsv:
         assert again.points[0][1] == pytest.approx(250.0)
 
     def test_records_round_trip(self, tmp_path):
-        pairs = trial_records(FAST, derive_trial_seed(FAST.seed, 0))
+        records = trial_records(FAST, derive_trial_seed(FAST.seed, 0))
         path = tmp_path / "records.csv"
-        write_csv(pairs, path, FAST)
+        write_csv(records, path, FAST)
         assert path.read_text().splitlines()[0] == _header(FAST)
         rows = read_records_csv(path)
-        assert len(rows) == len(pairs)
+        assert len(rows) == len(records)
         assert rows[0]["k"] == 1
         assert rows[0]["truth"] == "alice"
         assert rows[0]["detector"] == "kalman"
-        assert rows[0]["statistic"] == pytest.approx(pairs[0][1].statistic, rel=1e-8)
+        assert rows[0]["statistic"] == pytest.approx(records[0][3], rel=1e-8)
         assert rows[0]["decision"] in ("H0", "H1")
 
     def test_write_failure_has_path_context(self):

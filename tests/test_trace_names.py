@@ -8,6 +8,7 @@ tracer module is loaded from its file and only read.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,12 @@ def test_traced_method_resolves(module, cls_name, attr):
     assert cls is not None, f"csiguard.{module}.{cls_name}"
     # The tracer patches the class attribute itself, so it must be defined there.
     assert callable(cls.__dict__.get(attr)), f"csiguard.{module}.{cls_name}.{attr}"
+
+
+def test_write_csv_takes_the_path_second():
+    # The tracer counts the bytes written through traced(result, path, ...),
+    # so harness.write_csv must keep the output path as its second parameter.
+    assert list(inspect.signature(harness.write_csv).parameters)[1] == "path"
 
 
 def test_sweep_records_one_batch_span_over_every_point_step():
