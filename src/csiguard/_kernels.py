@@ -24,9 +24,9 @@ offset, so the offset is minimized in closed form and the numeric search
 runs over the slope axis only, in two stages:
 
 * a coarse grid of slopes ``x_g`` spaced ``2 pi / (k M)`` apart, all
-  scored at once; its argmin locates the likelihood's main lobe, provided
-  the grid is finer than the lobe (the configuration refuses coarser
-  grids).  Scoring slope ``x_g`` needs ``s_g = C^H (exp(-1j x_g q) * h)``,
+  scored at once; its argmin locates the likelihood's main lobe, since
+  the spacing, at most ``2 pi / M``, is finer than the lobe's width of
+  ``2 pi`` over the pilot span (at most ``M - 1``).  Scoring slope ``x_g`` needs ``s_g = C^H (exp(-1j x_g q) * h)``,
   whose tap-l entry is ``sum_q h_q exp(-1j q (x_g - 2 pi l / M))``: it
   depends on the slope and the tap only through ``x_g - 2 pi l / M``, which
   lies on the same lattice of step ``2 pi / (k M)``.  So ``h`` is
@@ -361,7 +361,8 @@ def phase_search(
     """Jointly estimate (offset, slope) for a batch of observations.
 
     ``h_obs`` has shape ``(..., T, Q)``: any leading axes (the harness
-    stacks alice's and eve's packets as ``(2, T, Q)``) broadcast against
+    passes the ``(2, T, Q)`` observations of both links that
+    :func:`csiguard.channel.simulate` yields) broadcast against
     the ``(T, ...)`` arrays of ``prep``, and the estimates come back with
     shape ``(..., T)``.  A stacked batch gives the same estimates as
     separate calls.  Returns (offset, slope, ramp), where ``ramp`` is

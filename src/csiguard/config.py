@@ -95,8 +95,9 @@ class ScenarioConfig:
     pdp_decay: float = 0.5
     dft_size: int = 128
     pilot_spec: str = "ieee80211n-40mhz"
-    # Least density of the coarse slope grid (see _kernels.slope_tables);
-    # it must be finer than the likelihood's main lobe (checked below).
+    # Least density of the coarse slope grid (see _kernels.slope_tables).
+    # Its lattice spacing, at most 2*pi/dft_size, is always finer than the
+    # likelihood's main lobe, 2*pi over the pilot span.
     slope_points: int = 64
     detectors: tuple[str, ...] = ("kalman",)
     max_slope: float | None = None  # None: 2*pi*4/dft_size
@@ -147,22 +148,6 @@ class ScenarioConfig:
                 f"grid.pilot_spec {self.pilot_spec!r} gives {len(pilots)} pilot; "
                 "at least 2 are needed: with one pilot the fitted phase offset and "
                 "slope are the same phase and the residual keeps no degrees of freedom"
-            )
-        # The Newton refinement moves at most one grid step from the grid
-        # argmin, so the grid must sample the likelihood's main lobe, whose
-        # width in slope is 2*pi over the pilot span.
-        span = pilots[-1] - pilots[0]
-        bound = self.resolved_max_slope()
-        spacing = 2.0 * bound / (self.slope_points - 1)
-        lobe = 2.0 * np.pi / span
-        if spacing > lobe:
-            needed = int(np.ceil(2.0 * bound / lobe)) + 1
-            raise ConfigError(
-                f"search.slope_points = {self.slope_points} spaces the "
-                f"slope grid {spacing:.3g} rad apart, wider than the likelihood's "
-                f"main lobe 2*pi/{span} = {lobe:.3g} rad for grid.pilot_spec "
-                f"{self.pilot_spec!r}; use at least {needed} points or a smaller "
-                "phase.max_slope"
             )
         try:
             partial_dft(self.pilot_grid(), self.channel_profile().num_paths)

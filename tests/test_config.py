@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from csiguard import _kernels
 from csiguard.config import (
     ScenarioConfig,
     config_from_mapping,
@@ -90,20 +91,54 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(dft_size=16, pilot_spec="first:2")
         assert cfg.pilot_grid().num_pilots == 2
 
-    def test_slope_grid_coarser_than_main_lobe_rejected(self):
-        # Default grid: spacing 2 * 0.196 / 1 = 0.39 rad against a main lobe
-        # of 2*pi/124 = 0.051 rad.
-        with pytest.raises(ConfigError, match="search.slope_points"):
-            ScenarioConfig(slope_points=2)
-        with pytest.raises(ConfigError, match="search.slope_points"):
-            config_from_mapping({"search.slope_points": "2"})
+    def test_coarse_densities_share_one_grid(self):
+        # At the default bound 2*pi*4/M every density up to 9 points asks for
+        # no more than one lattice point per DFT bin, so 2 to 9 all give the
+        # same grid, spaced 2*pi/M.
+        grids = []
+        for points in range(2, 10):
+            cfg = ScenarioConfig(slope_points=points)
+            tables = _kernels.grid_tables(cfg.pilot_grid(), cfg.num_paths)
+            grids.append(_kernels.slope_tables(tables, points, cfg.resolved_max_slope()))
+        assert config_from_mapping({"search.slope_points": "2"}).slope_points == 2
+        for slopes, table, index in grids[1:]:
+            assert np.array_equal(slopes, grids[0][0])
+            assert np.array_equal(table, grids[0][1])
+            assert np.array_equal(index, grids[0][2])
+        assert grids[0][0][1] - grids[0][0][0] == pytest.approx(2 * np.pi / 128)
 
-    def test_main_lobe_edge(self):
-        # 2*pi/124 main lobe at the default bound: 9 points space the grid
-        # 0.049 rad apart, 8 points 0.056.
-        assert ScenarioConfig(slope_points=9)
-        with pytest.raises(ConfigError, match="at least 9 points"):
-            ScenarioConfig(slope_points=8)
+    def test_lattice_finer_than_main_lobe(self):
+        # The lattice spacing 2*pi/(k M) is at most 2*pi/M, and the pilot
+        # span is at most M - 1, so the grid always samples the
+        # likelihood's main lobe, 2*pi/span wide.
+        specs = [
+            ("ieee80211n-40mhz", 128),
+            ("all", 16),
+            ("first:2", 8),
+            ("0,31", 32),
+            ("2-30,34-62", 64),
+            ("5,9", 16),
+        ]
+        worst = 0.0
+        for spec, dft_size in specs:
+            for bound in (None, 0.01, 0.3, 1.0, 3.0):
+                for points in (2, 9, 64, 513):
+                    cfg = ScenarioConfig(
+                        dft_size=dft_size,
+                        pilot_spec=spec,
+                        num_paths=2,
+                        max_slope=bound,
+                        slope_points=points,
+                    )
+                    pilots = cfg.pilot_grid().pilot_indices
+                    lobe = 2 * np.pi / (pilots[-1] - pilots[0])
+                    tables = _kernels.grid_tables(cfg.pilot_grid(), cfg.num_paths)
+                    slopes, _, _ = _kernels.slope_tables(
+                        tables, points, cfg.resolved_max_slope()
+                    )
+                    worst = max(worst, np.diff(slopes).max() / lobe)
+        assert worst < 1.0
+        assert worst == pytest.approx(31 / 32)  # "0,31" at M = 32, k = 1
 
     def test_fast_test_grids_accepted(self):
         # The small scenario of the harness and CLI tests: spacing 0.051 rad
