@@ -1,11 +1,11 @@
 """Batched numpy kernels behind the adaptive filter.
 
-Everything here carries a trial axis so that a whole Monte Carlo batch
-advances in lockstep; a single filter is a batch of one.  The per-step
-state (:class:`StatePrep`) has shape ``(T, ...)``; observations and
-residuals have shape ``(..., T, Q)`` and broadcast over it, so the
+Everything here carries a row axis, with a noise variance per row, so
+that every trial of every sweep point (R rows) advances in lockstep.  The
+per-step state (:class:`StatePrep`) has shape ``(R, ...)``; observations
+and residuals have shape ``(..., R, Q)`` and broadcast over it, so the
 harness scores alice's and eve's packets of one step as a single
-``(2, T, Q)`` batch against the same prediction.
+``(2, R, Q)`` batch against the same prediction.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -216,33 +216,33 @@ class StatePrep:
     that makes ``Sigma0^{-1} m = C nu`` for the L-vector
     ``nu = mu/s2 - gs (C^H m) / s2^2``, held conjugated so that the offset
     coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
-    ``nu = 0``.  Observations of shape ``(..., T, Q)`` broadcast against
-    these ``(T, ...)`` arrays.
+    ``nu = 0``.  Observations of shape ``(..., R, Q)`` broadcast against
+    these ``(R, ...)`` arrays.
     """
 
-    noise_var: float
-    gs: np.ndarray       # (T, L, L)
-    m: np.ndarray        # (T, Q) predicted DFT-domain channel C mu
-    nu_conj: np.ndarray  # (T, L) conj(nu), Sigma0^{-1} m = C nu
-    m_quad: np.ndarray   # (T,) real m^H Sigma0^{-1} m = Re((C^H m)^H nu)
+    noise_var: np.ndarray  # (R,) s2 per row (prepare_state also takes a scalar)
+    gs: np.ndarray       # (R, L, L)
+    m: np.ndarray        # (R, Q) predicted DFT-domain channel C mu
+    nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
+    m_quad: np.ndarray   # (R,) real m^H Sigma0^{-1} m = Re((C^H m)^H nu)
 
 
 def prepare_state(
     mean: np.ndarray,
     cov_diag: np.ndarray,
-    noise_var: float,
+    noise_var: float | np.ndarray,
     tables: GridTables,
 ) -> StatePrep:
-    t, num_paths = mean.shape
-    s2 = noise_var
+    rows, num_paths = mean.shape
+    s2 = np.full(rows, noise_var, dtype=float)[:, None]      # (R, 1)
     sp = np.sqrt(cov_diag)
-    core = np.eye(num_paths)[None] + (sp[:, :, None] * sp[:, None, :]) * tables.chc[None] / s2
-    gs = np.linalg.inv(core)
-    gs *= sp[:, :, None] * sp[:, None, :]
+    outer = sp[:, :, None] * sp[:, None, :]
+    gs = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2[..., None])
+    gs *= outer
     m = mean @ tables.c_t
-    chm = m @ tables.c_conj                                   # (T, L) C^H m
+    chm = m @ tables.c_conj                                   # (R, L) C^H m
     nu = mean / s2 - np.matmul(gs, chm[..., None])[..., 0] / (s2 * s2)
-    return StatePrep(noise_var=s2, gs=gs, m=m, nu_conj=nu.conj(), m_quad=_real_dot(chm, nu))
+    return StatePrep(noise_var=s2[:, 0], gs=gs, m=m, nu_conj=nu.conj(), m_quad=_real_dot(chm, nu))
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,20 +258,20 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def whitened_quadform(
     r: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (C^H Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., T, Q).
+    """Return (C^H Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., R, Q).
 
     Through the Woodbury identity, with ``ctx = C^H r`` and ``g = gs ctx``,
     ``C^H Sigma0^{-1} r = ctx/s2 - (C^H C) g/s2^2`` and
     ``r^H Sigma0^{-1} r = ||r||^2/s2 - Re(ctx^H g)/s2^2``, batched over
-    (..., T); the first is ``(..., T, L)``, the second ``(..., T)``.  The
+    (..., R); the first is ``(..., R, L)``, the second ``(..., R)``.  The
     energy ``||r||^2`` is summed from ``r`` itself.  The search's profiled
     objective equals the same form at its optimum, but as ``||h||^2/s2``
     less terms of about its size, which cancel to a few digits at high SNR.
     """
     s2 = prep.noise_var
-    ctx = r @ tables.c_conj                                   # (..., T, L) C^H r
+    ctx = r @ tables.c_conj                                   # (..., R, L) C^H r
     g = np.matmul(prep.gs, ctx[..., None])[..., 0]
-    ch_y = ctx / s2 - (g @ tables.chc.T) / (s2 * s2)
+    ch_y = ctx / s2[:, None] - (g @ tables.chc.T) / (s2 * s2)[:, None]
     return ch_y, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
 
 
@@ -360,15 +360,14 @@ def phase_search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
 
-    ``h_obs`` has shape ``(..., T, Q)``: any leading axes (the harness
-    passes the ``(2, T, Q)`` observations of both links that
-    :func:`csiguard.channel.simulate` yields) broadcast against
-    the ``(T, ...)`` arrays of ``prep``, and the estimates come back with
-    shape ``(..., T)``.  A stacked batch gives the same estimates as
+    ``h_obs`` has shape ``(..., R, Q)``: any leading axes (the harness
+    passes the ``(2, R, Q)`` observations of both links) broadcast against
+    the ``(R, ...)`` arrays of ``prep``, and the estimates come back with
+    shape ``(..., R)``.  A stacked batch gives the same estimates as
     separate calls.  Returns (offset, slope, ramp), where ``ramp`` is
-    ``tables.ramp(slope)``, shape ``(..., T, Q)``, bit for bit: it is the
+    ``tables.ramp(slope)``, shape ``(..., R, Q)``, bit for bit: it is the
     ramp of the final objective, recomputed only on rows where Newton
-    moved the slope but the grid slope scored better.
+    moved the slope but the grid slope scored better; it is fresh.
 
     Minimizes the whitened residual energy with the offset profiled out
     in closed form.  The slope is first the argmin of the grid of
@@ -391,15 +390,19 @@ def phase_search(
     terms = SearchTerms(h_obs, _real_dot(h_obs, h_obs) / s2)
 
     # Coarse grid, all candidates at once: one GEMM projects h on every
-    # lattice ramp, s[..., g, :] = C^H (phi_g * h) is gathered from its
-    # columns and zc[..., g] = nu^H s_g.  (mode="clip" lets take write
-    # straight into the buffer; "raise" would gather into a temporary
-    # first.  index is always in range.)
+    # lattice ramp; link by link, s[r, g, :] = C^H (phi_g * h) is gathered
+    # from its columns and zc[..., g] = nu^H s_g.  (mode="clip" lets take
+    # write straight into the buffer; "raise" would gather into a
+    # temporary first.  index is always in range.)
     np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
-    np.take(proj, index, axis=-1, out=s, mode="clip")         # (..., T, G, L)
-    np.matmul(s, np.conj(prep.gs), out=g)                     # rows s_g @ gs^T = (gs s_g)^T
-    quad = terms.base_quad[..., None] - _real_dot(s, g) / (s2 * s2)
-    zc = np.matmul(s, prep.nu_conj[..., None])[..., 0]        # (..., T, G)
+    quad = np.empty(h_obs.shape[:-1] + slopes.shape)          # (..., R, G)
+    zc = np.empty_like(quad, dtype=np.complex128)
+    for link in np.ndindex(h_obs.shape[:-2]):
+        np.take(proj[link], index, axis=-1, out=s, mode="clip")  # (R, G, L)
+        np.matmul(s, np.conj(prep.gs), out=g)                 # rows s_g @ gs^T = (gs s_g)^T
+        quad[link] = _real_dot(s, g)
+        np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
+    quad = terms.base_quad[..., None] - quad / (s2 * s2)[:, None]
     obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
 
     last = len(slopes) - 1
@@ -457,21 +460,21 @@ def _coarse_workspace(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The complex arrays that :func:`phase_search`'s coarse stage reuses for one shape.
 
-    For ``h_obs`` of shape ``obs_shape = (..., T, Q)``, a lattice table of
+    For ``h_obs`` of shape ``obs_shape = (..., R, Q)``, a lattice table of
     C = ``num_columns`` columns and a gather index of shape
     ``index_shape = (G, L)``, returns (proj, s, g):
 
-    * proj ``(..., T, C)``: h projected on the lattice ramps;
-    * s and g ``(..., T, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``.
+    * proj ``(..., R, C)``: h projected on the lattice ramps, all links in
+      one GEMM (one link of one row would round differently);
+    * s and g ``(R, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``, one link.
 
-    Allocated afresh, arrays of these sizes (up to about 1 MB each at
-    T = 64) go back to the system when freed and page-fault again on the
-    next step (glibc malloc's mmap and trim thresholds).  Reusing them
-    means that phase_search must not run in two threads at once.
+    Allocated afresh, arrays of these sizes (about 0.5 MB each at R = 64)
+    go back to the system when freed and page-fault again on the next
+    step (glibc malloc's mmap and trim thresholds).  Reusing them means
+    that phase_search must not run in two threads at once.
     """
-    lead = obs_shape[:-1]
-    proj = np.empty((*lead, num_columns), dtype=np.complex128)
-    s = np.empty((*lead, *index_shape), dtype=np.complex128)
+    proj = np.empty((*obs_shape[:-1], num_columns), dtype=np.complex128)
+    s = np.empty((obs_shape[-2], *index_shape), dtype=np.complex128)
     return proj, s, np.empty_like(s)
 
 

@@ -212,12 +212,12 @@ def criterion_6_phase_recovery() -> CriterionResult:
     max_slope = 2.0 * np.pi * 4.0 / 128.0
     tables = _kernels.grid_tables(grid, 8)
     rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
-    [link] = next(simulate([profile], tables, [noise_var], max_slope, rngs))
+    link = next(simulate([profile], tables, [noise_var], max_slope, rngs))
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
-    prep = _kernels.prepare_state(link.taps[0], cov, noise_var, tables)
+    prep = _kernels.prepare_state(link.taps[0, 0], cov, noise_var, tables)
     est_offset, est_slope, _ = _kernels.phase_search(
-        link.obs[0], prep, tables, slope_points, max_slope
+        link.obs[0, 0], prep, tables, slope_points, max_slope
     )
 
     offset_err = np.abs((est_offset - link.offset[0] + np.pi) % (2 * np.pi) - np.pi)

@@ -76,13 +76,12 @@ def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) ->
 
 
 class Link(NamedTuple):
-    """Both links of one point at one step, batched over trials.
+    """Both links of every point at one step, batched over trials.
 
-    Every field leads with the (alice, eve) link axis, alice in row 0 and
-    eve in row 1, the layout in which the kernels score both packets as
-    one batch: taps (2, T, L) is the true impulse response, obs (2, T, Q)
-    its distorted, noisy pilot observation, and offset, slope (2, T) the
-    phase distortion applied to it.
+    The fields lead with the (alice, eve) link axis, alice in row 0 and
+    eve in row 1: taps (2, P, T, L) is the true impulse response at each
+    of P points, obs (2, P, T, Q) its distorted, noisy pilot observation,
+    and offset, slope (2, T) the phase distortion, which all points share.
     """
 
     taps: np.ndarray
@@ -104,15 +103,15 @@ def simulate(
     rngs,
     *,
     clone_eve: bool = False,
-) -> Iterator[tuple[Link, ...]]:
+) -> Iterator[Link]:
     """Yield both links of a batch of trials at several points, one step at a time.
 
     The generative model of every Monte Carlo run.  ``profiles`` and
     ``noise_vars`` hold one channel profile and one noise variance per
     point; the profiles must share their taps' number and powers (the
     points of a sweep differ only in SNR or Doppler).  Each step yields
-    one :class:`Link` per point, in point order: alice in row 0 and eve
-    in row 1 of every field's leading link axis.
+    one :class:`Link` whose taps and observations carry a point axis
+    after the link axis, points in order, alice in row 0 and eve in row 1.
 
     At every point both links are AR(1) channels with that point's
     profile, started at their stationary law.  At each step each link gets
@@ -126,8 +125,9 @@ def simulate(
     stationary starts, the channel innovations, the unit-variance
     observation noise, and the phase offsets and slopes, whose factor
     ``exp(j offset) conj(ramp(slope))`` is built once per step.  Each
-    point computes only its own taps, from its own AR(1) coefficient and
-    innovation scale, and scales the shared noise to its own variance.
+    point's AR(1) coefficient, innovation scale and noise scale broadcast
+    as ``(P, 1, 1)``, ``(P, 1, L)`` and ``(P, 1, 1)`` against the shared
+    draws, and ``C h`` is one ``(T, L)`` GEMM per link and point.
 
     ``rngs`` holds one generator per trial, each consumed in a fixed
     documented order that does not depend on the number of points: first
@@ -150,15 +150,14 @@ def simulate(
     The yielded arrays are fresh every step and never alias the blocks.
     """
     profiles = list(profiles)
-    noise_vars = [float(v) for v in noise_vars]
-    if not profiles or len(noise_vars) != len(profiles):
+    noise_vars = np.array(noise_vars, dtype=float)
+    if not profiles or noise_vars.shape != (len(profiles),):
         raise ValueError(
-            f"need one noise variance per profile, got {len(noise_vars)} for "
+            f"need one noise variance per profile, got {noise_vars.size} for "
             f"{len(profiles)} profiles"
         )
-    for noise_var in noise_vars:
-        if noise_var <= 0.0:
-            raise ValueError(f"noise variance must be > 0, got {noise_var!r}")
+    if np.any(noise_vars <= 0.0):
+        raise ValueError(f"noise variance must be > 0, got {float(noise_vars.min())!r}")
     if max_slope < 0.0:
         raise ValueError(f"max_slope must be >= 0, got {max_slope!r}")
     pdp = profiles[0].pdp
@@ -167,15 +166,14 @@ def simulate(
     num_paths = profiles[0].num_paths
     num_pilots = tables.c_t.shape[1]
     chan_scale = np.sqrt(pdp / 2.0)
-    points = [
-        (p.alpha, np.sqrt(p.process_noise_diag / 2.0), np.sqrt(v / 2.0))
-        for p, v in zip(profiles, noise_vars)
-    ]
+    alpha = np.array([p.alpha for p in profiles])[:, None, None]
+    proc_scale = np.sqrt(np.stack([p.process_noise_diag for p in profiles]) / 2.0)[:, None]
+    noise_scale = np.sqrt(noise_vars / 2.0)[:, None, None]
 
     init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
     re, im = _by_link(init, num_paths)
-    # Every point starts from the same (2, T, L) draw.
-    taps = [chan_scale * (re + 1j * im)] * len(points)
+    # Every point starts from the same (2, 1, T, L) draw.
+    taps = (chan_scale * (re + 1j * im))[:, None]
     nz = 4 * num_paths
     z = np.empty((len(init), nz + 4 * num_pilots))
     u = np.empty((len(init), 4))
@@ -187,21 +185,17 @@ def simulate(
             rng.random(out=u_row)
 
         re, im = _by_link(z[:, :nz], num_paths)
-        innov = re + 1j * im
-        noise = _by_link(z[:, nz:], num_pilots)
+        innov = (re + 1j * im)[:, None]
+        noise = _by_link(z[:, nz:], num_pilots)[:, :, None]
         offset = -np.pi + 2.0 * np.pi * u[:, 0::2].T
         slope = max_slope * (2.0 * u[:, 1::2].T - 1.0)
         phase = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
 
-        step = []
-        for i, (alpha, proc_scale, noise_scale) in enumerate(points):
-            h = alpha * taps[i] + proc_scale * innov
-            if clone_eve:
-                h[1] = h[0]
-            taps[i] = h
-            obs = h @ tables.c_t
-            np.multiply(phase, obs, out=obs)
-            obs.real += noise_scale * noise[0]
-            obs.imag += noise_scale * noise[1]
-            step.append(Link(h, obs, offset, slope))
-        yield tuple(step)
+        taps = alpha * taps + proc_scale * innov
+        if clone_eve:
+            taps[1] = taps[0]
+        obs = taps @ tables.c_t
+        np.multiply(phase[:, None], obs, out=obs)
+        obs.real += noise_scale * noise[0]
+        obs.imag += noise_scale * noise[1]
+        yield Link(taps, obs, offset, slope)

@@ -18,10 +18,10 @@ in the order documented by :func:`csiguard.channel.simulate`.
 
 :func:`run_batch` runs the points of a sweep (configurations that differ
 only in SNR or Doppler) in lockstep on one stream of draws: per step
-each trial's generator is drawn from once, and each point then runs its
-own filter over the ``(2, T, Q)`` observations that ``simulate`` yields
-for it, in the same kernel calls as a one-point run, so a point's
-results do not depend on which other points ran beside it.
+each trial's generator is drawn from once, and one chain of kernel calls
+filters every trial of every point, stacked on one row axis.  With two
+or more trials a point's results do not depend, bit for bit, on which
+other points ran beside it.
 
 :class:`TrialBatch` holds each detector's statistic and threshold and is
 the one place that makes decisions from them; sweeps, ROC data and the
@@ -151,11 +151,11 @@ def run_batch(
     differ only in ``snr_db`` and ``normalized_doppler``, which gives one
     TrialBatch per point, in order.  The points run in lockstep on one
     :func:`csiguard.channel.simulate` stream: each step draws once for all
-    of them, then each point runs its own filter, so every point's batch
-    is bit for bit the batch of a one-point run on the same seeds.  Points
-    that differ in anything else are refused with ConfigError.  Each
-    point's yielded ``(2, T, Q)`` observations go to the phase search as
-    they are, and its filter updates from alice's row only.
+    of them, and all trials of all points run as the rows of one filter,
+    so for two or more trials every point's batch is bit for bit the batch
+    of a one-point run on the same seeds (one-trial points agree to about
+    1e-9 relative).  Points that differ in anything else are refused with
+    ConfigError.  The filter updates from alice's row only.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
@@ -191,16 +191,20 @@ def run_batch(
     tables = _kernels.grid_tables(grid, num_paths)
     rngs = [np.random.default_rng(int(s)) for s in trial_seeds]
     num_trials = len(rngs)
-    num_points = len(cfgs)
+    num_rows = len(cfgs) * num_trials
 
     links = simulate(profiles, tables, noise_vars, max_slope, rngs, clone_eve=clone_eve)
 
-    # Filter state per point: mean, covariance, previous alice magnitudes.
-    means = [np.zeros((num_trials, num_paths), dtype=np.complex128) for _ in cfgs]
-    covs = [np.tile(p.pdp, (num_trials, 1)) for p in profiles]
-    prev_alice_abs = [None] * num_points
+    # One filter over the R = P T rows, row p T + t for point p's trial t,
+    # each with its point's AR(1) coefficient, process noise and noise variance.
+    alpha = np.repeat([p.alpha for p in profiles], num_trials)[:, None]
+    process_noise = np.repeat([p.process_noise_diag for p in profiles], num_trials, axis=0)
+    noise_var = np.repeat(noise_vars, num_trials)
+    mean = np.zeros((num_rows, num_paths), dtype=np.complex128)
+    cov = np.tile(profiles[0].pdp, (num_rows, 1))
+    prev_alice_abs = None
 
-    shape = (num_points, num_trials, num_steps)
+    shape = (num_rows, num_steps)
     lam = np.empty((*shape, 2))
     with_mag = "magnitude_diff" in base.detectors
     mag = np.full((*shape, 2), np.nan) if with_mag else None
@@ -209,77 +213,76 @@ def run_batch(
     mse = np.empty(shape) if collect_mse else None
 
     # zip draws the next step from links only while range has steps left.
-    for k, step in zip(range(1, num_steps + 1), links):
+    for k, link in zip(range(1, num_steps + 1), links):
+        mean *= alpha
+        cov = alpha**2 * cov + process_noise
+        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
+
+        # Both observations of every row as one (2, R, Q) batch: alice
+        # row 0, eve row 1.  The residual exp(-j offset) (ramp obs) - m
+        # is formed in the ramp that the search returns.
+        obs = link.obs.reshape(2, num_rows, num_pilots)
+        est_offset, est_slope, residual = _kernels.phase_search(
+            obs, prep, tables, base.slope_points, max_slope
+        )
+        np.multiply(residual, obs, out=residual)
+        np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
+        residual -= prep.m
+        ch_y, quad = _kernels.whitened_quadform(residual, prep, tables)
+        lam[:, k - 1, :] = 2.0 * quad.T
+
+        if with_mag:
+            cur_abs = np.abs(obs)
+            if prev_alice_abs is not None:
+                mag[:, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs).T
+            prev_alice_abs = cur_abs[0]
         if collect_phase:
-            phase_true[:, k - 1, :, 0] = step[0].offset.T
-            phase_true[:, k - 1, :, 1] = step[0].slope.T
-        for p, link in enumerate(step):
-            alpha = profiles[p].alpha
-            noise_var = noise_vars[p]
-            mean = means[p]
-            mean *= alpha
-            cov = alpha**2 * covs[p] + profiles[p].process_noise_diag
-            prep = _kernels.prepare_state(mean, cov, noise_var, tables)
+            phase_true[:, k - 1, :, 0] = link.offset.T
+            phase_true[:, k - 1, :, 1] = link.slope.T
+            phase_est[:, k - 1, :, 0] = est_offset.T
+            phase_est[:, k - 1, :, 1] = est_slope.T
 
-            # Both observations as the one (2, T, Q) batch that simulate
-            # yields: alice row 0, eve row 1.
-            est_offset, est_slope, ramp = _kernels.phase_search(
-                link.obs, prep, tables, base.slope_points, max_slope
+        mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
+        if np.any(cov < -1e-12):
+            raise NumericalError(
+                f"trial batch aborted at step {k}: updated covariance reached "
+                f"{cov.min():.3e}"
             )
-            rotated_residual = np.exp(-1j * est_offset)[..., None] * (ramp * link.obs) - prep.m
-            ch_y, quad = _kernels.whitened_quadform(rotated_residual, prep, tables)
-            lam[p, :, k - 1, :] = 2.0 * quad.T
-
-            if with_mag:
-                cur_abs = np.abs(link.obs)
-                if prev_alice_abs[p] is not None:
-                    mag[p, :, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs[p]).T
-                prev_alice_abs[p] = cur_abs[0]
-            if collect_phase:
-                phase_est[p, :, k - 1, :, 0] = est_offset.T
-                phase_est[p, :, k - 1, :, 1] = est_slope.T
-
-            mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
-            if np.any(cov < -1e-12):
-                raise NumericalError(
-                    f"trial batch aborted at step {k}: updated covariance reached "
-                    f"{cov.min():.3e}"
-                )
-            bad = ~(np.isfinite(quad) & (quad >= 0.0))
-            if bad.any():
-                raise NumericalError(
-                    f"trial batch aborted at step {k}: test statistic reached "
-                    f"{2.0 * quad[bad][0]:.3e}"
-                )
-            means[p] = mean
-            covs[p] = np.maximum(cov, 0.0)
-            if collect_mse:
-                err = (mean - link.taps[0]) @ tables.c_t
-                mse[p, :, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
+        bad = ~(np.isfinite(quad) & (quad >= 0.0))
+        if bad.any():
+            raise NumericalError(
+                f"trial batch aborted at step {k}: test statistic reached "
+                f"{2.0 * quad[bad][0]:.3e}"
+            )
+        cov = np.maximum(cov, 0.0)
+        if collect_mse:
+            err = (mean - link.taps[0].reshape(num_rows, num_paths)) @ tables.c_t
+            mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
 
     kalman_threshold = threshold(
         base.nominal_false_alarm, num_pilots, fitted_params=_kernels.PHASE_PARAMETERS
     )
+    lam, mag, phase_est, mse = (
+        None if a is None else a.reshape(len(cfgs), num_trials, *a.shape[1:])
+        for a in (lam, mag, phase_est, mse)
+    )
     # Each trial's magnitude threshold comes from alice's steps 2 to num_steps // 2.
-    half = num_steps // 2
-    batches = []
-    for p, point_cfg in enumerate(cfgs):
-        batches.append(
-            TrialBatch(
-                cfg=point_cfg,
-                lam=lam[p],
-                mag=mag[p] if with_mag else None,
-                kalman_threshold=kalman_threshold,
-                mag_threshold=(
-                    calibrate_empirical_threshold(mag[p, :, 1:half, 0], base.nominal_false_alarm)
-                    if with_mag
-                    else None
-                ),
-                phase_true=phase_true.copy() if collect_phase else None,
-                phase_est=phase_est[p] if collect_phase else None,
-                mse=mse[p] if collect_mse else None,
-            )
+    if with_mag:
+        alice_h0 = mag[..., 1 : num_steps // 2, 0]
+        mag_threshold = calibrate_empirical_threshold(alice_h0, base.nominal_false_alarm)
+    batches = [
+        TrialBatch(
+            cfg=point_cfg,
+            lam=lam[p],
+            mag=mag[p] if with_mag else None,
+            kalman_threshold=kalman_threshold,
+            mag_threshold=mag_threshold[p] if with_mag else None,
+            phase_true=phase_true.copy() if collect_phase else None,
+            phase_est=phase_est[p] if collect_phase else None,
+            mse=mse[p] if collect_mse else None,
         )
+        for p, point_cfg in enumerate(cfgs)
+    ]
     return batches[0] if isinstance(cfg, ScenarioConfig) else batches
 
 

@@ -20,12 +20,18 @@ DOPPLER_FOR_ALPHA_09 = 0.10195957079712756
 def simulate_links(
     profile, seeds, steps, *, grid=None, noise_var=0.1, max_slope=0.2, clone_eve=False
 ):
-    """The first ``steps`` Links that simulate yields, one trial per seed."""
+    """The first ``steps`` Links that simulate yields at one point, one trial per seed.
+
+    Each Link's taps and observations lack the point axis: (2, T, L) and (2, T, Q).
+    """
     grid = grid or PilotGrid(max(8, profile.num_paths), (0, 1, 3))
     tables = _kernels.grid_tables(grid, profile.num_paths)
     rngs = [np.random.default_rng(s) for s in seeds]
     links = simulate([profile], tables, [noise_var], max_slope, rngs, clone_eve=clone_eve)
-    return [link for (link,) in itertools.islice(links, steps)]
+    return [
+        link._replace(taps=link.taps[:, 0], obs=link.obs[:, 0])
+        for link in itertools.islice(links, steps)
+    ]
 
 
 def split(link):

@@ -178,13 +178,14 @@ class TestProfiledObjectiveAgainstDense:
         assert np.allclose(tables.ramp(x), expected, rtol=0, atol=1e-12)
 
 
-def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=False):
-    """Observations of rotated channels with a Kalman-like prediction of them.
+def _search_inputs(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=False):
+    """Observations of rotated channels, a Kalman-like prediction of them and s2.
 
-    With ``zero_mean`` the prediction is the prior (zero mean, stationary
-    covariance), the first filter step, where the offset coupling zc is 0.
-    With ``stacked`` the observations are the (2, T, Q) batch of alice's
-    packets and eve's, both scored against the prediction of alice's channel.
+    Returns (obs, mean, cov, s2, tables).  With ``zero_mean`` the prediction
+    is the prior (zero mean, stationary covariance), the first filter step,
+    where the offset coupling zc is 0.  With ``stacked`` the observations
+    are the (2, T, Q) batch of alice's packets and eve's, both scored
+    against the prediction of alice's channel.
     """
     profile = make_profile(num_paths, 1e-4, 0.5)
     tables = _kernels.grid_tables(grid, num_paths)
@@ -201,6 +202,12 @@ def _search_batch(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=
         )
         mean, cov = h + error, np.tile(0.02 * profile.pdp, (trials, 1))
     obs = link.obs if stacked else link.obs[0]
+    return obs, mean, cov, s2, tables
+
+
+def _search_batch(grid, snr_db, zero_mean, rng, **options):
+    """(obs, prep, tables) of :func:`_search_inputs`."""
+    obs, mean, cov, s2, tables = _search_inputs(grid, snr_db, zero_mean, rng, **options)
     return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
@@ -295,6 +302,35 @@ class TestLinkAxisAndTables:
                 assert np.array_equal(stacked[link], one)
             assert np.array_equal(ch_y[link], one_ch_y)
             assert np.array_equal(quad[link], one_quad)
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_stacked_points_equal_separate_calls(self, grid114, rng, zero_mean):
+        # The points of a sweep as one (2, P T, Q) batch, point-major, with a
+        # noise variance per row: each point's rows come out bit for bit as
+        # its own scalar-variance calls give them (T >= 2).
+        trials, snrs = 3, (0.0, 10.0, 30.0)
+        points = [
+            _search_inputs(grid114, snr_db, zero_mean, rng, trials=trials, stacked=True)
+            for snr_db in snrs
+        ]
+        tables = points[0][-1]
+        bound = default_slope(grid114.dft_size)
+        obs = np.concatenate([p[0] for p in points], axis=1)
+        mean, cov = (np.concatenate([p[i] for p in points]) for i in (1, 2))
+        noise_var = np.repeat([p[3] for p in points], trials)
+        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
+        searched = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        whitened = _kernels.whitened_quadform(obs, prep, tables)
+        assert np.array_equal(prep.noise_var, noise_var)
+        for i, (p_obs, p_mean, p_cov, s2, _) in enumerate(points):
+            rows = slice(i * trials, (i + 1) * trials)
+            one_prep = _kernels.prepare_state(p_mean, p_cov, s2, tables)
+            for name in ("gs", "m", "nu_conj", "m_quad"):
+                assert np.array_equal(getattr(prep, name)[rows], getattr(one_prep, name)), name
+            one_searched = _kernels.phase_search(p_obs, one_prep, tables, POINTS, bound)
+            one_whitened = _kernels.whitened_quadform(p_obs, one_prep, tables)
+            for stacked, one in zip((*searched, *whitened), (*one_searched, *one_whitened)):
+                assert np.array_equal(stacked[:, rows], one)
 
     def test_ramp_takes_leading_axes(self, grid114, rng):
         tables = _kernels.grid_tables(grid114, 8)
@@ -513,6 +549,19 @@ class TestCoarseWorkspace:
         again = _kernels.phase_search(obs, prep, tables, POINTS, bound)
         for a, b in zip(again, first):
             assert np.array_equal(a, b)
+
+
+    def test_coarse_arrays_hold_one_link(self, grid114, rng):
+        # The coarse stage scores the (2, R, Q) batch one link at a time, so
+        # its two (R, G, L) arrays are not doubled for the link axis; only
+        # the small projection covers both links, in one GEMM.
+        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=5, stacked=True)
+        bound = default_slope(grid114.dft_size)
+        _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        _, table, index = _kernels.slope_tables(tables, POINTS, bound)
+        proj, s, g = _kernels._coarse_workspace(obs.shape, table.shape[1], index.shape)
+        assert s.shape == g.shape == (5, *index.shape)
+        assert proj.shape == (2, 5, table.shape[1])
 
 
 class TestTieRule:

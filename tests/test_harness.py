@@ -246,9 +246,28 @@ class TestLockstepPoints:
             rngs = [np.random.default_rng(s) for s in seeds]
             links = simulate(points, tables, [0.1] * len(points), 0.2, rngs)
             for _ in range(5):
-                assert len(next(links)) == len(points)
+                assert next(links).obs.shape[1] == len(points)
             states.append([rng.bit_generator.state for rng in rngs])
         assert states[0] == states[1]
+
+
+class TestOneTrialLockstepPoints:
+    """With one trial the P points are P rows of one batch, whose products
+    round differently from a one-point run's one-row products, so each
+    point agrees with its one-point run to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("snr_db", [0.0, 5.0, 10.0, 15.0]), ("normalized_doppler", [1e-4, 1e-2])],
+    )
+    def test_each_point_matches_its_one_point_run(self, axis, values):
+        seeds = [derive_trial_seed(LOCKSTEP.seed, 0)]
+        cfgs = [replace(LOCKSTEP, num_trials=1, **{axis: v}) for v in values]
+        for cfg, batch in zip(cfgs, run_batch(cfgs, seeds)):
+            single = run_batch(cfg, seeds)
+            assert np.allclose(batch.lam, single.lam, rtol=1e-8, atol=0)
+            for det in cfg.detectors:
+                assert np.array_equal(batch.decisions(det), single.decisions(det)), det
 
 
 class TestProtocol:
@@ -332,7 +351,7 @@ class TestCollectPhase:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         rngs = [np.random.default_rng(s) for s in seeds]
-        [link] = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs))
+        link = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs))
         cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
         prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
                                       noise_var, tables)
@@ -340,7 +359,7 @@ class TestCollectPhase:
             assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset[col])
             assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope[col])
             offset, slope, _ = _kernels.phase_search(
-                link.obs[col], prep, tables, cfg.slope_points, cfg.resolved_max_slope()
+                link.obs[col, 0], prep, tables, cfg.slope_points, cfg.resolved_max_slope()
             )
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
             assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
@@ -348,15 +367,16 @@ class TestCollectPhase:
 
 class TestLinkAxis:
     def test_search_gets_the_yielded_observations(self, monkeypatch):
-        # run_batch hands each step's (2, T, Q) observations to the phase
-        # search as simulate yields them, with no stacking copy between.
+        # run_batch hands each step's (2, P, T, Q) observations to the
+        # phase search as simulate yields them, viewed as (2, P T, Q), with
+        # no stacking copy between.
         yielded, searched = [], []
         phase_search = _kernels.phase_search
 
         def recording_simulate(*args, **kwargs):
-            for step in simulate(*args, **kwargs):
-                yielded.append(step[0].obs)
-                yield step
+            for link in simulate(*args, **kwargs):
+                yielded.append(link.obs)
+                yield link
 
         def recording_search(h_obs, *args):
             searched.append(h_obs)
@@ -368,7 +388,7 @@ class TestLinkAxis:
         run_batch(cfg, [derive_trial_seed(cfg.seed, i) for i in range(2)])
         assert len(searched) == len(yielded) == cfg.num_steps
         for obs, h_obs in zip(yielded, searched):
-            assert obs.shape == (2, 2, cfg.pilot_grid().num_pilots)
+            assert obs.shape == (2, 1, 2, cfg.pilot_grid().num_pilots)
             assert np.shares_memory(h_obs, obs)
 
 
@@ -402,8 +422,8 @@ class TestRunnerAgainstPublicOps:
         max_slope = cfg.resolved_max_slope()
         links = simulate([profile], tables, [noise_var], max_slope, [np.random.default_rng(seed)])
         state = init_state(profile)
-        for k, [link] in zip(range(1, cfg.num_steps + 1), links):
-            alice_obs, eve_obs = link.obs[:, 0]
+        for k, link in zip(range(1, cfg.num_steps + 1), links):
+            alice_obs, eve_obs = link.obs[:, 0, 0]
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
                 state, eve_obs, profile, grid, noise_var, cfg.slope_points, max_slope

@@ -52,7 +52,8 @@ def test_write_csv_takes_the_path_second():
 def test_sweep_records_one_batch_span_over_every_point_step():
     # perfbench reads the step gaps of a sweep from the prepare_state spans
     # directly under the run_batch span, so the points of a sweep must run
-    # inside one run_batch call: here 2 points x 5 steps.
+    # inside one run_batch call, one kernel chain per step for all of its
+    # points: here 2 points x 5 steps give 5 spans.
     cfg = ScenarioConfig(
         num_steps=5, num_trials=2, num_paths=4, dft_size=32, pilot_spec="first:16",
         slope_points=32,
@@ -70,6 +71,6 @@ def test_sweep_records_one_batch_span_over_every_point_step():
     batches = [i for i, span in enumerate(spans) if span[0] == TRACED.BATCH_SPAN]
     assert len(batches) == 1
     steps = [span for span in spans if span[0] == TRACED.STEP_SPAN]
-    assert len(steps) == 10
+    assert len(steps) == 5
     assert all(span[3] == batches[0] for span in steps)
     assert TRACED.summarize(spans)["step_gaps_ms"]
