@@ -276,7 +276,7 @@ def whitened_quadform(
 
 
 class SearchTerms(NamedTuple):
-    """Per-observation inputs of the profiled objective, shapes (..., T, Q) and (..., T).
+    """Per-observation inputs of the profiled objective, shapes (..., R, Q) and (..., R).
 
     For a slope candidate with ramp ``u = exp(-1j slope q)`` the whitened
     residual energy, minimized over the offset, is
@@ -285,8 +285,8 @@ class SearchTerms(NamedTuple):
     from :class:`StatePrep`.
     """
 
-    h: np.ndarray          # (..., T, Q) observations
-    base_quad: np.ndarray  # (..., T) h^H h / s2
+    h: np.ndarray          # (..., R, Q) observations
+    base_quad: np.ndarray  # (..., R) h^H h / s2
 
 
 def _candidate_objective(
@@ -294,13 +294,13 @@ def _candidate_objective(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offset-profiled objective at one slope candidate per observation.
 
-    ramp is exp(-1j slope q), shape (..., T, Q), so that
+    ramp is exp(-1j slope q), shape (..., R, Q), so that
     ``(ramp * h) @ conj(C) = C^H (ramp * h)``.
     Returns (objective, zc) with zc the conjugate of the offset coupling
     term; the optimal offset is angle(zc).
     """
     s2 = prep.noise_var
-    s = (ramp * terms.h) @ tables.c_conj                      # (..., T, L)
+    s = (ramp * terms.h) @ tables.c_conj                      # (..., R, L)
     g = np.matmul(prep.gs, s[..., None])[..., 0]
     quad = terms.base_quad - _real_dot(s, g) / (s2 * s2)
     zc = np.einsum("...l,...l->...", s, prep.nu_conj)
@@ -328,8 +328,8 @@ def _slope_derivatives(
     makes it vanish for every slope) the coupling terms are dropped.
     """
     s2sq = prep.noise_var * prep.noise_var
-    s = ((ramp * terms.h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., T, 3, L)
-    zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., T, 3): zc, zc', zc''
+    s = ((ramp * terms.h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
+    zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., R, 3): zc, zc', zc''
     zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
     g = np.matmul(s[..., :2, :], np.conj(prep.gs))           # rows (G s)^T, (G s')^T
     cross = _real_dot(s[..., 1:, :], g[..., :1, :])           # Re(s'^H G s), Re(s''^H G s)
@@ -508,7 +508,7 @@ def kalman_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update in the de-rotated frame.
 
-    ``ch_y = C^H Sigma0^{-1} (E^H eps)``, shape ``(T, L)``, is the
+    ``ch_y = C^H Sigma0^{-1} (E^H eps)``, shape ``(R, L)``, is the
     projected whitened de-rotated residual from :func:`whitened_quadform`;
     the phase matrices cancel out of the mean correction
     ``P C^H Sigma0^{-1} (E^H eps)``.  The posterior covariance

@@ -18,10 +18,10 @@ in the order documented by :func:`csiguard.channel.simulate`.
 
 :func:`run_batch` runs the points of a sweep (configurations that differ
 only in SNR or Doppler) in lockstep on one stream of draws: per step
-each trial's generator is drawn from once, and one chain of kernel calls
-filters every trial of every point, stacked on one row axis.  With two
-or more trials a point's results do not depend, bit for bit, on which
-other points ran beside it.
+each trial's generator is drawn from once, and the trials of all points,
+stacked on one row axis, are filtered in chains of whole points.  With
+two or more trials a point's results do not depend, bit for bit, on
+which other points ran beside it.
 
 :class:`TrialBatch` holds each detector's statistic and threshold and is
 the one place that makes decisions from them; sweeps, ROC data and the
@@ -134,6 +134,10 @@ class TrialBatch:
 # The fields a sweep varies: the only ones in which points run in
 # lockstep by run_batch may differ.
 _AXES = ("snr_db", "normalized_doppler")
+# run_batch runs the kernels on chains of whole points, as many as fit in
+# this many rows (or one point with more trials).  Per decision, 64-256 rows
+# cost least: fewer pay per-call overhead; 800 outgrow a 2 MB L2 cache.
+_CHAIN_ROWS = 256
 
 
 def run_batch(
@@ -151,11 +155,12 @@ def run_batch(
     differ only in ``snr_db`` and ``normalized_doppler``, which gives one
     TrialBatch per point, in order.  The points run in lockstep on one
     :func:`csiguard.channel.simulate` stream: each step draws once for all
-    of them, and all trials of all points run as the rows of one filter,
-    so for two or more trials every point's batch is bit for bit the batch
-    of a one-point run on the same seeds (one-trial points agree to about
-    1e-9 relative).  Points that differ in anything else are refused with
-    ConfigError.  The filter updates from alice's row only.
+    of them, and their trials run as the rows of one filter, in kernel
+    chains of whole points, so for two or more trials every point's batch
+    is bit for bit the batch of a one-point run on the same seeds
+    (one-trial points agree to about 1e-9 relative).  Points that differ
+    in anything else are refused with ConfigError.  The filter updates
+    from alice's row only.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
@@ -212,24 +217,26 @@ def run_batch(
     phase_est = np.empty((*shape, 2, 2)) if collect_phase else None
     mse = np.empty(shape) if collect_mse else None
 
+    chain = max(1, _CHAIN_ROWS // num_trials) * num_trials
     # zip draws the next step from links only while range has steps left.
     for k, link in zip(range(1, num_steps + 1), links):
         mean *= alpha
         cov = alpha**2 * cov + process_noise
-        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
-
-        # Both observations of every row as one (2, R, Q) batch: alice
-        # row 0, eve row 1.  The residual exp(-j offset) (ramp obs) - m
-        # is formed in the ramp that the search returns.
-        obs = link.obs.reshape(2, num_rows, num_pilots)
-        est_offset, est_slope, residual = _kernels.phase_search(
-            obs, prep, tables, base.slope_points, max_slope
-        )
-        np.multiply(residual, obs, out=residual)
-        np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
-        residual -= prep.m
-        ch_y, quad = _kernels.whitened_quadform(residual, prep, tables)
-        lam[:, k - 1, :] = 2.0 * quad.T
+        obs = link.obs.reshape(2, num_rows, num_pilots)  # alice row 0, eve row 1
+        for rows in (slice(a, a + chain) for a in range(0, num_rows, chain)):
+            prep = _kernels.prepare_state(mean[rows], cov[rows], noise_var[rows], tables)
+            est_offset, est_slope, residual = _kernels.phase_search(
+                obs[:, rows], prep, tables, base.slope_points, max_slope
+            )
+            # The residual exp(-j offset) (ramp obs) - m, formed in the ramp.
+            np.multiply(residual, obs[:, rows], out=residual)
+            np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
+            residual -= prep.m
+            ch_y, quad = _kernels.whitened_quadform(residual, prep, tables)
+            lam[rows, k - 1, :] = 2.0 * quad.T
+            if collect_phase:
+                phase_est[rows, k - 1] = np.transpose([est_offset, est_slope])
+            mean[rows], cov[rows] = _kernels.kalman_update(mean[rows], cov[rows], ch_y[0], prep)
 
         if with_mag:
             cur_abs = np.abs(obs)
@@ -237,22 +244,15 @@ def run_batch(
                 mag[:, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs).T
             prev_alice_abs = cur_abs[0]
         if collect_phase:
-            phase_true[:, k - 1, :, 0] = link.offset.T
-            phase_true[:, k - 1, :, 1] = link.slope.T
-            phase_est[:, k - 1, :, 0] = est_offset.T
-            phase_est[:, k - 1, :, 1] = est_slope.T
-
-        mean, cov = _kernels.kalman_update(mean, cov, ch_y[0], prep)
+            phase_true[:, k - 1] = np.transpose([link.offset, link.slope])
         if np.any(cov < -1e-12):
             raise NumericalError(
-                f"trial batch aborted at step {k}: updated covariance reached "
-                f"{cov.min():.3e}"
+                f"trial batch aborted at step {k}: updated covariance reached {cov.min():.3e}"
             )
-        bad = ~(np.isfinite(quad) & (quad >= 0.0))
-        if bad.any():
+        bad = lam[:, k - 1][~(np.isfinite(lam[:, k - 1]) & (lam[:, k - 1] >= 0.0))]
+        if bad.size:
             raise NumericalError(
-                f"trial batch aborted at step {k}: test statistic reached "
-                f"{2.0 * quad[bad][0]:.3e}"
+                f"trial batch aborted at step {k}: test statistic reached {bad[0]:.3e}"
             )
         cov = np.maximum(cov, 0.0)
         if collect_mse:

@@ -221,6 +221,34 @@ class TestLockstepPoints:
             assert batch.kalman_threshold == single.kalman_threshold
 
     @pytest.mark.parametrize(
+        "chain_rows, chains", [(1, [2, 2, 2]), (5, [4, 2]), (6, [6]), (256, [6])]
+    )
+    def test_kernel_chains_hold_whole_points(self, monkeypatch, chain_rows, chains):
+        # Three points of two trials: each chain holds as many whole points
+        # as fit in _CHAIN_ROWS rows, at least one, and a point's batch is
+        # still bit for bit its one-point run.
+        searched = []
+        phase_search = _kernels.phase_search
+
+        def recording_search(h_obs, *args):
+            searched.append(h_obs.shape[1])
+            return phase_search(h_obs, *args)
+
+        monkeypatch.setattr(harness, "_CHAIN_ROWS", chain_rows)
+        monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
+        seeds = [derive_trial_seed(LOCKSTEP.seed, i) for i in range(LOCKSTEP.num_trials)]
+        opts = dict(collect_phase=True, collect_mse=True)
+        cfgs = [replace(LOCKSTEP, snr_db=v) for v in (0.0, 10.0, 20.0)]
+        batches = run_batch(cfgs, seeds, **opts)
+        assert searched == chains * LOCKSTEP.num_steps
+        for cfg, batch in zip(cfgs, batches):
+            single = run_batch(cfg, seeds, **opts)
+            for name in ("lam", "mag", "mag_threshold", "phase_est", "mse"):
+                assert np.array_equal(
+                    getattr(batch, name), getattr(single, name), equal_nan=True
+                ), name
+
+    @pytest.mark.parametrize(
         "change",
         [
             dict(num_paths=3),
