@@ -134,9 +134,8 @@ class TrialBatch:
 # The fields a sweep varies: the only ones in which points run in
 # lockstep by run_batch may differ.
 _AXES = ("snr_db", "normalized_doppler")
-# run_batch runs the kernels on chains of whole points, as many as fit in
-# this many rows (or one point with more trials).  Per decision, 64-256 rows
-# cost least: fewer pay per-call overhead; 800 outgrow a 2 MB L2 cache.
+# run_batch's kernel chains hold as many whole points as fit in this many rows, at least one.
+# Per decision 64-256 rows cost least; 800 rows outgrow a 2 MB L2 cache and ran 10-25% slower.
 _CHAIN_ROWS = 256
 
 
@@ -156,11 +155,10 @@ def run_batch(
     TrialBatch per point, in order.  The points run in lockstep on one
     :func:`csiguard.channel.simulate` stream: each step draws once for all
     of them, and their trials run as the rows of one filter, in kernel
-    chains of whole points, so for two or more trials every point's batch
-    is bit for bit the batch of a one-point run on the same seeds
-    (one-trial points agree to about 1e-9 relative).  Points that differ
-    in anything else are refused with ConfigError.  The filter updates
-    from alice's row only.
+    chains of whole points.  For two or more trials each point's batch is
+    bit for bit a one-point run's on the same seeds (one trial: to about
+    1e-9 relative).  Points that differ in anything else are refused with
+    ConfigError.  The filter updates from alice's row only.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
@@ -207,7 +205,6 @@ def run_batch(
     noise_var = np.repeat(noise_vars, num_trials)
     mean = np.zeros((num_rows, num_paths), dtype=np.complex128)
     cov = np.tile(profiles[0].pdp, (num_rows, 1))
-    prev_alice_abs = None
 
     shape = (num_rows, num_steps)
     lam = np.empty((*shape, 2))
@@ -217,19 +214,22 @@ def run_batch(
     phase_est = np.empty((*shape, 2, 2)) if collect_phase else None
     mse = np.empty(shape) if collect_mse else None
 
-    chain = max(1, _CHAIN_ROWS // num_trials) * num_trials
+    per_chain = max(1, _CHAIN_ROWS // num_trials)
     # zip draws the next step from links only while range has steps left.
     for k, link in zip(range(1, num_steps + 1), links):
         mean *= alpha
         cov = alpha**2 * cov + process_noise
-        obs = link.obs.reshape(2, num_rows, num_pilots)  # alice row 0, eve row 1
-        for rows in (slice(a, a + chain) for a in range(0, num_rows, chain)):
+        for p in range(0, len(cfgs), per_chain):
+            rows = slice(p * num_trials, (p + per_chain) * num_trials)
+            # The chain's (2, rows, Q) observations, alice row 0, eve row 1:
+            # simulate lays obs out point by point, so one point is a view.
+            obs = link.obs[:, p : p + per_chain].reshape(2, -1, num_pilots)
             prep = _kernels.prepare_state(mean[rows], cov[rows], noise_var[rows], tables)
             est_offset, est_slope, residual = _kernels.phase_search(
-                obs[:, rows], prep, tables, base.slope_points, max_slope
+                obs, prep, tables, base.slope_points, max_slope
             )
             # The residual exp(-j offset) (ramp obs) - m, formed in the ramp.
-            np.multiply(residual, obs[:, rows], out=residual)
+            np.multiply(residual, obs, out=residual)
             np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
             residual -= prep.m
             ch_y, quad = _kernels.whitened_quadform(residual, prep, tables)
@@ -239,8 +239,8 @@ def run_batch(
             mean[rows], cov[rows] = _kernels.kalman_update(mean[rows], cov[rows], ch_y[0], prep)
 
         if with_mag:
-            cur_abs = np.abs(obs)
-            if prev_alice_abs is not None:
+            cur_abs = np.abs(link.obs).reshape(2, num_rows, num_pilots)
+            if k > 1:
                 mag[:, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs).T
             prev_alice_abs = cur_abs[0]
         if collect_phase:

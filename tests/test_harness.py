@@ -395,9 +395,9 @@ class TestCollectPhase:
 
 class TestLinkAxis:
     def test_search_gets_the_yielded_observations(self, monkeypatch):
-        # run_batch hands each step's (2, P, T, Q) observations to the
-        # phase search as simulate yields them, viewed as (2, P T, Q), with
-        # no stacking copy between.
+        # With one point per kernel chain, run_batch hands each point's
+        # (2, T, Q) block of the yielded (2, P, T, Q) observations to the
+        # phase search as a view, with no stacking copy between.
         yielded, searched = [], []
         phase_search = _kernels.phase_search
 
@@ -412,12 +412,16 @@ class TestLinkAxis:
 
         monkeypatch.setattr(harness, "simulate", recording_simulate)
         monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
+        monkeypatch.setattr(harness, "_CHAIN_ROWS", 1)
         cfg = replace(FAST, num_steps=3)
-        run_batch(cfg, [derive_trial_seed(cfg.seed, i) for i in range(2)])
-        assert len(searched) == len(yielded) == cfg.num_steps
-        for obs, h_obs in zip(yielded, searched):
-            assert obs.shape == (2, 1, 2, cfg.pilot_grid().num_pilots)
-            assert np.shares_memory(h_obs, obs)
+        cfgs = [cfg, replace(cfg, snr_db=20.0)]
+        run_batch(cfgs, [derive_trial_seed(cfg.seed, i) for i in range(2)])
+        assert len(yielded) == cfg.num_steps
+        assert len(searched) == 2 * cfg.num_steps
+        for k, obs in enumerate(yielded):
+            assert obs.shape == (2, 2, 2, cfg.pilot_grid().num_pilots)
+            for p, h_obs in enumerate(searched[2 * k : 2 * k + 2]):
+                assert np.shares_memory(h_obs, obs[:, p])
 
 
 class TestDefaultSlopeRange:
