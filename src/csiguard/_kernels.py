@@ -71,7 +71,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -224,7 +223,6 @@ class StatePrep:
     gs: np.ndarray       # (R, L, L)
     m: np.ndarray        # (R, Q) predicted DFT-domain channel C mu
     nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
-    m_quad: np.ndarray   # (R,) real m^H Sigma0^{-1} m = Re((C^H m)^H nu)
 
 
 def prepare_state(
@@ -242,7 +240,7 @@ def prepare_state(
     m = mean @ tables.c_t
     chm = m @ tables.c_conj                                   # (R, L) C^H m
     nu = mean / s2 - np.matmul(gs, chm[..., None])[..., 0] / (s2 * s2)
-    return StatePrep(noise_var=s2[:, 0], gs=gs, m=m, nu_conj=nu.conj(), m_quad=_real_dot(chm, nu))
+    return StatePrep(noise_var=s2[:, 0], gs=gs, m=m, nu_conj=nu.conj())
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,47 +273,36 @@ def whitened_quadform(
     return ch_y, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
 
 
-class SearchTerms(NamedTuple):
-    """Per-observation inputs of the profiled objective, shapes (..., R, Q) and (..., R).
-
-    For a slope candidate with ramp ``u = exp(-1j slope q)`` the whitened
-    residual energy, minimized over the offset, is
-    ``base_quad - s^H gs s / s2^2 + m_quad - 2 |zc|`` with
-    ``s = C^H (u * h)``, ``zc = s @ nu_conj`` and ``nu_conj``, ``m_quad``
-    from :class:`StatePrep`.
-    """
-
-    h: np.ndarray          # (..., R, Q) observations
-    base_quad: np.ndarray  # (..., R) h^H h / s2
-
-
 def _candidate_objective(
-    ramp: np.ndarray, terms: SearchTerms, prep: StatePrep, tables: GridTables
+    ramp: np.ndarray, h: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offset-profiled objective at one slope candidate per observation.
 
-    ramp is exp(-1j slope q), shape (..., R, Q), so that
-    ``(ramp * h) @ conj(C) = C^H (ramp * h)``.
+    For observations h and the ramp ``u = exp(-1j slope q)``, both of
+    shape (..., R, Q), the objective is ``f = -s^H gs s / s2^2 - 2 |zc|``
+    with ``s = (u * h) @ conj(C) = C^H (u * h)`` and ``zc = s @ nu_conj``.
+    The whitened residual energy, minimized over the offset, is ``f`` plus
+    ``h^H h / s2 + m^H Sigma0^{-1} m``, which is the same for every
+    candidate of a row and so is left out.
     Returns (objective, zc) with zc the conjugate of the offset coupling
     term; the optimal offset is angle(zc).
     """
     s2 = prep.noise_var
-    s = (ramp * terms.h) @ tables.c_conj                      # (..., R, L)
+    s = (ramp * h) @ tables.c_conj                            # (..., R, L)
     g = np.matmul(prep.gs, s[..., None])[..., 0]
-    quad = terms.base_quad - _real_dot(s, g) / (s2 * s2)
     zc = np.einsum("...l,...l->...", s, prep.nu_conj)
-    return quad + prep.m_quad - 2.0 * np.abs(zc), zc
+    return -_real_dot(s, g) / (s2 * s2) - 2.0 * np.abs(zc), zc
 
 
 def _slope_derivatives(
-    ramp: np.ndarray, terms: SearchTerms, prep: StatePrep, tables: GridTables
+    ramp: np.ndarray, h: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second slope derivatives of :func:`_candidate_objective`.
 
     With ``u = ramp``, ``u' = -1j q u`` and ``u'' = -q^2 u``, so
     ``s = C^H (u h)`` and ``zc = nu^H s`` have the exact derivatives
     ``s' = C^H (u' h)``, ``s'' = C^H (u'' h)``, ``zc' = nu^H s'`` and
-    ``zc'' = nu^H s''``.  For ``f = base - s^H G s / s2^2 + m_quad - 2|zc|``
+    ``zc'' = nu^H s''``.  For ``f = -s^H G s / s2^2 - 2|zc|``
     that gives
 
     * ``f'  = -2 Re(s'^H G s) / s2^2 - 2 Re(conj(zc) zc') / |zc|``
@@ -328,7 +315,7 @@ def _slope_derivatives(
     makes it vanish for every slope) the coupling terms are dropped.
     """
     s2sq = prep.noise_var * prep.noise_var
-    s = ((ramp * terms.h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
+    s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
     zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., R, 3): zc, zc', zc''
     zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
     g = np.matmul(s[..., :2, :], np.conj(prep.gs))           # rows (G s)^T, (G s')^T
@@ -387,7 +374,6 @@ def phase_search(
     s2 = prep.noise_var
     slopes, table, index = slope_tables(tables, slope_points, bound)
     proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
-    terms = SearchTerms(h_obs, _real_dot(h_obs, h_obs) / s2)
 
     # Coarse grid, all candidates at once: one GEMM projects h on every
     # lattice ramp; link by link, s[r, g, :] = C^H (phi_g * h) is gathered
@@ -402,8 +388,7 @@ def phase_search(
         np.matmul(s, np.conj(prep.gs), out=g)                 # rows s_g @ gs^T = (gs s_g)^T
         quad[link] = _real_dot(s, g)
         np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
-    quad = terms.base_quad[..., None] - quad / (s2 * s2)[:, None]
-    obj = quad + prep.m_quad[:, None] - 2.0 * np.abs(zc)
+    obj = -quad / (s2 * s2)[:, None] - 2.0 * np.abs(zc)
 
     last = len(slopes) - 1
 
@@ -414,11 +399,11 @@ def phase_search(
         hi = slopes[np.minimum(idx + 1, last)]
         x = x0
         for _ in range(_NEWTON_STEPS):
-            d1, d2 = _slope_derivatives(tables.ramp(x), terms, prep, tables)
+            d1, d2 = _slope_derivatives(tables.ramp(x), h_obs, prep, tables)
             step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
         u = tables.ramp(x)
-        f_star, zc_star = _candidate_objective(u, terms, prep, tables)
+        f_star, zc_star = _candidate_objective(u, h_obs, prep, tables)
         f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
         zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
         keep = f_star <= f_grid

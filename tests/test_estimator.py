@@ -131,17 +131,19 @@ class TestProfiledObjectiveAgainstDense:
         s2 = 0.25
         tables = _kernels.grid_tables(grid114, num_paths)
         prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
-        terms = _kernels.SearchTerms(
-            h=obs[None], base_quad=np.array([np.vdot(obs, obs).real / s2])
-        )
+        # The objective leaves out h^H h / s2 + m^H Sigma0^{-1} m, the same at every slope.
+        c = partial_dft(grid114, num_paths)
+        sigma0 = (c * pred.cov_diag) @ c.conj().T + s2 * np.eye(grid114.num_pilots)
+        m = c @ pred.mean
+        const = np.vdot(obs, obs).real / s2 + np.vdot(m, hermitian_solve(sigma0, m)).real
         for slope in (-0.15, 0.0, 0.07):
             ramp = tables.ramp(np.array([slope]))
-            f, zc = _kernels._candidate_objective(ramp, terms, prep, tables)
+            f, zc = _kernels._candidate_objective(ramp, obs[None], prep, tables)
             offset = float(np.angle(zc[0]))
             dense = negative_log_likelihood(
                 PhaseDistortion(offset, slope), obs, pred, grid114, s2
             )
-            assert f[0] == pytest.approx(dense, rel=1e-9)
+            assert f[0] + const == pytest.approx(dense, rel=1e-9)
             for delta in (1e-3, -1e-3):
                 worse = negative_log_likelihood(
                     PhaseDistortion(offset + delta, slope), obs, pred, grid114, s2
@@ -211,20 +213,22 @@ def _search_batch(grid, snr_db, zero_mean, rng, **options):
     return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
 
 
-def _search_terms(obs, prep):
-    return _kernels.SearchTerms(obs, _kernels._real_dot(obs, obs) / prep.noise_var)
-
-
 def _profiled_objective(obs, prep, tables):
-    """Slope -> offset-profiled objective per observation, as phase_search scores it."""
-    terms = _search_terms(obs, prep)
-    return lambda x: _kernels._candidate_objective(tables.ramp(x), terms, prep, tables)[0]
+    """Slope -> whitened residual energy per observation, minimized over the offset.
+
+    phase_search scores the slopes of a row on :func:`_kernels._candidate_objective`,
+    which leaves out the row's constant ``h^H h / s2 + m^H Sigma0^{-1} m``;
+    it is added back here (``Sigma0^{-1} m = C nu``), so that the tolerances
+    below are relative to the energy.
+    """
+    m_quad = _kernels._real_dot(prep.m, prep.nu_conj.conj() @ tables.c_t)
+    const = _kernels._real_dot(obs, obs) / prep.noise_var + m_quad
+    return lambda x: _kernels._candidate_objective(tables.ramp(x), obs, prep, tables)[0] + const
 
 
 def _check_derivatives(obs, prep, tables, x):
     """Analytic f', f'' against Richardson-extrapolated central differences."""
-    terms = _search_terms(obs, prep)
-    d1, d2 = _kernels._slope_derivatives(tables.ramp(x), terms, prep, tables)
+    d1, d2 = _kernels._slope_derivatives(tables.ramp(x), obs, prep, tables)
     f = _profiled_objective(obs, prep, tables)
 
     def differences(step):
@@ -325,7 +329,7 @@ class TestLinkAxisAndTables:
         for i, (p_obs, p_mean, p_cov, s2, _) in enumerate(points):
             rows = slice(i * trials, (i + 1) * trials)
             one_prep = _kernels.prepare_state(p_mean, p_cov, s2, tables)
-            for name in ("gs", "m", "nu_conj", "m_quad"):
+            for name in ("gs", "m", "nu_conj"):
                 assert np.array_equal(getattr(prep, name)[rows], getattr(one_prep, name)), name
             one_searched = _kernels.phase_search(p_obs, one_prep, tables, POINTS, bound)
             one_whitened = _kernels.whitened_quadform(p_obs, one_prep, tables)
@@ -408,7 +412,7 @@ class TestLinkAxisAndTables:
 
 class TestPrepareState:
     """prepare_state's L-dimensional offset-coupling vector against the dense
-    innovation covariance: Sigma0^{-1} m = C nu and m_quad = m^H Sigma0^{-1} m."""
+    innovation covariance: Sigma0^{-1} m = C nu."""
 
     @pytest.mark.parametrize("snr_db", [10.0, 60.0])
     def test_nu_matches_dense_solve(self, grid114, rng, snr_db):
@@ -429,7 +433,6 @@ class TestPrepareState:
             assert np.allclose(prep.m[t], m, rtol=0, atol=1e-12 * np.abs(m).max())
             cw = prep.nu_conj[t].conj() @ c.T
             assert np.allclose(cw, w, rtol=0, atol=tol * np.abs(w).max())
-            assert prep.m_quad[t] == pytest.approx(np.vdot(m, w).real, rel=tol)
 
     def test_zero_mean_gives_zero_coupling(self, grid114):
         tables = _kernels.grid_tables(grid114, 8)
@@ -437,7 +440,6 @@ class TestPrepareState:
             np.zeros((3, 8), dtype=np.complex128), np.full((3, 8), 0.1), 0.1, tables
         )
         assert not prep.nu_conj.any()
-        assert not prep.m_quad.any()
 
 
 class TestWhitenedQuadform:
@@ -514,7 +516,7 @@ class TestSearchRamp:
         # Force every Newton step to the lower bracket end, which scores worse
         # than the grid argmin: those rows return the grid slope, and the
         # ramp must follow it rather than the point Newton reached.
-        def to_bracket_end(ramp, terms, prep, tables):
+        def to_bracket_end(ramp, h, prep, tables):
             shape = ramp.shape[:-1]
             return np.full(shape, 1e3), np.ones(shape)
 
