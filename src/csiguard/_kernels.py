@@ -55,12 +55,12 @@ the slope against a one-bin alias; there the refine also starts one DFT
 bin either side of the grid argmin (:func:`phase_search`).
 
 The statistic and the update need only two things of the residual ``r``
-at the estimated phases: ``r^H Sigma0^{-1} r`` and the L-vector
-``C^H Sigma0^{-1} r``.  Both follow from ``ctx = C^H r`` and
-``g = gs ctx`` (:func:`whitened_quadform`), so after one projection of
-``r`` nothing per step is Q-dimensional; :func:`phase_search` also hands
-back the ramp at the slope it returns, so the residual is de-rotated
-without recomputing it.
+at the estimated phases: ``r^H Sigma0^{-1} r`` and the mean correction
+``P C^H Sigma0^{-1} r``, which in information form is ``g / s2``.  Both
+follow from ``ctx = C^H r`` and ``g = gs ctx`` (:func:`whitened_quadform`),
+so after one projection of ``r`` nothing per step is Q-dimensional;
+:func:`phase_search` also hands back the ramp at the slope it returns, so
+the residual is de-rotated without recomputing it.
 
 Real forms ``Re(a^H b)`` are summed over float views of the complex
 arrays (:func:`_real_dot`), without forming ``conj(a)``.
@@ -211,7 +211,9 @@ class StatePrep:
     """Per-step quantities derived from the predicted state batch.
 
     gs is the scaled Woodbury core ``P^{1/2} G^{-1} P^{1/2}`` so that
-    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``.  With ``m = C mu``
+    ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``; it is also the
+    posterior covariance ``(P^{-1} + C^H C / s2)^{-1}``, from which
+    :func:`kalman_update` reads the new mean and covariance.  With ``m = C mu``
     that makes ``Sigma0^{-1} m = C nu`` for the L-vector
     ``nu = mu/s2 - gs (C^H m) / s2^2``, held conjugated so that the offset
     coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
@@ -256,21 +258,18 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def whitened_quadform(
     r: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Return (C^H Sigma0^{-1} r, real quadratic form r^H Sigma0^{-1} r) for r (..., R, Q).
+    """Return (g, real quadratic form r^H Sigma0^{-1} r) for r (..., R, Q).
 
-    Through the Woodbury identity, with ``ctx = C^H r`` and ``g = gs ctx``,
-    ``C^H Sigma0^{-1} r = ctx/s2 - (C^H C) g/s2^2`` and
-    ``r^H Sigma0^{-1} r = ||r||^2/s2 - Re(ctx^H g)/s2^2``, batched over
-    (..., R); the first is ``(..., R, L)``, the second ``(..., R)``.  The
-    energy ``||r||^2`` is summed from ``r`` itself.  The search's profiled
-    objective equals the same form at its optimum, but as ``||h||^2/s2``
-    less terms of about its size, which cancel to a few digits at high SNR.
+    With ``ctx = C^H r``, ``g = gs ctx`` is ``(..., R, L)``, and ``g / s2``
+    is the mean correction ``P C^H Sigma0^{-1} r`` (:func:`kalman_update`).
+    Through the Woodbury identity
+    ``r^H Sigma0^{-1} r = ||r||^2/s2 - Re(ctx^H g)/s2^2``, ``(..., R)``,
+    with the energy ``||r||^2`` summed from ``r`` itself.
     """
     s2 = prep.noise_var
     ctx = r @ tables.c_conj                                   # (..., R, L) C^H r
     g = np.matmul(prep.gs, ctx[..., None])[..., 0]
-    ch_y = ctx / s2[:, None] - (g @ tables.chc.T) / (s2 * s2)[:, None]
-    return ch_y, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
+    return g, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
 
 
 def _candidate_objective(
@@ -278,14 +277,13 @@ def _candidate_objective(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Offset-profiled objective at one slope candidate per observation.
 
-    For observations h and the ramp ``u = exp(-1j slope q)``, both of
-    shape (..., R, Q), the objective is ``f = -s^H gs s / s2^2 - 2 |zc|``
-    with ``s = (u * h) @ conj(C) = C^H (u * h)`` and ``zc = s @ nu_conj``.
-    The whitened residual energy, minimized over the offset, is ``f`` plus
-    ``h^H h / s2 + m^H Sigma0^{-1} m``, which is the same for every
-    candidate of a row and so is left out.
-    Returns (objective, zc) with zc the conjugate of the offset coupling
-    term; the optimal offset is angle(zc).
+    For observations h and the ramp ``u = exp(-1j slope q)``, both
+    (..., R, Q), ``f = -s^H gs s / s2^2 - 2 |zc|`` with
+    ``s = (u * h) @ conj(C) = C^H (u * h)`` and ``zc = s @ nu_conj``: the
+    whitened residual energy at the optimal offset, less
+    ``h^H h / s2 + m^H Sigma0^{-1} m``, which no candidate of a row changes.
+    Returns (f, zc) with zc the conjugate of the offset coupling term; the
+    optimal offset is angle(zc).
     """
     s2 = prep.noise_var
     s = (ramp * h) @ tables.c_conj                            # (..., R, L)
@@ -356,8 +354,9 @@ def phase_search(
     ramp of the final objective, recomputed only on rows where Newton
     moved the slope but the grid slope scored better; it is fresh.
 
-    Minimizes the whitened residual energy with the offset profiled out
-    in closed form.  The slope is first the argmin of the grid of
+    Minimizes the whitened residual energy, less a constant per row
+    (:func:`_candidate_objective`), with the offset profiled out in closed
+    form.  The slope is first the argmin of the grid of
     :func:`slope_tables` (the harness passes ``search.slope_points`` and
     the drawn slope range ``phase.max_slope``), scored by one GEMM.
     It then takes three Newton steps on the exact derivatives
@@ -486,23 +485,19 @@ def _wrap_offset(theta: np.ndarray) -> np.ndarray:
 
 
 def kalman_update(
-    mean: np.ndarray,
-    cov_diag: np.ndarray,
-    ch_y: np.ndarray,
-    prep: StatePrep,
+    mean: np.ndarray, g: np.ndarray, prep: StatePrep
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement update in the de-rotated frame.
+    """Measurement update in the de-rotated frame, in information form.
 
-    ``ch_y = C^H Sigma0^{-1} (E^H eps)``, shape ``(R, L)``, is the
-    projected whitened de-rotated residual from :func:`whitened_quadform`;
-    the phase matrices cancel out of the mean correction
-    ``P C^H Sigma0^{-1} (E^H eps)``.  The posterior covariance
-    ``(P^{-1} + C^H C / s2)^{-1} = P^{1/2} G^{-1} P^{1/2}`` is ``prep.gs``,
-    whose diagonal is kept; reading it there, rather than forming
-    ``P - P C^H Sigma0^{-1} C P``, avoids a difference that cancels to a
-    rounding error (and can go negative) once ``s2`` is far below ``P``.
+    ``g = gs C^H (E^H eps)``, shape ``(R, L)``, comes from
+    :func:`whitened_quadform` on the de-rotated residual; the phase
+    matrices cancel out of the update.  ``prep.gs`` is the posterior
+    covariance ``(P^{-1} + C^H C / s2)^{-1}``, so the mean correction
+    ``P C^H Sigma0^{-1} (E^H eps)`` is ``g / s2`` and the new covariance
+    is the diagonal of ``gs``.  Their Woodbury forms cancel to a rounding
+    error once ``s2`` is far below ``P`` (the covariance's can go negative).
     Returns (new_mean, new_cov_diag).
     """
-    new_mean = mean + cov_diag * ch_y
+    new_mean = mean + g / prep.noise_var[:, None]
     new_cov = np.diagonal(prep.gs, axis1=-2, axis2=-1).real.copy()
     return new_mean, new_cov

@@ -27,7 +27,7 @@ from .detector import null_dof, threshold
 from .errors import ConfigError
 from .harness import derive_trial_seed, run_batch
 from .numerics import bessel_j0, chi2_cdf, chi2_quantile
-from .observation import PilotGrid
+from .observation import PilotGrid, snr_to_noise_var
 
 __all__ = ["CriterionResult", "run_all", "ALL_CRITERIA", "PHASE_RECOVERY_TOLERANCE"]
 
@@ -175,7 +175,7 @@ def criterion_5_denoising() -> CriterionResult:
     """Steady-state channel-estimate MSE at least 2x below the noise floor."""
     t0 = time.perf_counter()
     cfg = _paper_scenario(num_steps=5000, num_trials=1)
-    noise_var = 10 ** (-cfg.snr_db / 10)
+    noise_var = snr_to_noise_var(cfg.snr_db)
     batch = run_batch(cfg, [derive_trial_seed(cfg.seed, 0)], collect_mse=True)
     steady = batch.mse[0, 1000:]
     mse = float(steady.mean())
@@ -266,8 +266,8 @@ def criterion_7_scalar_kalman() -> CriterionResult:
         state_cov = profile.alpha**2 * state_cov + profile.process_noise_diag
         prep = _kernels.prepare_state(state_mean, state_cov, noise_var, tables)
         residual = np.array([[y]]) - prep.m
-        ch_y, _ = _kernels.whitened_quadform(residual, prep, tables)
-        state_mean, state_cov = _kernels.kalman_update(state_mean, state_cov, ch_y, prep)
+        g, _ = _kernels.whitened_quadform(residual, prep, tables)
+        state_mean, state_cov = _kernels.kalman_update(state_mean, g, prep)
         means[k] = state_mean[0, 0]
         variances[k] = state_cov[0, 0]
 

@@ -232,11 +232,11 @@ def run_batch(
             np.multiply(residual, obs, out=residual)
             np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
             residual -= prep.m
-            ch_y, quad = _kernels.whitened_quadform(residual, prep, tables)
+            g, quad = _kernels.whitened_quadform(residual, prep, tables)
             lam[rows, k - 1, :] = 2.0 * quad.T
             if collect_phase:
                 phase_est[rows, k - 1] = np.transpose([est_offset, est_slope])
-            mean[rows], cov[rows] = _kernels.kalman_update(mean[rows], cov[rows], ch_y[0], prep)
+            mean[rows], cov[rows] = _kernels.kalman_update(mean[rows], g[0], prep)
 
         if with_mag:
             cur_abs = np.abs(link.obs).reshape(2, num_rows, num_pilots)

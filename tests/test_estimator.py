@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,17 +295,17 @@ class TestLinkAxisAndTables:
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
         bound = default_slope(grid114.dft_size)
         searched = _kernels.phase_search(obs, prep, tables, POINTS, bound)
-        ch_y, quad = _kernels.whitened_quadform(obs, prep, tables)
+        g, quad = _kernels.whitened_quadform(obs, prep, tables)
         offset, slope, ramp = searched
         assert offset.shape == slope.shape == quad.shape == (2, trials)
         assert ramp.shape == obs.shape
-        assert ch_y.shape == (2, trials, 8)
+        assert g.shape == (2, trials, 8)
         for link in (0, 1):
             one_searched = _kernels.phase_search(obs[link], prep, tables, POINTS, bound)
-            one_ch_y, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
+            one_g, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
             for stacked, one in zip(searched, one_searched):
                 assert np.array_equal(stacked[link], one)
-            assert np.array_equal(ch_y[link], one_ch_y)
+            assert np.array_equal(g[link], one_g)
             assert np.array_equal(quad[link], one_quad)
 
     @pytest.mark.parametrize("zero_mean", [False, True])
@@ -444,7 +445,7 @@ class TestPrepareState:
 
 class TestWhitenedQuadform:
     """whitened_quadform's two L-dimensional-path outputs against the dense
-    innovation covariance: C^H Sigma0^{-1} r and r^H Sigma0^{-1} r."""
+    innovation covariance: g / s2 = P C^H Sigma0^{-1} r and r^H Sigma0^{-1} r."""
 
     # The default grid (upper band ending at 126) is symmetric about M/2, so
     # its C^H C is real; with the upper band cut short it is complex.
@@ -467,18 +468,59 @@ class TestWhitenedQuadform:
         r = x @ c.T + np.sqrt(s2 / 2) * (
             rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
         )
-        ch_y, quad = _kernels.whitened_quadform(r, prep, tables)
-        assert ch_y.shape == shape
+        g, quad = _kernels.whitened_quadform(r, prep, tables)
+        assert g.shape == shape
         assert quad.shape == (2, trials)
         # Sigma0's condition number grows as 1 / s2, and so do both forms' errors.
         tol = 1e-13 / s2
         for t in range(trials):
             sigma0 = (c * cov[t]) @ c.conj().T + s2 * np.eye(grid.num_pilots)
             for link in (0, 1):
-                expected = c.conj().T @ hermitian_solve(sigma0, r[link, t])
-                assert np.allclose(ch_y[link, t], expected, rtol=0, atol=tol * np.abs(expected).max())
+                expected = cov[t] * (c.conj().T @ hermitian_solve(sigma0, r[link, t]))
+                assert np.allclose(g[link, t] / s2, expected, rtol=0, atol=tol * np.abs(expected).max())
                 dense = residual_statistic(r[link, t], sigma0) / 2
                 assert quad[link, t] == pytest.approx(dense, rel=tol)
+
+
+class TestKalmanUpdate:
+    """kalman_update's mean against a 50-digit solve of the information form
+    ``mean + (P^{-1} + C^H C / s2)^{-1} C^H r / s2``."""
+
+    @staticmethod
+    def _reference(c, mean, cov, r, s2):
+        with mpmath.workdps(50):
+            cm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in c])
+            a = cm.H * cm / mpmath.mpf(s2)
+            for l, p in enumerate(cov):
+                a[l, l] += 1 / mpmath.mpf(p)
+            b = cm.H * mpmath.matrix([mpmath.mpc(z.real, z.imag) for z in r]) / mpmath.mpf(s2)
+            x = mpmath.lu_solve(a, b)
+            return np.array([complex(m + x[l]) for l, m in enumerate(mean)])
+
+    # Far above the noise, the Woodbury form P C^H (C^H r / s2 - C^H C g / s2^2)
+    # cancels to about P / s2 times the rounding error; g / s2 does not.
+    @pytest.mark.parametrize("snr_db", [100.0, 120.0])
+    def test_mean_matches_high_precision_solve(self, grid114, rng, snr_db):
+        num_paths, trials = 8, 3
+        tables = _kernels.grid_tables(grid114, num_paths)
+        c = partial_dft(grid114, num_paths)
+        s2 = 10.0 ** (-snr_db / 10.0)
+        shape = (trials, num_paths)
+        mean = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
+        cov = 0.3 * np.abs(rng.standard_normal(shape)) + 1e-3
+        x = np.sqrt(cov / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        noise_shape = (trials, grid114.num_pilots)
+        r = x @ c.T + np.sqrt(s2 / 2) * (
+            rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
+        )
+        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        g, _ = _kernels.whitened_quadform(r, prep, tables)
+        new_mean, new_cov = _kernels.kalman_update(mean, g, prep)
+        assert np.array_equal(new_cov, np.diagonal(prep.gs, axis1=1, axis2=2).real)
+        for t in range(trials):
+            expected = self._reference(c, mean[t], cov[t], r[t], s2)
+            correction = np.abs(expected - mean[t]).max()
+            assert np.abs(new_mean[t] - expected).max() <= 1e-14 * correction
 
 
 class TestSearchRamp:
