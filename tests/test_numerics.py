@@ -1,8 +1,11 @@
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,14 @@ J0_FIRST_ZERO = 2.4048255576957724
 CHI2_CDF_228_AT_228 = 0.5124553843734523
 CHI2_Q_228_AT_09 = 255.75889888819424
 TWO_LN_2 = 2.0 * np.log(2.0)
+# The detector's dofs (2Q - 2 at the default 114 pilots, and 2Q), and two small ones.
+ORACLE_DOFS = [2, 10, 226, 228]
+
+
+def _mp_chi2_cdf(x, dof):
+    """P(dof/2, x/2) in 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(dof) / 2, 0, mpmath.mpf(x) / 2, regularized=True)
 
 
 class TestBesselJ0:
@@ -51,6 +62,24 @@ class TestBesselJ0:
     def test_bounded_by_one(self, x):
         assert abs(bessel_j0(x)) <= 1.0 + 1e-15
 
+    def test_ar1_domain_against_50_digits(self):
+        # alpha = J0(2 pi fd Ts) for every normalized Doppler fd Ts in [0, 0.5).
+        fds = np.concatenate([np.linspace(0.0, 0.5, 251)[:-1], np.logspace(-6, -1, 26)])
+        with mpmath.workdps(50):
+            for x in 2.0 * np.pi * fds:
+                assert abs(bessel_j0(x) - float(mpmath.besselj(0, x))) <= 2.5e-16
+
+    @pytest.mark.parametrize("x", [25.0, 50.0, 1e3, 1e5, 1e6])
+    def test_large_argument_against_50_digits(self, x):
+        with mpmath.workdps(50):
+            assert abs(bessel_j0(x) - float(mpmath.besselj(0, x))) <= 1e-12
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            bessel_j0(x)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 1e-3
+
 
 class TestChi2Cdf:
     def test_at_zero(self):
@@ -69,6 +98,11 @@ class TestChi2Cdf:
                 assert chi2_cdf(x, dof) == pytest.approx(
                     chi2_cdf_quadrature(x, dof), abs=1e-10
                 )
+
+    @pytest.mark.parametrize("dof", ORACLE_DOFS)
+    def test_against_50_digits(self, dof):
+        for x in np.linspace(0.0, 3.0 * dof, 61):
+            assert abs(chi2_cdf(x, dof) - float(_mp_chi2_cdf(x, dof))) <= 1e-13
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -100,6 +134,20 @@ class TestChi2Quantile:
             chi2_quantile_quadrature(0.9, 228), rel=1e-9
         )
 
+    @pytest.mark.parametrize("dof", ORACLE_DOFS)
+    def test_against_50_digits(self, dof):
+        # The returned x misses the exact quantile by (F(x) - p) / f(x) to
+        # second order, with F and its density f evaluated in 50 digits.
+        a = mpmath.mpf(dof) / 2
+        for p in np.concatenate([[1e-4, 1e-3, 0.01], np.linspace(0.05, 0.95, 19),
+                                 [0.99, 0.999, 1.0 - 1e-4]]):
+            x = chi2_quantile(p, dof)
+            with mpmath.workdps(50):
+                y = mpmath.mpf(x) / 2
+                density = mpmath.exp((a - 1) * mpmath.log(y) - y - mpmath.loggamma(a)) / 2
+                miss = (_mp_chi2_cdf(x, dof) - p) / density
+            assert abs(float(miss)) <= 1e-13 * x
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_bad_p(self, p):
         with pytest.raises(ValueError):
@@ -126,7 +174,7 @@ class TestChi2Quantile:
 
 class TestImport:
     def test_package_import_loads_no_scipy_linalg(self):
-        # The package needs only scipy.special; scipy.linalg would add to the
+        # The package needs numpy only; scipy.linalg would add to the
         # set-up time of every run.  A fresh interpreter shows what
         # ``import csiguard`` alone loads.
         src = pathlib.Path(csiguard.__file__).resolve().parents[1]
@@ -136,6 +184,23 @@ class TestImport:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "[]"
+
+    def test_cli_run_loads_no_scipy(self, tmp_path):
+        # The CLI's import and a two-step run (the benchmark's set-up) load no
+        # scipy module at all: importing scipy.special alone took about
+        # 190 ms, most of a run's set-up.
+        src = pathlib.Path(csiguard.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from csiguard.cli import cli_main\n"
+            "rc = cli_main(['simulate', '--detectors', 'kalman', '--num-steps', '2',\n"
+            "               '--seed', '1', '--out', 'two_steps.csv'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestHermitianSolve:
