@@ -47,7 +47,8 @@ runs over the slope axis only, in two stages:
 The prediction enters the search only through the offset coupling
 ``zc = sum_q u_q h_q conj((Sigma0^{-1} m)_q)`` for the ramp ``u``.  Since
 ``m = C mu``, ``Sigma0^{-1} m = C nu`` with the L-vector
-``nu = mu / s2 - gs (C^H C mu) / s2^2``, so ``zc = nu^H s`` is read off
+``nu = gs (mu / P) / s2`` (``P`` the diagonal prior covariance and ``gs``
+the posterior one, :class:`StatePrep`), so ``zc = nu^H s`` is read off
 the tap projections ``s = C^H (u * h)`` that both stages already form
 (and its slope derivatives off ``s'`` and ``s''``).  A zero prediction
 (the first step) makes ``zc`` vanish at every slope, so nothing anchors
@@ -215,7 +216,7 @@ class StatePrep:
     posterior covariance ``(P^{-1} + C^H C / s2)^{-1}``, from which
     :func:`kalman_update` reads the new mean and covariance.  With ``m = C mu``
     that makes ``Sigma0^{-1} m = C nu`` for the L-vector
-    ``nu = mu/s2 - gs (C^H m) / s2^2``, held conjugated so that the offset
+    ``nu = gs (mu / P) / s2``, held conjugated so that the offset
     coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
     ``nu = 0``.  Observations of shape ``(..., R, Q)`` broadcast against
     these ``(R, ...)`` arrays.
@@ -240,8 +241,7 @@ def prepare_state(
     gs = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2[..., None])
     gs *= outer
     m = mean @ tables.c_t
-    chm = m @ tables.c_conj                                   # (R, L) C^H m
-    nu = mean / s2 - np.matmul(gs, chm[..., None])[..., 0] / (s2 * s2)
+    nu = np.matmul(gs, (mean / cov_diag)[..., None])[..., 0] / s2
     return StatePrep(noise_var=s2[:, 0], gs=gs, m=m, nu_conj=nu.conj())
 
 

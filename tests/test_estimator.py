@@ -435,6 +435,32 @@ class TestPrepareState:
             cw = prep.nu_conj[t].conj() @ c.T
             assert np.allclose(cw, w, rtol=0, atol=tol * np.abs(w).max())
 
+    # Far above the noise, the Woodbury form mu / s2 - gs (C^H C mu) / s2^2
+    # cancels to about P / s2 times the rounding error; gs (mu / P) / s2 does
+    # not, neither at the prior's P nor at a steady state's.
+    @pytest.mark.parametrize("prior", [0.3, 1e-9])
+    def test_nu_matches_high_precision_solve(self, grid114, rng, prior):
+        num_paths, trials = 8, 3
+        tables = _kernels.grid_tables(grid114, num_paths)
+        c = partial_dft(grid114, num_paths)
+        s2 = 1e-10                                           # 100 dB
+        shape = (trials, num_paths)
+        mean = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
+        cov = prior * (1.0 + 0.5 * rng.random(shape))
+        nu = _kernels.prepare_state(mean, cov, s2, tables).nu_conj.conj()
+        with mpmath.workdps(50):
+            cm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in c])
+            chc = cm.H * cm
+            for t in range(trials):
+                a = chc.copy()
+                for l, p in enumerate(cov[t]):
+                    a[l, l] += mpmath.mpf(s2) / mpmath.mpf(p)
+                b = mpmath.matrix([mpmath.mpc(z.real, z.imag) / mpmath.mpf(p)
+                                   for z, p in zip(mean[t], cov[t])])
+                x = mpmath.lu_solve(a, b)
+                expected = np.array([complex(x[l]) for l in range(num_paths)])
+                assert np.abs(nu[t] - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_zero_mean_gives_zero_coupling(self, grid114):
         tables = _kernels.grid_tables(grid114, 8)
         prep = _kernels.prepare_state(
