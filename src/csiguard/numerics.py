@@ -162,8 +162,8 @@ def chi2_quantile(p: float, dof: int) -> float:
         y = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
     lo, hi = 0.0, math.inf
     for _ in range(100):
-        lower, upper_q = _regularized_gamma(a, y)
-        err = tail - upper_q if upper else lower - tail    # the sign of P(a, y) - p
+        p_y, q_y = _regularized_gamma(a, y)
+        err = tail - q_y if upper else p_y - tail    # the sign of P(a, y) - p
         if err < 0.0:
             lo = y
         else:
