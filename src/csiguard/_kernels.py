@@ -81,17 +81,10 @@ from .observation import PilotGrid, partial_dft
 _NEWTON_STEPS = 3
 
 
-def _int_power(base: np.ndarray, k: int) -> np.ndarray:
-    """base**k for integer k >= 0 by square-and-multiply (elementwise)."""
-    result = np.ones_like(base)
-    factor = base
-    while k:
-        if k & 1:
-            result = result * factor
-        k >>= 1
-        if k:
-            factor = factor * factor
-    return result
+# -1j with a +0.0 real part.  Python's -1j is complex(-0.0, -1.0), whose
+# product with slope +0.0 has imaginary part -0.0; this one's has +0.0, so
+# the ramp at slope +0.0 is 1 + 0j in every column, as for any other zero.
+_MINUS_J = complex(0.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,45 +97,49 @@ class GridTables:
     chc: np.ndarray        # (L, L) C^H C
     q: np.ndarray          # (Q,) pilot indices as float
     c3: np.ndarray         # (Q, 3L) conj(C) * [1, -1j q, -q^2][k], column k*L + l
-    ramp_q0: int
-    ramp_step: int         # the most common index step
-    ramp_groups: tuple[tuple[int, np.ndarray], ...]  # the other steps and their columns
+    ramp_powers: tuple[int, ...]  # distinct exponents of the ramp's factors, ascending
+    ramp_index: np.ndarray  # (Q,) column i's factor is base**ramp_powers[ramp_index[i]]
 
     def ramp(self, x: np.ndarray) -> np.ndarray:
-        """exp(-1j * x[..., None] * q) via one exp per distinct index step.
+        """exp(-1j * x[..., None] * q) as a cumulative product of per-column factors.
 
-        The pilot indices are integers, so the ramp is a cumulative
-        product of per-step factors base**dq; this replaces Q complex
-        exponentials per trial with a handful plus one cumprod.  The
-        factors are broadcast at the most common step, and only the
-        columns of the other steps are overwritten.
+        The pilot indices are integers, so with ``base = exp(-1j x)``
+        column 0 of the ramp is ``base**q_0`` and column i is column
+        i - 1 times ``base**(q_i - q_{i-1})``.  Each distinct exponent
+        (q_0 = 2 and the index steps 1 and 12 on the default grid) gets its
+        power once, by square-and-multiply on squarings that all powers
+        share, multiplying the set bits' squares from the lowest bit up.
+        One take gathers the powers to their columns and one cumulative
+        product follows; this replaces Q complex exponentials per slope.
+        The result is a fresh array.
         """
-        base = np.exp(-1j * x)
-        fac = np.empty(x.shape + self.q.shape, dtype=np.complex128)
-        fac[..., 0] = _int_power(base, self.ramp_q0)
-        fac[..., 1:] = _int_power(base, self.ramp_step)[..., None]
-        for power, cols in self.ramp_groups:
-            fac[..., cols] = _int_power(base, power)[..., None]
-        return np.cumprod(fac, axis=-1)
+        base = np.exp(_MINUS_J * x)
+        squares = [base]                                      # base**(2**bit)
+        powers = np.empty(base.shape + (len(self.ramp_powers),), dtype=np.complex128)
+        for j, k in enumerate(self.ramp_powers):
+            power = None
+            for bit in range(k.bit_length()):
+                if bit == len(squares):
+                    squares.append(squares[-1] * squares[-1])
+                if k >> bit & 1:
+                    power = squares[bit] if power is None else power * squares[bit]
+            powers[..., j] = 1.0 if power is None else power
+        fac = powers.take(self.ramp_index, axis=-1)
+        return np.multiply.accumulate(fac, axis=-1, out=fac)
 
 
 @functools.lru_cache(maxsize=16)
 def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
     c = partial_dft(grid, num_paths)
     qi = np.asarray(grid.pilot_indices, dtype=np.int64)
-    diffs = np.diff(qi)
-    powers, counts = np.unique(diffs, return_counts=True)
-    common = int(powers[np.argmax(counts)]) if len(diffs) else 1
-    groups = []
-    for power in powers[powers != common]:
-        cols = np.flatnonzero(diffs == power) + 1
-        cols.setflags(write=False)
-        groups.append((int(power), cols))
+    # Column i's factor exponent: q_0, then the index steps.
+    powers, ramp_index = np.unique(np.concatenate([qi[:1], np.diff(qi)]), return_inverse=True)
     arrays = dict(
         c_conj=np.ascontiguousarray(c.conj()),
         c_t=np.ascontiguousarray(c.T),
         chc=np.ascontiguousarray(c.conj().T @ c),
         q=np.asarray(grid.pilot_indices, dtype=float),
+        ramp_index=ramp_index,
     )
     q = arrays["q"]
     # d^k/dx^k exp(-1j x q) = exp(-1j x q) * ramp_derivs[k]; column k*L + l
@@ -154,9 +151,7 @@ def grid_tables(grid: PilotGrid, num_paths: int) -> GridTables:
         a.setflags(write=False)
     return GridTables(
         dft_size=grid.dft_size,
-        ramp_q0=int(qi[0]),
-        ramp_step=common,
-        ramp_groups=tuple(groups),
+        ramp_powers=tuple(int(k) for k in powers),
         **arrays,
     )
 
@@ -224,6 +219,7 @@ class StatePrep:
 
     noise_var: np.ndarray  # (R,) s2 per row (prepare_state also takes a scalar)
     gs: np.ndarray       # (R, L, L)
+    gs_conj: np.ndarray  # (R, L, L) conj(gs): row vectors s times it give (gs s)^T
     m: np.ndarray        # (R, Q) predicted DFT-domain channel C mu
     nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
 
@@ -242,7 +238,7 @@ def prepare_state(
     gs *= outer
     m = mean @ tables.c_t
     nu = np.matmul(gs, (mean / cov_diag)[..., None])[..., 0] / s2
-    return StatePrep(noise_var=s2[:, 0], gs=gs, m=m, nu_conj=nu.conj())
+    return StatePrep(noise_var=s2[:, 0], gs=gs, gs_conj=gs.conj(), m=m, nu_conj=nu.conj())
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,13 +312,13 @@ def _slope_derivatives(
     s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
     zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., R, 3): zc, zc', zc''
     zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
-    g = np.matmul(s[..., :2, :], np.conj(prep.gs))           # rows (G s)^T, (G s')^T
+    g = np.matmul(s[..., :2, :], prep.gs_conj)               # rows (G s)^T, (G s')^T
     cross = _real_dot(s[..., 1:, :], g[..., :1, :])           # Re(s'^H G s), Re(s''^H G s)
     curv = _real_dot(s[..., 1, :], g[..., 1, :])              # s'^H G s'
     d1 = -2.0 * cross[..., 0] / s2sq
     d2 = -2.0 * (cross[..., 1] + curv) / s2sq
     abs_zc = np.abs(zc)
-    inv = np.divide(1.0, abs_zc, out=np.zeros_like(abs_zc), where=abs_zc > 0.0)
+    inv = np.divide(1.0, abs_zc, out=np.zeros(abs_zc.shape), where=abs_zc > 0.0)
     dabs = (zc.real * zc1.real + zc.imag * zc1.imag) * inv   # d|zc|/dx; 0 where zc = 0
     d1 -= 2.0 * dabs
     curv_zc = zc1.real**2 + zc1.imag**2 + zc.real * zc2.real + zc.imag * zc2.imag
@@ -383,13 +379,15 @@ def phase_search(
     quad = np.empty(h_obs.shape[:-1] + slopes.shape)          # (..., R, G)
     zc = np.empty_like(quad, dtype=np.complex128)
     for link in np.ndindex(h_obs.shape[:-2]):
-        np.take(proj[link], index, axis=-1, out=s, mode="clip")  # (R, G, L)
-        np.matmul(s, np.conj(prep.gs), out=g)                 # rows s_g @ gs^T = (gs s_g)^T
+        proj[link].take(index, axis=-1, out=s, mode="clip")   # (R, G, L)
+        np.matmul(s, prep.gs_conj, out=g)                     # rows s_g @ gs^T = (gs s_g)^T
         quad[link] = _real_dot(s, g)
         np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
     obj = -quad / (s2 * s2)[:, None] - 2.0 * np.abs(zc)
 
     last = len(slopes) - 1
+    # Flat index of each row's grid point 0 in obj and zc.
+    row_start = np.arange(0, obj.size, len(slopes)).reshape(obj.shape[:-1])
 
     def refine(idx):
         """(objective, slope, zc, ramp) after Newton from grid point idx, no worse than it."""
@@ -399,12 +397,13 @@ def phase_search(
         x = x0
         for _ in range(_NEWTON_STEPS):
             d1, d2 = _slope_derivatives(tables.ramp(x), h_obs, prep, tables)
-            step = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 > 0.0)
+            step = np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 > 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
         u = tables.ramp(x)
         f_star, zc_star = _candidate_objective(u, h_obs, prep, tables)
-        f_grid = np.take_along_axis(obj, idx[..., None], axis=-1)[..., 0]
-        zc_grid = np.take_along_axis(zc, idx[..., None], axis=-1)[..., 0]
+        flat = row_start + idx
+        f_grid = obj.take(flat)
+        zc_grid = zc.take(flat)
         keep = f_star <= f_grid
         # Rows that fall back to the grid slope after Newton moved need its
         # ramp; ramp works row by row, so this matches ramp of the returned
@@ -465,12 +464,17 @@ def _coarse_workspace(
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
     """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|.
 
-    The offset angle is computed only on the entries still tied after the
-    slope rule, usually one per row.  (Its magnitude needs no
-    :func:`_wrap_offset`: pi and -pi have the same.)
+    Where every row has exactly one entry equal to its minimum (no exact
+    tie and no NaN in the batch) that entry's index is returned at once.
+    Otherwise the whole rule runs on every row, and the offset angle is
+    computed only on the entries still tied after the slope rule, usually
+    one per row.  (Its magnitude needs no :func:`_wrap_offset`: pi and -pi
+    have the same.)
     """
     best = obj.min(axis=-1, keepdims=True)
     tied = obj == best
+    if np.count_nonzero(tied) == best.size and not np.isnan(best).any():
+        return tied.argmax(axis=-1)                           # one minimum per row
     abs_slope = np.where(tied, np.abs(slopes), np.inf)
     best_slope = abs_slope.min(axis=-1, keepdims=True)
     tied &= abs_slope == best_slope

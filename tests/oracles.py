@@ -12,6 +12,10 @@ estimate comes from ``_kernels.phase_search``).  The dense filter solves
 with :func:`hermitian_solve`, a Cholesky solve, and scores a residual with
 :func:`residual_statistic`, ``2 eps^H Sigma^{-1} eps`` against the dense
 covariance, the quantity the kernels' whitened quadratic form computes.
+:func:`ramp` and :func:`argmin_with_ties` are plain forms of two kernels
+that ``_kernels`` trims for speed and must match bit for bit: the ramp
+with each factor power formed on its own, and the grid tie rule applied
+to every row.
 """
 
 from __future__ import annotations
@@ -160,6 +164,55 @@ def scalar_kalman(
         var = (1.0 - gain) * var
         means[i], variances[i] = mean, var
     return means, variances
+
+
+def _int_power(base: np.ndarray, k: int) -> np.ndarray:
+    """base**k for integer k >= 0 by square-and-multiply (elementwise)."""
+    result = np.ones_like(base)
+    factor = base
+    while k:
+        if k & 1:
+            result = result * factor
+        k >>= 1
+        if k:
+            factor = factor * factor
+    return result
+
+
+def ramp(tables, x: np.ndarray) -> np.ndarray:
+    """exp(-1j * x[..., None] * q) as a cumulative product of per-column factors.
+
+    Column 0's factor is ``base**q_0`` and column i's ``base**(q_i - q_{i-1})``
+    for ``base = exp(-1j x)``, each power formed on its own by
+    :func:`_int_power`.  The factor of the most common index step is
+    broadcast to every column after the first, the columns of the other
+    steps are overwritten, and ``np.cumprod`` runs along the pilots.
+    """
+    qi = tables.q.astype(np.int64)
+    diffs = np.diff(qi)
+    steps, counts = np.unique(diffs, return_counts=True)
+    common = int(steps[np.argmax(counts)]) if len(diffs) else 1
+    base = np.exp(-1j * x)
+    fac = np.empty(x.shape + tables.q.shape, dtype=np.complex128)
+    fac[..., 0] = _int_power(base, int(qi[0]))
+    fac[..., 1:] = _int_power(base, common)[..., None]
+    for step in steps[steps != common]:
+        fac[..., np.flatnonzero(diffs == step) + 1] = _int_power(base, int(step))[..., None]
+    return np.cumprod(fac, axis=-1)
+
+
+def argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """Index of the minimum along the last axis, exact ties toward smaller |slope| then |offset|.
+
+    The offset of entry g is ``angle(zc[..., g])``; every row takes the
+    whole rule, tied or not.  A row holding a NaN has no entry equal to its
+    minimum and gives index 0.
+    """
+    tied = obj == obj.min(axis=-1, keepdims=True)
+    abs_slope = np.where(tied, np.abs(slopes), np.inf)
+    tied &= abs_slope == abs_slope.min(axis=-1, keepdims=True)
+    abs_offset = np.where(tied, np.abs(np.angle(zc)), np.inf)
+    return np.argmin(abs_offset, axis=-1)
 
 
 def wrap_angle(theta: float) -> float:

@@ -11,6 +11,7 @@ from csiguard.observation import PilotGrid, partial_dft
 
 from oracles import (
     KalmanState,
+    argmin_with_ties as oracle_argmin_with_ties,
     hermitian_solve,
     PhaseDistortion,
     filter_step,
@@ -19,6 +20,7 @@ from oracles import (
     negative_log_likelihood,
     phase_diagonal,
     predict,
+    ramp as oracle_ramp,
     residual_statistic,
     update,
 )
@@ -158,27 +160,58 @@ class TestProfiledObjectiveAgainstDense:
         assert np.allclose(tables.ramp(x), expected, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "dft_size, pilots, step",
+        "dft_size, pilots, powers",
         [
             # scripts/check_outputs.py's all-keys grid.pilot_spec = 2-30,34-62:
-            # steps 1 and 4.
-            (64, tuple(range(2, 31)) + tuple(range(34, 63)), 1),
-            # Steps 1, 3 and 4, and a grid whose most common step is not 1.
-            (32, (0, 1, 2, 5, 6, 10, 11, 12), 1),
-            (32, (3, 5, 7, 9, 10, 13, 15, 17, 21), 2),
+            # q_0 = 2, steps 1 and 4.
+            (64, tuple(range(2, 31)) + tuple(range(34, 63)), (1, 2, 4)),
+            # q_0 = 0 and steps 1, 3 and 4; a grid whose most common step is not 1.
+            (32, (0, 1, 2, 5, 6, 10, 11, 12), (0, 1, 3, 4)),
+            (32, (3, 5, 7, 9, 10, 13, 15, 17, 21), (1, 2, 3, 4)),
             # One pilot: no step at all.
-            (16, (5,), 1),
+            (16, (5,), (5,)),
         ],
     )
-    def test_ramp_with_several_index_steps(self, rng, dft_size, pilots, step):
-        # ramp broadcasts the factor of the most common index step and
-        # overwrites the columns of the others.
+    def test_ramp_with_several_index_steps(self, rng, dft_size, pilots, powers):
+        # ramp forms one power per distinct exponent, q_0 or an index step,
+        # and ramp_index gives each column's.
         tables = _kernels.grid_tables(PilotGrid(dft_size, pilots), 4)
-        assert tables.ramp_step == step
-        assert all(power != step for power, _ in tables.ramp_groups)
+        assert tables.ramp_powers == powers
+        exponents = np.diff(pilots, prepend=0)
+        assert np.array_equal(np.asarray(powers)[tables.ramp_index], exponents)
         x = rng.uniform(-0.3, 0.3, size=(2, 5))
         expected = np.exp(-1j * x[..., None] * np.asarray(pilots, dtype=float))
         assert np.allclose(tables.ramp(x), expected, rtol=0, atol=1e-12)
+
+
+# The grids of test_ramp_with_several_index_steps, the default one and M = 64
+# with every bin a pilot (q_0 = 0).
+RAMP_GRIDS = [
+    PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, 127))),
+    PilotGrid(64, tuple(range(2, 31)) + tuple(range(34, 63))),
+    PilotGrid(32, (0, 1, 2, 5, 6, 10, 11, 12)),
+    PilotGrid(32, (3, 5, 7, 9, 10, 13, 15, 17, 21)),
+    PilotGrid(16, (5,)),
+    PilotGrid(64, tuple(range(64))),
+]
+
+
+class TestRampOracle:
+    """GridTables.ramp equals the oracle's ramp bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("grid", RAMP_GRIDS, ids=lambda g: f"M{g.dft_size}-Q{g.num_pilots}")
+    @pytest.mark.parametrize("shape", [(5,), (2, 1), (2, 64)], ids=lambda s: "x".join(map(str, s)))
+    def test_ramp_matches_oracle(self, rng, grid, shape):
+        tables = _kernels.grid_tables(grid, 4)
+        bound = default_slope(grid.dft_size)
+        x = rng.uniform(-bound, bound, size=shape)
+        specials = [0.0, -0.0, bound, -bound]
+        x.flat[: len(specials)] = specials[: x.size]
+        expected = oracle_ramp(tables, x)
+        got = tables.ramp(x)
+        assert got.shape == expected.shape
+        # Compared as bits, so that a signed zero counts too.
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def _search_inputs(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked=False):
@@ -674,6 +707,49 @@ class TestTieRule:
         )
         assert np.array_equal(offset, np.zeros((2, 3)))
         assert np.array_equal(slope, np.zeros((2, 3)))
+
+
+class TestTieRuleFastPath:
+    """_argmin_with_ties gives the oracle's index on (2, 64, 65) batches:
+    without ties (one minimum per row), with exact ties and with a NaN row."""
+
+    SLOPES = np.arange(-32, 33) * (0.2 / 32)                  # symmetric, as the grid is
+
+    def _batch(self, rng):
+        obj = rng.standard_normal((2, 64, 65))
+        zc = rng.standard_normal((2, 64, 65)) + 1j * rng.standard_normal((2, 64, 65))
+        return obj, zc
+
+    def _check(self, obj, zc):
+        idx = _kernels._argmin_with_ties(obj, self.SLOPES, zc)
+        assert idx.shape == obj.shape[:-1]
+        assert np.array_equal(idx, oracle_argmin_with_ties(obj, self.SLOPES, zc))
+
+    def test_no_ties(self, rng):
+        obj, zc = self._batch(rng)
+        assert np.all(np.sum(obj == obj.min(axis=-1, keepdims=True), axis=-1) == 1)
+        self._check(obj, zc)
+
+    def test_exact_ties(self, rng):
+        obj, zc = self._batch(rng)
+        best = obj.min(axis=-1)
+        for link, row, cols in [
+            (0, 3, (10, 40)),       # two-way
+            (1, 7, (32, 33)),       # two-way at slope 0 and its neighbour
+            (0, 11, (5, 59)),       # two-way at equal |slope|: the offset decides
+            (1, 20, (0, 31, 64)),   # three-way
+            (0, 50, (2, 30, 34)),   # three-way, two at equal |slope|
+        ]:
+            obj[link, row, list(cols)] = best[link, row] - 1.0
+        obj[1, 63] = 0.25                                     # every entry equal
+        self._check(obj, zc)
+
+    def test_nan_row(self, rng):
+        obj, zc = self._batch(rng)
+        obj[1, 17, 9] = np.nan
+        self._check(obj, zc)
+        obj[0, 4, (12, 40)] = obj[0, 4].min() - 1.0           # and a tie elsewhere
+        self._check(obj, zc)
 
 
 class TestEstimatePhase:
