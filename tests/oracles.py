@@ -183,22 +183,12 @@ def ramp(tables, x: np.ndarray) -> np.ndarray:
     """exp(-1j * x[..., None] * q) as a cumulative product of per-column factors.
 
     Column 0's factor is ``base**q_0`` and column i's ``base**(q_i - q_{i-1})``
-    for ``base = exp(-1j x)``, each power formed on its own by
-    :func:`_int_power`.  The factor of the most common index step is
-    broadcast to every column after the first, the columns of the other
-    steps are overwritten, and ``np.cumprod`` runs along the pilots.
+    for ``base = exp(-1j x)``, each column's formed on its own by
+    :func:`_int_power`; ``np.cumprod`` then runs along the pilots.
     """
-    qi = tables.q.astype(np.int64)
-    diffs = np.diff(qi)
-    steps, counts = np.unique(diffs, return_counts=True)
-    common = int(steps[np.argmax(counts)]) if len(diffs) else 1
+    exponents = np.diff(tables.q.astype(np.int64), prepend=0)
     base = np.exp(-1j * x)
-    fac = np.empty(x.shape + tables.q.shape, dtype=np.complex128)
-    fac[..., 0] = _int_power(base, int(qi[0]))
-    fac[..., 1:] = _int_power(base, common)[..., None]
-    for step in steps[steps != common]:
-        fac[..., np.flatnonzero(diffs == step) + 1] = _int_power(base, int(step))[..., None]
-    return np.cumprod(fac, axis=-1)
+    return np.cumprod(np.stack([_int_power(base, int(k)) for k in exponents], axis=-1), axis=-1)
 
 
 def argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
