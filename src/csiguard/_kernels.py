@@ -83,7 +83,7 @@ _NEWTON_STEPS = 3
 
 # -1j with a +0.0 real part.  Python's -1j is complex(-0.0, -1.0), whose
 # product with slope +0.0 has imaginary part -0.0; this one's has +0.0, so
-# the ramp at slope +0.0 is 1 + 0j in every column, as for any other zero.
+# the ramp at slope +0.0 is exactly 1 + 0j in every column, as at -0.0.
 _MINUS_J = complex(0.0, -1.0)
 
 
