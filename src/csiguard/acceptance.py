@@ -212,7 +212,7 @@ def criterion_6_phase_recovery() -> CriterionResult:
     max_slope = 2.0 * np.pi * 4.0 / 128.0
     tables = _kernels.grid_tables(grid, 8)
     rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
-    link = next(simulate([profile], tables, [noise_var], max_slope, rngs))
+    [link] = simulate([profile], tables, [noise_var], max_slope, rngs, 1)
 
     cov = np.tile(profile.process_noise_diag, (packets, 1))
     prep = _kernels.prepare_state(link.taps[0, 0], cov, noise_var, tables)

@@ -90,9 +90,16 @@ class Link(NamedTuple):
     slope: np.ndarray
 
 
+# simulate builds as many whole steps at a time as fit in this many rows
+# (P points times T trials per step), at least one: 32 steps at one
+# trial, one step from 17 rows up.  Longer blocks save little more per
+# step and hold more memory.
+_BLOCK_ROWS = 32
+
+
 def _by_link(block: np.ndarray, n: int) -> np.ndarray:
-    """View a (T, 4n) draw block as (re/im, link, T, n): alice then eve, real parts first."""
-    return block.reshape(len(block), 2, 2, n).transpose(2, 1, 0, 3)
+    """View a (K, T, 4n) draw block as (re/im, K, link, T, n): alice then eve, real parts first."""
+    return block.reshape(*block.shape[:2], 2, 2, n).transpose(3, 0, 2, 1, 4)
 
 
 def simulate(
@@ -101,10 +108,11 @@ def simulate(
     noise_vars,
     max_slope: float,
     rngs,
+    num_steps: int,
     *,
     clone_eve: bool = False,
 ) -> Iterator[Link]:
-    """Yield both links of a batch of trials at several points, one step at a time.
+    """Yield both links of a batch of trials at several points for ``num_steps`` steps.
 
     The generative model of every Monte Carlo run.  ``profiles`` and
     ``noise_vars`` hold one channel profile and one noise variance per
@@ -124,10 +132,11 @@ def simulate(
     All points share the draws, so they see common random numbers: the
     stationary starts, the channel innovations, the unit-variance
     observation noise, and the phase offsets and slopes, whose factor
-    ``exp(j offset) conj(ramp(slope))`` is built once per step.  Each
-    point's AR(1) coefficient, innovation scale and noise scale broadcast
-    as ``(P, 1, 1)``, ``(P, 1, L)`` and ``(P, 1, 1)`` against the shared
-    draws, and ``C h`` is one ``(T, L)`` GEMM per link and point.
+    ``exp(j offset) conj(ramp(slope))`` is built once for all points.
+    Each point's AR(1) coefficient, innovation scale and noise scale
+    broadcast as ``(P, 1, 1)``, ``(P, 1, L)`` and ``(P, 1, 1)`` against
+    the shared draws, and ``C h`` is one ``(T, L)`` product per step,
+    link and point.
 
     ``rngs`` holds one generator per trial, each consumed in a fixed
     documented order that does not depend on the number of points: first
@@ -136,18 +145,32 @@ def simulate(
     one ``standard_normal(4L + 4Q)`` block (alice/eve channel
     innovations, then alice/eve observation noise, real parts before
     imaginary parts) followed by one ``uniform(size=4)`` block (alice
-    offset, alice slope, eve offset, eve slope).
+    offset, alice slope, eve offset, eve slope).  Exactly ``num_steps``
+    steps are drawn, so after the last yield each generator has made the
+    start's draws and ``num_steps`` steps' draws, and no more.
 
     ``clone_eve`` makes eve's channel identical to alice's (the
     indistinguishable-hypothesis case: ``taps[1]`` is a copy of
-    ``taps[0]``); eve's noise and phase draws are unchanged.  The
-    generator never ends; the caller takes as many steps as it needs.
+    ``taps[0]``); eve's noise and phase draws are unchanged.
 
-    Each generator fills its rows of two draw blocks, ``(T, 4L + 4Q)``
-    normal and ``(T, 4)`` uniform, allocated once and refilled every
-    step; while suspended at a yield the generator holds them (about
-    250 KB at T = 64 on the default grid) and nothing else of their size.
-    The yielded arrays are fresh every step and never alias the blocks.
+    Steps are built in blocks of K consecutive steps, K the number of
+    whole steps of ``P T`` rows that fit in 32 rows, at least one (so
+    K = 32 at one point and one trial, and K = 1 from 17 rows up): the
+    generators fill K steps of draws, step by step in the order above,
+    and the innovations, noise, phases and observations of the block are
+    formed in one pass each.  Only the AR(1) tap recursion runs step by
+    step.  Every element is computed by the same operations as in a
+    step-at-a-time build, so the results do not depend on K, bit for bit.
+
+    Each generator fills its rows of two draw blocks, ``(K, T, 4L + 4Q)``
+    normal and ``(K, T, 4)`` uniform, allocated once and refilled every
+    block.  Each block's taps, observations, offsets and slopes go into
+    fresh ``(K, ...)`` arrays, and each yielded Link is a view of one
+    step of them, never of the draw blocks.  While suspended at a yield
+    the generator holds the two draw blocks, the current block's arrays
+    and its phase factor: at one trial on the default grid, about 0.4 MB
+    in all; at K = 1 and T = 64, 250 KB of draw blocks and one step's
+    arrays.
     """
     profiles = list(profiles)
     noise_vars = np.array(noise_vars, dtype=float)
@@ -160,6 +183,8 @@ def simulate(
         raise ValueError(f"noise variance must be > 0, got {float(noise_vars.min())!r}")
     if max_slope < 0.0:
         raise ValueError(f"max_slope must be >= 0, got {max_slope!r}")
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0, got {num_steps!r}")
     pdp = profiles[0].pdp
     if any(not np.array_equal(p.pdp, pdp) for p in profiles[1:]):
         raise ValueError("all profiles must share one power-delay profile")
@@ -171,31 +196,46 @@ def simulate(
     noise_scale = np.sqrt(noise_vars / 2.0)[:, None, None]
 
     init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
-    re, im = _by_link(init, num_paths)
+    num_trials = len(init)
+    re, im = _by_link(init[None], num_paths)
     # Every point starts from the same (2, 1, T, L) draw.
-    taps = (chan_scale * (re + 1j * im))[:, None]
+    taps = (chan_scale * (re[0] + 1j * im[0]))[:, None]
+    block = max(1, min(num_steps, _BLOCK_ROWS // (len(profiles) * num_trials)))
     nz = 4 * num_paths
-    z = np.empty((len(init), nz + 4 * num_pilots))
-    u = np.empty((len(init), 4))
-    while True:
-        # Row by row, these draw the same numbers as standard_normal(n)
-        # and uniform(size=4) would, without allocating them every step.
-        for rng, z_row, u_row in zip(rngs, z, u):
-            rng.standard_normal(out=z_row)
-            rng.random(out=u_row)
+    z = np.empty((block, num_trials, nz + 4 * num_pilots))
+    u = np.empty((block, num_trials, 4))
+    for start in range(0, num_steps, block):
+        k = min(block, num_steps - start)
+        # Step by step, so each generator draws in its documented order.
+        for z_step, u_step in zip(z[:k], u[:k]):
+            for rng, z_row, u_row in zip(rngs, z_step, u_step):
+                # Row by row, these draw the same numbers as standard_normal(n)
+                # and uniform(size=4) would, without allocating them.
+                rng.standard_normal(out=z_row)
+                rng.random(out=u_row)
 
-        re, im = _by_link(z[:, :nz], num_paths)
-        innov = (re + 1j * im)[:, None]
-        noise = _by_link(z[:, nz:], num_pilots)[:, :, None]
-        offset = -np.pi + 2.0 * np.pi * u[:, 0::2].T
-        slope = max_slope * (2.0 * u[:, 1::2].T - 1.0)
+        re, im = _by_link(z[:k, :, :nz], num_paths)
+        # (K, 2, P, T, L): each point's scaled innovations.
+        innov = proc_scale * (re + 1j * im)[:, :, None]
+        noise = _by_link(z[:k, :, nz:], num_pilots)[:, :, :, None]
+        offset = -np.pi + 2.0 * np.pi * u[:k, :, 0::2].transpose(0, 2, 1)
+        slope = max_slope * (2.0 * u[:k, :, 1::2].transpose(0, 2, 1) - 1.0)
         phase = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
 
-        taps = alpha * taps + proc_scale * innov
+        # The recursion is sequential: alpha times the previous step's
+        # taps, plus the innovation, one step at a time.
+        block_taps = np.empty(innov.shape, dtype=np.complex128)
+        for i in range(k):
+            np.multiply(alpha, taps, out=block_taps[i])
+            block_taps[i] += innov[i]
+            taps = block_taps[i]
         if clone_eve:
-            taps[1] = taps[0]
-        obs = taps @ tables.c_t
-        np.multiply(phase[:, None], obs, out=obs)
+            # Alice's taps never read eve's, and a copy per step would
+            # overwrite each of eve's: one copy per block gives the same.
+            block_taps[:, 1] = block_taps[:, 0]
+        obs = block_taps @ tables.c_t
+        np.multiply(phase[:, :, None], obs, out=obs)
         obs.real += noise_scale * noise[0]
         obs.imag += noise_scale * noise[1]
-        yield Link(taps, obs, offset, slope)
+        for i in range(k):
+            yield Link(block_taps[i], obs[i], offset[i], slope[i])

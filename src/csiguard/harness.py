@@ -196,7 +196,7 @@ def run_batch(
     num_trials = len(rngs)
     num_rows = len(cfgs) * num_trials
 
-    links = simulate(profiles, tables, noise_vars, max_slope, rngs, clone_eve=clone_eve)
+    links = simulate(profiles, tables, noise_vars, max_slope, rngs, num_steps, clone_eve=clone_eve)
 
     # One filter over the R = P T rows, row p T + t for point p's trial t,
     # each with its point's AR(1) coefficient, process noise and noise variance.
@@ -215,8 +215,7 @@ def run_batch(
     mse = np.empty(shape) if collect_mse else None
 
     per_chain = max(1, _CHAIN_ROWS // num_trials)
-    # zip draws the next step from links only while range has steps left.
-    for k, link in zip(range(1, num_steps + 1), links):
+    for k, link in enumerate(links, start=1):
         mean *= alpha
         cov = alpha**2 * cov + process_noise
         for p in range(0, len(cfgs), per_chain):

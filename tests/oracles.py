@@ -15,7 +15,10 @@ covariance, the quantity the kernels' whitened quadratic form computes.
 :func:`ramp` and :func:`argmin_with_ties` are plain forms of two kernels
 that ``_kernels`` trims for speed and must match bit for bit: the ramp
 with each factor power formed on its own, and the grid tie rule applied
-to every row.
+to every row.  :func:`simulate_by_step` is the generative model of
+``csiguard.channel.simulate`` built one step at a time, with every step's
+arithmetic on that step's draws alone; ``simulate`` builds blocks of
+steps and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from csiguard import _kernels
+from csiguard.channel import Link
 from csiguard.errors import NumericalError
 from csiguard.observation import partial_dft
 
@@ -203,6 +207,55 @@ def argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.
     tied &= abs_slope == abs_slope.min(axis=-1, keepdims=True)
     abs_offset = np.where(tied, np.abs(np.angle(zc)), np.inf)
     return np.argmin(abs_offset, axis=-1)
+
+
+def _by_link(block: np.ndarray, n: int) -> np.ndarray:
+    """View a (T, 4n) draw block as (re/im, link, T, n): alice then eve, real parts first."""
+    return block.reshape(len(block), 2, 2, n).transpose(2, 1, 0, 3)
+
+
+def simulate_by_step(profiles, tables, noise_vars, max_slope, rngs, num_steps, *, clone_eve=False):
+    """Yield what ``csiguard.channel.simulate`` yields, building one step at a time.
+
+    Draws in the documented per-generator order: the stationary start,
+    then per step one ``standard_normal(4L + 4Q)`` and one ``uniform(size=4)``
+    block.  Each step forms its innovations, noise, phases, observations
+    and AR(1) update from that step's draws alone.
+    """
+    pdp = profiles[0].pdp
+    num_paths = profiles[0].num_paths
+    num_pilots = tables.c_t.shape[1]
+    chan_scale = np.sqrt(pdp / 2.0)
+    alpha = np.array([p.alpha for p in profiles])[:, None, None]
+    proc_scale = np.sqrt(np.stack([p.process_noise_diag for p in profiles]) / 2.0)[:, None]
+    noise_scale = np.sqrt(np.array(noise_vars, dtype=float) / 2.0)[:, None, None]
+
+    init = np.stack([rng.standard_normal(4 * num_paths) for rng in rngs])
+    re, im = _by_link(init, num_paths)
+    taps = (chan_scale * (re + 1j * im))[:, None]
+    nz = 4 * num_paths
+    z = np.empty((len(init), nz + 4 * num_pilots))
+    u = np.empty((len(init), 4))
+    for _ in range(num_steps):
+        for rng, z_row, u_row in zip(rngs, z, u):
+            rng.standard_normal(out=z_row)
+            rng.random(out=u_row)
+
+        re, im = _by_link(z[:, :nz], num_paths)
+        innov = (re + 1j * im)[:, None]
+        noise = _by_link(z[:, nz:], num_pilots)[:, :, None]
+        offset = -np.pi + 2.0 * np.pi * u[:, 0::2].T
+        slope = max_slope * (2.0 * u[:, 1::2].T - 1.0)
+        phase = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
+
+        taps = alpha * taps + proc_scale * innov
+        if clone_eve:
+            taps[1] = taps[0]
+        obs = taps @ tables.c_t
+        np.multiply(phase[:, None], obs, out=obs)
+        obs.real += noise_scale * noise[0]
+        obs.imag += noise_scale * noise[1]
+        yield Link(taps, obs, offset, slope)
 
 
 def wrap_angle(theta: float) -> float:

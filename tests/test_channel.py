@@ -1,14 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from csiguard import _kernels
+from csiguard import _kernels, channel
 from csiguard.channel import ChannelProfile, Link, make_profile, simulate
 from csiguard.numerics import bessel_j0
 from csiguard.observation import PilotGrid
 
-from oracles import bessel_j0_first_zero, bessel_j0_series
+from oracles import bessel_j0_first_zero, bessel_j0_series, simulate_by_step
 
 # J0(2 pi fd Ts) from the series oracle.
 ALPHA_AT_1E4 = 0.9999999013039584
@@ -27,11 +25,8 @@ def simulate_links(
     grid = grid or PilotGrid(max(8, profile.num_paths), (0, 1, 3))
     tables = _kernels.grid_tables(grid, profile.num_paths)
     rngs = [np.random.default_rng(s) for s in seeds]
-    links = simulate([profile], tables, [noise_var], max_slope, rngs, clone_eve=clone_eve)
-    return [
-        link._replace(taps=link.taps[:, 0], obs=link.obs[:, 0])
-        for link in itertools.islice(links, steps)
-    ]
+    links = simulate([profile], tables, [noise_var], max_slope, rngs, steps, clone_eve=clone_eve)
+    return [link._replace(taps=link.taps[:, 0], obs=link.obs[:, 0]) for link in links]
 
 
 def split(link):
@@ -226,3 +221,79 @@ class TestSimulate:
             rot = np.exp(1j * eve.offset)[:, None] * tables.ramp(eve.slope).conj()
             moved = rot * ((alice.taps - eve.taps) @ tables.c_t)
             assert np.allclose(eve_c.obs - eve.obs, moved, rtol=0, atol=1e-12)
+
+
+def bits(a):
+    """An array's bytes as uint64 words, so signed zeros and NaNs compare exactly."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# (trials, points): T = 1, 2 and 64 at one point, and 3 points of one trial.
+BLOCK_SHAPES = [(1, 1), (2, 1), (64, 1), (1, 3)]
+# The default grid: 114 pilots of M = 128, with 8 taps.
+DEFAULT_TABLES = _kernels.grid_tables(
+    PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, 127))), 8
+)
+
+
+def block_run(num_trials, num_points, steps, model=simulate, clone_eve=False):
+    """(Links, generators) of ``steps`` steps of ``model`` at T trials and P points."""
+    profiles = [make_profile(8, d, 0.5) for d in (1e-4, 1e-2, 1e-3)[:num_points]]
+    noise_vars = [0.1, 1.0, 0.01][:num_points]
+    rngs = [np.random.default_rng([20, t]) for t in range(num_trials)]
+    links = model(profiles, DEFAULT_TABLES, noise_vars, 0.19, rngs, steps, clone_eve=clone_eve)
+    return list(links), rngs
+
+
+def block_counts(num_trials, num_points):
+    """Step counts 1, K - 1, K, K + 1 and 2K + 1 for simulate's block length K."""
+    k = max(1, channel._BLOCK_ROWS // (num_trials * num_points))
+    return sorted({1, k - 1, k, k + 1, 2 * k + 1} - {0})
+
+
+class TestBlocks:
+    """simulate builds blocks of steps, bit for bit a step-at-a-time build."""
+
+    @pytest.mark.parametrize("clone_eve", [False, True])
+    @pytest.mark.parametrize("num_trials, num_points", BLOCK_SHAPES)
+    def test_every_field_matches_the_step_oracle(self, num_trials, num_points, clone_eve):
+        for steps in block_counts(num_trials, num_points):
+            links, _ = block_run(num_trials, num_points, steps, clone_eve=clone_eve)
+            expected, _ = block_run(
+                num_trials, num_points, steps, simulate_by_step, clone_eve=clone_eve
+            )
+            assert len(links) == len(expected) == steps
+            for k, (link, ref) in enumerate(zip(links, expected)):
+                for name, got, want in zip(Link._fields, link, ref):
+                    assert got.shape == want.shape, (steps, k, name)
+                    assert np.array_equal(bits(got), bits(want)), (steps, k, name)
+
+    @pytest.mark.parametrize("num_trials, num_points", BLOCK_SHAPES)
+    def test_generators_make_exactly_the_documented_draws(self, num_trials, num_points):
+        for steps in [0, *block_counts(num_trials, num_points)]:
+            links, rngs = block_run(num_trials, num_points, steps)
+            assert len(links) == steps
+            for t, rng in enumerate(rngs):
+                fresh = np.random.default_rng([20, t])
+                fresh.standard_normal(4 * 8)
+                for _ in range(steps):
+                    fresh.standard_normal(4 * 8 + 4 * 114)
+                    fresh.uniform(size=4)
+                assert rng.bit_generator.state == fresh.bit_generator.state, (steps, t)
+
+    def test_yielded_links_keep_their_values(self):
+        # A Link taken from an early block is not overwritten by later ones.
+        steps = 2 * channel._BLOCK_ROWS + 1
+        profile = make_profile(8, 1e-2, 0.5)
+        rngs = [np.random.default_rng(3)]
+        links = simulate([profile], DEFAULT_TABLES, [0.1], 0.19, rngs, steps)
+        kept = [(link, [field.copy() for field in link]) for link in links]
+        assert len(kept) == steps
+        for link, copies in kept:
+            for field, copy in zip(link, copies):
+                assert np.array_equal(bits(field), bits(copy))
+
+    def test_refuses_a_negative_step_count(self, profile8):
+        tables = _kernels.grid_tables(PilotGrid(32, tuple(range(12))), 8)
+        with pytest.raises(ValueError, match="num_steps"):
+            next(simulate([profile8], tables, [0.1], 0.2, [np.random.default_rng(0)], -1))

@@ -272,7 +272,7 @@ class TestLockstepPoints:
         states = []
         for points in (profiles[:1], profiles):
             rngs = [np.random.default_rng(s) for s in seeds]
-            links = simulate(points, tables, [0.1] * len(points), 0.2, rngs)
+            links = simulate(points, tables, [0.1] * len(points), 0.2, rngs, 5)
             for _ in range(5):
                 assert next(links).obs.shape[1] == len(points)
             states.append([rng.bit_generator.state for rng in rngs])
@@ -379,7 +379,7 @@ class TestCollectPhase:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         rngs = [np.random.default_rng(s) for s in seeds]
-        link = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs))
+        link = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs, 1))
         cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
         prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
                                       noise_var, tables)
@@ -452,9 +452,10 @@ class TestRunnerAgainstPublicOps:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         max_slope = cfg.resolved_max_slope()
-        links = simulate([profile], tables, [noise_var], max_slope, [np.random.default_rng(seed)])
+        rngs = [np.random.default_rng(seed)]
+        links = simulate([profile], tables, [noise_var], max_slope, rngs, cfg.num_steps)
         state = init_state(profile)
-        for k, link in zip(range(1, cfg.num_steps + 1), links):
+        for k, link in enumerate(links, start=1):
             alice_obs, eve_obs = link.obs[:, 0, 0]
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(

@@ -120,7 +120,7 @@ class TestObserve:
     def test_rejects_nonpositive_noise(self, small_grid, profile8):
         tables = _kernels.grid_tables(small_grid, 8)
         with pytest.raises(ValueError):
-            next(simulate([profile8], tables, [0.0], 0.2, [np.random.default_rng(0)]))
+            next(simulate([profile8], tables, [0.0], 0.2, [np.random.default_rng(0)], 1))
 
 
 class TestDrawPhaseDistortion:
@@ -141,7 +141,7 @@ class TestDrawPhaseDistortion:
     def test_rejects_bad_bound(self, small_grid, profile8):
         tables = _kernels.grid_tables(small_grid, 8)
         with pytest.raises(ValueError):
-            next(simulate([profile8], tables, [0.1], -0.2, [np.random.default_rng(0)]))
+            next(simulate([profile8], tables, [0.1], -0.2, [np.random.default_rng(0)], 1))
 
 
 class TestSnr:
