@@ -1,10 +1,12 @@
 """The gate-output digest script: its body digest ignores the header line,
-and its config-file command sets every key."""
+its array digests hash raw bytes, and its config-file command sets every key."""
 
 import hashlib
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from csiguard.config import CONFIG_KEYS, ScenarioConfig, config_from_mapping, parse_config_text
@@ -42,3 +44,18 @@ def test_config_file_sets_every_key_off_default(script):
     cfg = config_from_mapping(mapping)
     default = ScenarioConfig()
     assert all(getattr(cfg, f) != getattr(default, f) for f in vars(cfg))
+
+
+def test_array_digests_hash_each_array_over_every_batch(script):
+    names = ("lam", "mag", "phase_est", "mse")
+    a = SimpleNamespace(**{n: np.arange(6.0).reshape(2, 3) + i for i, n in enumerate(names)})
+    b = SimpleNamespace(**{n: -getattr(a, n).T for n in names})
+    digests = script.array_digests([a, b])
+    assert list(digests) == list(names) == list(script.ARRAYS)
+    for name in names:
+        raw = getattr(a, name).tobytes() + np.ascontiguousarray(getattr(b, name)).tobytes()
+        assert digests[name] == hashlib.sha256(raw).hexdigest()
+    # The raw bytes decide: -0.0 is not 0.0, and NaNs count by position.
+    c = SimpleNamespace(**{n: np.array([0.0, np.nan]) for n in names})
+    d = SimpleNamespace(**{n: np.array([-0.0, np.nan]) for n in names})
+    assert script.array_digests([c])["lam"] != script.array_digests([d])["lam"]
