@@ -40,9 +40,11 @@ runs over the slope axis only, in two stages:
   ``C3 = conj(C) * [1, -1j q, -q^2]`` (:attr:`GridTables.c3`), which
   gives ``s`` and its first two slope derivatives.  Leaving the slope at grid
   resolution would leak into the offset estimate through the slope-offset
-  coupling of the likelihood.  From within half a grid cell, three steps
-  bring the slope within 1e-6 rad of the minimizer (measured worst case
-  4e-7 rad, at 30 dB on the default grid) and usually within 1e-10.
+  coupling of the likelihood.  Three steps usually bring the slope within
+  1e-10 rad of the minimizer, but not always: against ten steps from the
+  same grid point (default grid, 17,920 searches per SNR) they ended up
+  to 1.4e-5 rad away at 10 dB and up to 1.8e-4 rad at 60 dB, where the
+  minimizer lay 0.38-0.52 cell from the grid point (ROADMAP item 7).
 
 The prediction enters the search only through the offset coupling
 ``zc = sum_q u_q h_q conj((Sigma0^{-1} m)_q)`` for the ramp ``u``.  Since
