@@ -168,9 +168,8 @@ def simulate(
     fresh ``(K, ...)`` arrays, and each yielded Link is a view of one
     step of them, never of the draw blocks.  While suspended at a yield
     the generator holds the two draw blocks, the current block's arrays
-    and its phase factor: at one trial on the default grid, about 0.4 MB
-    in all; at K = 1 and T = 64, 250 KB of draw blocks and one step's
-    arrays.
+    and its phase factor: on the default grid about 0.4 MB at one trial
+    (K = 32) and 0.75 MB at T = 64 (K = 1), 250 KB of it the draw blocks.
     """
     profiles = list(profiles)
     noise_vars = np.array(noise_vars, dtype=float)
@@ -222,8 +221,7 @@ def simulate(
         slope = max_slope * (2.0 * u[:k, :, 1::2].transpose(0, 2, 1) - 1.0)
         phase = np.exp(1j * offset)[..., None] * tables.ramp(slope).conj()
 
-        # The recursion is sequential: alpha times the previous step's
-        # taps, plus the innovation, one step at a time.
+        # Each step's taps read the previous step's, so this runs per step.
         block_taps = np.empty(innov.shape, dtype=np.complex128)
         for i in range(k):
             np.multiply(alpha, taps, out=block_taps[i])
