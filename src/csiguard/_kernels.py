@@ -36,15 +36,17 @@ runs over the slope axis only, in two stages:
 * three Newton steps from the grid argmin, on the exact first and second
   slope derivatives of the profiled objective, each clipped to the grid
   cells on either side of that argmin.  Each step is one flat GEMM
-  ``(ramp * h) @ C3`` against the ``(Q, 3L)`` table
-  ``C3 = conj(C) * [1, -1j q, -q^2]`` (:attr:`GridTables.c3`), which
-  gives ``s`` and its first two slope derivatives.  Leaving the slope at grid
-  resolution would leak into the offset estimate through the slope-offset
-  coupling of the likelihood.  Three steps usually bring the slope within
-  1e-10 rad of the minimizer, but not always: against ten steps from the
-  same grid point (default grid, 17,920 searches per SNR) they ended up
-  to 1.4e-5 rad away at 10 dB and up to 1.8e-4 rad at 60 dB, where the
-  minimizer lay 0.38-0.52 cell from the grid point (ROADMAP item 7).
+  ``(ramp * h) @ C3`` against ``C3 = conj(C) * [1, -1j q, -q^2]``
+  (:attr:`GridTables.c3`), giving ``s`` and its first two slope derivatives,
+  whose real forms are entries of two 2 x 2 Gram products
+  (:func:`_slope_derivatives`); the first step takes the grid point's exact
+  ramp from :func:`slope_tables`.  Leaving the slope at grid resolution
+  would leak into the offset estimate through the slope-offset coupling of
+  the likelihood.  Three steps usually bring the slope within 1e-10 rad of
+  the minimizer, but not always: against ten steps from the same grid point
+  (default grid, 17,920 searches per SNR) they ended up to 1.4e-5 rad away
+  at 10 dB and up to 1.8e-4 rad at 60 dB, where the minimizer lay
+  0.38-0.52 cell from the grid point (ROADMAP item 7).
 
 The prediction enters the search only through the offset coupling
 ``zc = sum_q u_q h_q conj((Sigma0^{-1} m)_q)`` for the ramp ``u``.  Since
@@ -169,8 +171,8 @@ def _ceil(x: float) -> int:
 @functools.lru_cache(maxsize=16)
 def slope_tables(
     tables: GridTables, num_points: int, bound: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coarse slope grid on the slope lattice: (slopes, lattice table, gather index).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse slope grid on the slope lattice: (slopes, lattice table, gather index, grid ramps).
 
     The grid is ``j * delta`` for ``|j| <= ceil(bound / delta)``, with
     ``delta = 2 pi / (k M)`` and ``k = ceil(pi (num_points - 1) / (bound M))``
@@ -188,9 +190,10 @@ def slope_tables(
     for G slopes; for pilot-domain rows x of shape (N, Q), column
     ``index[g, l]`` of ``x @ table`` is ``(C^H (exp(-1j slopes[g] q) * x))[l]``.
     Tap 0 holds the largest steps, so columns ``index[0, 0]:`` are ``x``
-    projected on each grid ramp.  The cache is
-    keyed on the identity of ``tables``, which :func:`grid_tables` returns
-    once per (grid, channel length).
+    projected on each grid ramp; row g of the ``(G, Q)`` grid ramps is column
+    ``index[g, 0]``, the direct ``exp(-1j slopes[g] q)`` (not
+    :meth:`GridTables.ramp`'s product).  The cache is keyed on the identity
+    of ``tables``, which :func:`grid_tables` returns once per (grid, channel length).
     """
     k = max(1, _ceil(np.pi * (num_points - 1) / (bound * tables.dft_size)))
     delta = 2.0 * np.pi / (k * tables.dft_size)
@@ -201,9 +204,10 @@ def slope_tables(
     steps, index = np.unique(j[:, None] - k * np.arange(tables.c_conj.shape[1]), return_inverse=True)
     index = index.reshape(len(j), -1)
     table = np.exp(-1j * np.outer(tables.q, steps * delta))
-    for a in (slopes, table, index):
+    ramps = table.T[index[:, 0]]                              # (G, Q) exp(-1j slopes[g] q)
+    for a in (slopes, table, index, ramps):
         a.setflags(write=False)
-    return slopes, table, index
+    return slopes, table, index, ramps
 
 
 @dataclass(eq=False)
@@ -307,27 +311,24 @@ def _slope_derivatives(
     * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
       - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
 
-    with ``G = prep.gs``.  All three of s, s', s'' come from one GEMM
-    against ``tables.c3``, and zc, zc', zc'' from one product with
-    ``prep.nu_conj``.  Where ``zc = 0`` (a zero predicted mean
-    makes it vanish for every slope) the coupling terms are dropped.
+    with ``G = prep.gs``.  One GEMM against ``tables.c3`` gives s, s', s'' and
+    one product with ``prep.nu_conj`` zc, zc', zc''.  Entry (i, j) of two real
+    2 x 2 Gram products is ``Re(s_(i+1)^H G s_j)`` (float views of [s', s'']
+    times the rows G s, G s', so no ``conj``) and ``Re(conj(zc_(i+1)) zc_j)``:
+    f' reads (0, 0) of each, f'' (1, 0) + (0, 1).  Where ``zc = 0`` (a zero
+    predicted mean makes it vanish for every slope) the coupling terms are dropped.
     """
     s2sq = prep.noise_var * prep.noise_var
     s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
-    zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., R, 3): zc, zc', zc''
-    zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
+    zcs = np.matmul(s, prep.nu_conj[..., None])               # (..., R, 3, 1): zc, zc', zc''
     g = np.matmul(s[..., :2, :], prep.gs_conj)               # rows (G s)^T, (G s')^T
-    cross = _real_dot(s[..., 1:, :], g[..., :1, :])           # Re(s'^H G s), Re(s''^H G s)
-    curv = _real_dot(s[..., 1, :], g[..., 1, :])              # s'^H G s'
-    d1 = -2.0 * cross[..., 0] / s2sq
-    d2 = -2.0 * (cross[..., 1] + curv) / s2sq
-    abs_zc = np.abs(zc)
+    quad = np.matmul(s[..., 1:, :].view(np.float64), g.view(np.float64).swapaxes(-1, -2))
+    coup = (zcs[..., 1:, :].conj() * zcs[..., :2, :].swapaxes(-1, -2)).real
+    abs_zc = np.abs(zcs[..., 0, 0])
     inv = np.divide(1.0, abs_zc, out=np.zeros(abs_zc.shape), where=abs_zc > 0.0)
-    dabs = (zc.real * zc1.real + zc.imag * zc1.imag) * inv   # d|zc|/dx; 0 where zc = 0
-    d1 -= 2.0 * dabs
-    curv_zc = zc1.real**2 + zc1.imag**2 + zc.real * zc2.real + zc.imag * zc2.imag
-    d2 -= 2.0 * (curv_zc * inv - dabs * dabs * inv)
-    return d1, d2
+    gram = quad / s2sq[:, None, None] + coup * inv[..., None, None]  # (..., R, 2, 2)
+    dabs = coup[..., 0, 0] * inv                              # d|zc|/dx; 0 where zc = 0
+    return -2.0 * gram[..., 0, 0], -2.0 * (gram[..., 1, 0] + gram[..., 0, 1] - dabs * dabs * inv)
 
 
 # Real parameters phase_search fits on each packet: the phase offset and
@@ -371,7 +372,7 @@ def phase_search(
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    slopes, table, index = slope_tables(tables, slope_points, bound)
+    slopes, table, index, ramps = slope_tables(tables, slope_points, bound)
     proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
 
     # Coarse grid, all candidates at once: one GEMM projects h on every
@@ -398,12 +399,12 @@ def phase_search(
         x0 = slopes[idx]
         lo = slopes[np.maximum(idx - 1, 0)]
         hi = slopes[np.minimum(idx + 1, last)]
-        x = x0
+        x, u = x0, ramps.take(idx, axis=0)                    # the exact ramp at x0
         for _ in range(_NEWTON_STEPS):
-            d1, d2 = _slope_derivatives(tables.ramp(x), h_obs, prep, tables)
+            d1, d2 = _slope_derivatives(u, h_obs, prep, tables)
             step = np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 > 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
-        u = tables.ramp(x)
+            u = tables.ramp(x)
         f_star, zc_star = _candidate_objective(u, h_obs, prep, tables)
         flat = row_start + idx
         f_grid = obj.take(flat)

@@ -15,7 +15,9 @@ covariance, the quantity the kernels' whitened quadratic form computes.
 :func:`ramp` and :func:`argmin_with_ties` are plain forms of two kernels
 that ``_kernels`` trims for speed and must match bit for bit: the ramp
 with each factor power formed on its own, and the grid tie rule applied
-to every row.  :func:`simulate_by_step` is the generative model of
+to every row.  :func:`slope_derivatives` is the Newton stage's derivative
+pass term by term, which the kernels read off one Gram product; the two
+agree to rounding.  :func:`simulate_by_step` is the generative model of
 ``csiguard.channel.simulate`` built one step at a time, with every step's
 arithmetic on that step's draws alone; ``simulate`` builds blocks of
 steps and must match it bit for bit.
@@ -193,6 +195,38 @@ def ramp(tables, x: np.ndarray) -> np.ndarray:
     exponents = np.diff(tables.q.astype(np.int64), prepend=0)
     base = np.exp(-1j * x)
     return np.cumprod(np.stack([_int_power(base, int(k)) for k in exponents], axis=-1), axis=-1)
+
+
+def slope_derivatives(ramp, h, prep, tables) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') of the profiled slope objective, term by term.
+
+    ``_kernels._slope_derivatives`` as it was before it read the terms off
+    one Gram product: with ``G = prep.gs``, ``s``, ``s'``, ``s''`` the tap
+    projections of the ramp and its two slope derivatives and ``zc = nu^H s``,
+
+    * ``f'  = -2 Re(s'^H G s) / s2^2 - 2 Re(conj(zc) zc') / |zc|``
+    * ``f'' = -2 [Re(s''^H G s) + s'^H G s'] / s2^2
+      - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
+
+    each real form summed on its own.  The coupling terms are dropped where
+    ``zc = 0``.
+    """
+    s2sq = prep.noise_var * prep.noise_var
+    s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
+    zcs = np.matmul(s, prep.nu_conj[..., None])[..., 0]      # (..., R, 3): zc, zc', zc''
+    zc, zc1, zc2 = zcs[..., 0], zcs[..., 1], zcs[..., 2]
+    g = np.matmul(s[..., :2, :], prep.gs_conj)               # rows (G s)^T, (G s')^T
+    cross = _kernels._real_dot(s[..., 1:, :], g[..., :1, :])  # Re(s'^H G s), Re(s''^H G s)
+    curv = _kernels._real_dot(s[..., 1, :], g[..., 1, :])     # s'^H G s'
+    d1 = -2.0 * cross[..., 0] / s2sq
+    d2 = -2.0 * (cross[..., 1] + curv) / s2sq
+    abs_zc = np.abs(zc)
+    inv = np.divide(1.0, abs_zc, out=np.zeros(abs_zc.shape), where=abs_zc > 0.0)
+    dabs = (zc.real * zc1.real + zc.imag * zc1.imag) * inv   # d|zc|/dx; 0 where zc = 0
+    d1 -= 2.0 * dabs
+    curv_zc = zc1.real**2 + zc1.imag**2 + zc.real * zc2.real + zc.imag * zc2.imag
+    d2 -= 2.0 * (curv_zc * inv - dabs * dabs * inv)
+    return d1, d2
 
 
 def argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:

@@ -101,10 +101,11 @@ class TestScenarioConfig:
             tables = _kernels.grid_tables(cfg.pilot_grid(), cfg.num_paths)
             grids.append(_kernels.slope_tables(tables, points, cfg.resolved_max_slope()))
         assert config_from_mapping({"search.slope_points": "2"}).slope_points == 2
-        for slopes, table, index in grids[1:]:
+        for slopes, table, index, ramps in grids[1:]:
             assert np.array_equal(slopes, grids[0][0])
             assert np.array_equal(table, grids[0][1])
             assert np.array_equal(index, grids[0][2])
+            assert np.array_equal(ramps, grids[0][3])
         assert grids[0][0][1] - grids[0][0][0] == pytest.approx(2 * np.pi / 128)
 
     def test_lattice_finer_than_main_lobe(self):
@@ -133,9 +134,7 @@ class TestScenarioConfig:
                     pilots = cfg.pilot_grid().pilot_indices
                     lobe = 2 * np.pi / (pilots[-1] - pilots[0])
                     tables = _kernels.grid_tables(cfg.pilot_grid(), cfg.num_paths)
-                    slopes, _, _ = _kernels.slope_tables(
-                        tables, points, cfg.resolved_max_slope()
-                    )
+                    slopes = _kernels.slope_tables(tables, points, cfg.resolved_max_slope())[0]
                     worst = max(worst, np.diff(slopes).max() / lobe)
         assert worst < 1.0
         # span / M at k = 1, for "0,31" at M = 32 and for the 802.11n set, 124 / 128.

@@ -22,6 +22,7 @@ from oracles import (
     predict,
     ramp as oracle_ramp,
     residual_statistic,
+    slope_derivatives as oracle_slope_derivatives,
     update,
 )
 from test_channel import DOPPLER_FOR_ALPHA_09, simulate_links, simulate_steps, undistorted
@@ -310,6 +311,24 @@ class TestNewtonStage:
         obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
         _check_no_worse_than_fine_sweep(obs, prep, grid114, tables)
 
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 60.0])
+    def test_gram_form_matches_term_by_term(self, grid114, rng, snr_db):
+        # The derivatives read off the Gram products agree with the formulas
+        # summed term by term, on alice's and eve's packets and on rows whose
+        # prediction is zero (every other row), where zc = 0.  f' vanishes
+        # near a minimizer, where any two summation orders differ by the
+        # rounding of its terms, so errors count against each link's
+        # largest |f'| and |f''|.
+        obs, mean, cov, s2, tables = _search_inputs(grid114, snr_db, False, rng, stacked=True)
+        mean[::2] = 0.0
+        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        bound = default_slope(grid114.dft_size)
+        ramp = tables.ramp(rng.uniform(-bound, bound, obs.shape[:-1]))
+        got = _kernels._slope_derivatives(ramp, obs, prep, tables)
+        expected = oracle_slope_derivatives(ramp, obs, prep, tables)
+        for d, o in zip(got, expected):
+            assert np.all(np.abs(d - o) <= 1e-12 * np.abs(o).max(axis=-1, keepdims=True))
+
     def test_stacked_link_axis(self, grid114, rng):
         # Alice's and eve's packets as one (2, T, Q) batch against alice's
         # prediction, as run_batch scores them.
@@ -370,6 +389,25 @@ class TestLinkAxisAndTables:
             for stacked, one in zip((*searched, *whitened), (*one_searched, *one_whitened)):
                 assert np.array_equal(stacked[:, rows], one)
 
+    @pytest.mark.parametrize(
+        "grid, num_paths, bound, points",
+        [
+            (PilotGrid(128, tuple(range(2, 59)) + tuple(range(70, 127))), 8, default_slope(128), 64),
+            (PilotGrid(64, tuple(range(64))), 8, default_slope(64), 64),
+            # scripts/check_outputs.py's all-keys scenario.
+            (PilotGrid(64, tuple(range(2, 31)) + tuple(range(34, 63))), 6, 0.3, 80),
+        ],
+        ids=["default", "M64-all", "all-keys"],
+    )
+    def test_grid_ramps_are_the_grid_slopes_ramps(self, grid, num_paths, bound, points):
+        # Row g of the grid ramps, which the first Newton step starts from,
+        # is the ramp at grid slope g; it is read-only, as it is cached.
+        tables = _kernels.grid_tables(grid, num_paths)
+        slopes, _, _, ramps = _kernels.slope_tables(tables, points, bound)
+        assert ramps.shape == (len(slopes), len(tables.q)) and not ramps.flags.writeable
+        for expected in (np.exp(-1j * np.outer(slopes, tables.q)), tables.ramp(slopes)):
+            assert np.allclose(ramps, expected, rtol=0, atol=1e-14)
+
     def test_ramp_takes_leading_axes(self, grid114, rng):
         tables = _kernels.grid_tables(grid114, 8)
         x = rng.uniform(-0.3, 0.3, size=(2, 5))
@@ -385,7 +423,7 @@ class TestLinkAxisAndTables:
         c = partial_dft(grid114, 8)
         h = _random_obs(rng, grid114)
         for bound in (0.2, default_slope(grid114.dft_size), 1e-4):
-            slopes, table, index = _kernels.slope_tables(tables, POINTS, bound)
+            slopes, table, index, _ = _kernels.slope_tables(tables, POINTS, bound)
             proj = h @ table
             s = np.take(proj, index, axis=-1)
             assert s.shape == (len(slopes), 8)
@@ -417,7 +455,7 @@ class TestLinkAxisAndTables:
         # per bin that space them no wider than `points` on [-bound, bound].
         grid = grid114 if pilots is None else PilotGrid(dft_size, pilots)
         tables = _kernels.grid_tables(grid, 8 if pilots is None else 6)
-        slopes, _, _ = _kernels.slope_tables(tables, points, bound)
+        slopes = _kernels.slope_tables(tables, points, bound)[0]
         assert len(slopes) == expected
         spacing = np.diff(slopes)
         k = round(2 * np.pi / (dft_size * spacing[0]))
@@ -661,7 +699,7 @@ class TestCoarseWorkspace:
         obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=5, stacked=True)
         bound = default_slope(grid114.dft_size)
         _kernels.phase_search(obs, prep, tables, POINTS, bound)
-        _, table, index = _kernels.slope_tables(tables, POINTS, bound)
+        _, table, index, _ = _kernels.slope_tables(tables, POINTS, bound)
         proj, s, g = _kernels._coarse_workspace(obs.shape, table.shape[1], index.shape)
         assert s.shape == g.shape == (5, *index.shape)
         assert proj.shape == (2, 5, table.shape[1])
