@@ -19,6 +19,7 @@ steps to calibrate a detector), 3 numerical failure, 4 I/O failure
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .config import (
@@ -46,14 +47,8 @@ def _add_common(parser: argparse.ArgumentParser, default_out: str | None) -> Non
     for key in _FLAG_KEYS:
         parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar="VALUE",
                             help=f"same as --set {key}=VALUE")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override any configuration key",
-    )
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override any configuration key")
     if default_out is not None:
         parser.add_argument("--out", default=default_out, help="output CSV path")
 
@@ -173,8 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv) -> int:
     parser = build_parser()
+    argv = list(argv)
+    # argparse reads a value such as "-5,0,5" or "-1e-4" as an option; join it to its flag.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code) if exc.code else 0
     try:

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+
+from csiguard import _kernels
 
 from csiguard.cli import _build_config, build_parser, cli_main
 from csiguard.config import ScenarioConfig
@@ -97,6 +100,24 @@ class TestSweeps:
         result = read_sweep_csv(out)
         assert result.axis == "snr_db"
         assert [p.axis_value for p in result.points] == [0.0, 10.0]
+
+    @pytest.mark.parametrize("values, expected", [("-5,0,5", [-5.0, 0.0, 5.0]), ("-2.5", [-2.5])])
+    def test_negative_snr_values(self, config_file, tmp_path, values, expected):
+        # A list that starts with a minus sign is a value, not an option.
+        out = tmp_path / "snr.csv"
+        argv = ["sweep-snr", "--config", config_file, "--values", values, "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert [p.axis_value for p in read_sweep_csv(out).points] == expected
+
+    def test_negative_doppler_is_a_config_error(self, config_file, tmp_path, capsys):
+        # -1e-4 reaches the config check, not argparse's "expected one argument".
+        out = tmp_path / "d.csv"
+        argv = ["sweep-doppler", "--config", config_file, "--values", "-1e-4", "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "normalized Doppler must lie in [0, 0.5)" in err
+        assert "usage" not in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_sweep_doppler_deterministic(self, config_file, tmp_path):
         out1 = tmp_path / "d1.csv"
@@ -245,15 +266,25 @@ class TestErrors:
         [
             ["simulate"],
             ["roc", "--num-trials", "2"],
-            ["sweep-snr", "--values", "10,200", "--num-trials", "2"],
+            ["sweep-snr", "--values", "10,20", "--num-trials", "2"],
             ["sweep-doppler", "--values", "1e-4,1e-2", "--num-trials", "2"],
         ],
     )
-    def test_negative_statistic_is_a_numerical_failure(self, tmp_path, capsys, args):
-        # At 200 dB the whitened residual energy cancels below float64's
-        # rounding and the statistic goes negative at the first step.
+    def test_negative_statistic_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch, args):
+        # Far above 100 dB the whitened residual energy can cancel below
+        # float64's rounding and go negative; a whitened form that does so
+        # at the third step stands in for it, whatever the rounding does.
+        whitened_quadform = _kernels.whitened_quadform
+        calls = []
+
+        def negative_at_third_call(r, prep, tables):
+            g, quad = whitened_quadform(r, prep, tables)
+            calls.append(None)
+            return g, -1.0 - np.abs(quad) if len(calls) == 3 else quad
+
+        monkeypatch.setattr(_kernels, "whitened_quadform", negative_at_third_call)
         out = tmp_path / "x.csv"
-        argv = [*args, "--snr-db", "200", "--num-steps", "20", "--out", str(out)]
+        argv = [*args, "--num-steps", "20", "--out", str(out)]
         assert cli_main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "test statistic" in err
