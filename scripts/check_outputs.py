@@ -19,6 +19,16 @@ run the script against both checkouts (point PYTHONPATH at each ``src``
 in turn) and ``diff`` the two printouts: only the ``config_hash`` column
 may differ.  BLAS is pinned to one thread, since a threaded BLAS may sum
 in a different order.
+
+The script also saves those arrays, with each shape's kalman decisions,
+to ``OUT_DIR/arrays.npz``.  For a change that moves results in their last
+bits, ``--against OTHER_DIR`` (a directory an earlier run wrote) then
+prints one line per shape after the digests: the largest relative
+deviation of ``lam`` and ``mse`` from OTHER_DIR's, the largest absolute
+``phase_est`` deviation in rad (offsets compared around the circle) and
+the number of kalman decisions that differ.
+
+    PYTHONPATH=src python scripts/check_outputs.py OUT_DIR --against OTHER_DIR
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import pathlib  # noqa: E402
 import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 SEED = "3"
 
@@ -81,13 +93,47 @@ ARRAY_RUNS = (
 
 def array_digests(batches) -> dict[str, str]:
     """sha256 hex of each of ARRAYS, over the raw bytes of every batch's array in turn."""
-    import numpy as np
-
     hashes = {name: hashlib.sha256() for name in ARRAYS}
     for batch in batches:
         for name, h in hashes.items():
             h.update(np.ascontiguousarray(getattr(batch, name)).tobytes())
     return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def saved_arrays(label: str, batches) -> dict:
+    """``label.name`` -> ARRAYS and kalman decisions of one shape, stacked over its batches."""
+    arrays = {f"{label}.{name}": np.stack([getattr(b, name) for b in batches]) for name in ARRAYS}
+    arrays[f"{label}.kalman_decisions"] = np.stack([b.decisions("kalman") for b in batches])
+    return arrays
+
+
+def _max_rel(a, b) -> float:
+    """Largest |a - b| / |b|, counting equal entries (NaNs included) as 0."""
+    diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+    moved = diff > 0.0
+    rel = np.divide(diff, np.abs(b), out=np.where(moved, np.inf, 0.0), where=moved & (b != 0.0))
+    return float(rel.max(initial=0.0))
+
+
+def compare(ours, theirs) -> list[str]:
+    """One report line per shape in ``ours`` (mappings as saved_arrays builds them)."""
+    lines = []
+    for label in dict.fromkeys(key.split(".")[0] for key in ours):
+        names = (*ARRAYS, "kalman_decisions")
+        a = {name: ours[f"{label}.{name}"] for name in names}
+        b = {name: theirs.get(f"{label}.{name}") for name in names}
+        if any(b[name] is None or b[name].shape != a[name].shape for name in names):
+            lines.append(f"{label} against: missing from OTHER_DIR or of another shape")
+            continue
+        phase = np.abs(a["phase_est"] - b["phase_est"])
+        phase = np.minimum(phase, 2.0 * np.pi - phase)  # offsets either side of -pi
+        flips = np.count_nonzero(a["kalman_decisions"] != b["kalman_decisions"])
+        lines.append(
+            f"{label} against: lam max_rel={_max_rel(a['lam'], b['lam']):.3e}"
+            f" mse max_rel={_max_rel(a['mse'], b['mse']):.3e}"
+            f" phase_est max_abs={float(phase.max(initial=0.0)):.3e} rad kalman_flips={flips}"
+        )
+    return lines
 
 
 def run_arrays(num_trials: int, num_steps: int, snrs) -> list:
@@ -114,12 +160,24 @@ def digest(path) -> tuple[str, str]:
 
 
 def main(argv) -> int:
-    if len(argv) != 1:
-        print("usage: check_outputs.py OUT_DIR", file=sys.stderr)
+    dirs, against = list(argv), None
+    if len(dirs) == 3 and dirs[1] == "--against":
+        dirs, against = dirs[:1], pathlib.Path(dirs[2]) / "arrays.npz"
+    if len(dirs) != 1:
+        print("usage: check_outputs.py OUT_DIR [--against OTHER_DIR]", file=sys.stderr)
         return 2
     from csiguard.cli import cli_main
 
-    out_dir = pathlib.Path(argv[0])
+    theirs = None
+    if against is not None:
+        # Read first: OTHER_DIR may be OUT_DIR, whose arrays.npz this run rewrites.
+        try:
+            with np.load(against) as npz:
+                theirs = dict(npz)
+        except OSError as exc:
+            print(f"--against: cannot read {against}: {exc}", file=sys.stderr)
+            return 2
+    out_dir = pathlib.Path(dirs[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     config = out_dir / "all_keys.cfg"
     config.write_text(CONFIG_TEXT, encoding="utf-8")
@@ -133,9 +191,15 @@ def main(argv) -> int:
             return rc
         config, body = digest(path)
         print(f"{name} config_hash={config} body_sha256={body}")
+    ours = {}
     for label, num_trials, num_steps, snrs in ARRAY_RUNS:
-        for name, sha in array_digests(run_arrays(num_trials, num_steps, snrs)).items():
+        batches = run_arrays(num_trials, num_steps, snrs)
+        for name, sha in array_digests(batches).items():
             print(f"{label} {name} sha256={sha}")
+        ours.update(saved_arrays(label, batches))
+    np.savez(out_dir / "arrays.npz", **ours)
+    if theirs is not None:
+        print("\n".join(compare(ours, theirs)))
     return 0
 
 

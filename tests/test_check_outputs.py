@@ -59,3 +59,61 @@ def test_array_digests_hash_each_array_over_every_batch(script):
     c = SimpleNamespace(**{n: np.array([0.0, np.nan]) for n in names})
     d = SimpleNamespace(**{n: np.array([-0.0, np.nan]) for n in names})
     assert script.array_digests([c])["lam"] != script.array_digests([d])["lam"]
+
+
+def _saved(lam, mse, phase_est, decisions, label="run"):
+    """A one-shape mapping as saved_arrays builds it (mag left equal)."""
+    arrays = dict(lam=lam, mag=np.zeros(2), mse=mse, phase_est=phase_est,
+                  kalman_decisions=decisions)
+    return {f"{label}.{name}": np.asarray(a) for name, a in arrays.items()}
+
+
+def test_compare_reports_largest_deviations(script):
+    theirs = _saved([[1.0, 4.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False])
+    ours = _saved([[1.0, 4.0 * (1 + 3e-12)]], [0.0, 2.0 * (1 - 5e-13)],
+                  [np.pi - 2e-10, 0.25 + 1e-12], [True, True])
+    [line] = script.compare(ours, theirs)
+    # The offsets at -pi and just below pi are 2e-10 rad apart around the circle.
+    lam, mse, phase = (float(f.split("=")[1]) for f in line.split() if "max_" in f)
+    assert line.startswith("run against: ") and line.endswith(" rad kalman_flips=1")
+    assert lam == pytest.approx(3e-12, rel=1e-3) and mse == pytest.approx(5e-13, rel=1e-3)
+    assert phase == pytest.approx(2e-10, rel=1e-3)
+    # Equal arrays, NaNs at the same places, and a zero that stays zero read 0.
+    same = _saved([[np.nan, 0.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False])
+    assert script.compare(same, same) == [
+        "run against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        " phase_est max_abs=0.000e+00 rad kalman_flips=0"
+    ]
+    # A zero that moves is infinitely far; a shape missing from OTHER_DIR is named.
+    assert "lam max_rel=inf" in script.compare(ours, same)[0]
+    assert script.compare(ours, {}) == ["run against: missing from OTHER_DIR or of another shape"]
+
+
+def test_against_an_earlier_run(script, tmp_path, monkeypatch, capsys):
+    # Two runs of one tree: the second prints the same digest lines, then a
+    # report of no deviation; each saves its arrays.
+    monkeypatch.setattr(script, "COMMANDS", ())
+    monkeypatch.setattr(script, "ARRAY_RUNS", (("run_batch_t1", 1, 202, (10.0,)),))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert script.main([str(first)]) == 0
+    digests = capsys.readouterr().out
+    assert script.main([str(second), "--against", str(first)]) == 0
+    out = capsys.readouterr().out
+    assert out == digests + (
+        "run_batch_t1 against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        " phase_est max_abs=0.000e+00 rad kalman_flips=0\n"
+    )
+    with np.load(second / "arrays.npz") as saved:
+        assert sorted(saved) == sorted(
+            f"run_batch_t1.{name}" for name in (*script.ARRAYS, "kalman_decisions")
+        )
+        assert saved["run_batch_t1.lam"].shape == (1, 1, 202, 2)
+        assert saved["run_batch_t1.kalman_decisions"].dtype == bool
+
+
+def test_against_needs_a_saved_run(script, tmp_path, capsys):
+    assert script.main([str(tmp_path / "out"), "--against", str(tmp_path / "none")]) == 2
+    assert "--against: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert script.main([str(tmp_path / "out"), "--against"]) == 2
+    assert "usage" in capsys.readouterr().err
