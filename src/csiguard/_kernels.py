@@ -322,7 +322,7 @@ def _slope_derivatives(
     s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
     zcs = np.matmul(s, prep.nu_conj[..., None])               # (..., R, 3, 1): zc, zc', zc''
     g = np.matmul(s[..., :2, :], prep.gs_conj)               # rows (G s)^T, (G s')^T
-    quad = np.matmul(s[..., 1:, :].view(np.float64), g.view(np.float64).swapaxes(-1, -2))
+    quad = np.einsum("...ik,...jk->...ij", s[..., 1:, :].view(np.float64), g.view(np.float64))
     coup = (zcs[..., 1:, :].conj() * zcs[..., :2, :].swapaxes(-1, -2)).real
     abs_zc = np.abs(zcs[..., 0, 0])
     inv = np.divide(1.0, abs_zc, out=np.zeros(abs_zc.shape), where=abs_zc > 0.0)
@@ -399,12 +399,15 @@ def phase_search(
         x0 = slopes[idx]
         lo = slopes[np.maximum(idx - 1, 0)]
         hi = slopes[np.minimum(idx + 1, last)]
-        x, u = x0, ramps.take(idx, axis=0)                    # the exact ramp at x0
-        for _ in range(_NEWTON_STEPS):
-            d1, d2 = _slope_derivatives(u, h_obs, prep, tables)
+        x = x0
+        for n in range(_NEWTON_STEPS):
+            # Step 1 reads x0's exact ramp; each ramp is freed before the next is built.
+            d1, d2 = _slope_derivatives(
+                tables.ramp(x) if n else ramps.take(idx, axis=0), h_obs, prep, tables
+            )
             step = np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 > 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
-            u = tables.ramp(x)
+        u = tables.ramp(x)
         f_star, zc_star = _candidate_objective(u, h_obs, prep, tables)
         flat = row_start + idx
         f_grid = obj.take(flat)
