@@ -108,11 +108,12 @@ def saved_arrays(label: str, batches) -> dict:
 
 
 def _max_rel(a, b) -> float:
-    """Largest |a - b| / |b|, counting equal entries (NaNs included) as 0."""
-    diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
-    moved = diff > 0.0
-    rel = np.divide(diff, np.abs(b), out=np.where(moved, np.inf, 0.0), where=moved & (b != 0.0))
-    return float(rel.max(initial=0.0))
+    """Largest |a - b| / |b|: 0 where the two are equal (NaNs included), inf
+    where only one is NaN or where b is 0 and a is not."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(a - b) / np.abs(b)
+    rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    return float(np.where(np.isnan(rel), np.inf, rel).max(initial=0.0))
 
 
 def compare(ours, theirs) -> list[str]:

@@ -69,23 +69,26 @@ def _saved(lam, mse, phase_est, decisions, label="run"):
 
 
 def test_compare_reports_largest_deviations(script):
-    theirs = _saved([[1.0, 4.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False])
+    theirs = _saved([[1.0, 4.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False, True])
     ours = _saved([[1.0, 4.0 * (1 + 3e-12)]], [0.0, 2.0 * (1 - 5e-13)],
-                  [np.pi - 2e-10, 0.25 + 1e-12], [True, True])
+                  [np.pi - 2e-10, 0.25 + 1e-12], [True, True, False])
     [line] = script.compare(ours, theirs)
     # The offsets at -pi and just below pi are 2e-10 rad apart around the circle.
     lam, mse, phase = (float(f.split("=")[1]) for f in line.split() if "max_" in f)
-    assert line.startswith("run against: ") and line.endswith(" rad kalman_flips=1")
+    assert line.startswith("run against: ") and line.endswith(" rad kalman_flips=2")
     assert lam == pytest.approx(3e-12, rel=1e-3) and mse == pytest.approx(5e-13, rel=1e-3)
     assert phase == pytest.approx(2e-10, rel=1e-3)
     # Equal arrays, NaNs at the same places, and a zero that stays zero read 0.
-    same = _saved([[np.nan, 0.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False])
+    same = _saved([[np.nan, 0.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False, True])
     assert script.compare(same, same) == [
         "run against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
         " phase_est max_abs=0.000e+00 rad kalman_flips=0"
     ]
-    # A zero that moves is infinitely far; a shape missing from OTHER_DIR is named.
+    # A zero that moves, or a NaN on one side only, is infinitely far; a
+    # shape missing from OTHER_DIR is named.
     assert "lam max_rel=inf" in script.compare(ours, same)[0]
+    assert script._max_rel(np.array([np.nan, 1.0]), np.array([2.0, 1.0])) == np.inf
+    assert script._max_rel(np.array([2.0, 1.0]), np.array([np.nan, 1.0])) == np.inf
     assert script.compare(ours, {}) == ["run against: missing from OTHER_DIR or of another shape"]
 
 
