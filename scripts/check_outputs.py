@@ -118,9 +118,8 @@ def _max_rel(a, b) -> float:
 
 def compare(ours, theirs) -> list[str]:
     """One report line per shape in ``ours`` (mappings as saved_arrays builds them)."""
-    lines = []
+    lines, names = [], (*ARRAYS, "kalman_decisions")
     for label in dict.fromkeys(key.split(".")[0] for key in ours):
-        names = (*ARRAYS, "kalman_decisions")
         a = {name: ours[f"{label}.{name}"] for name in names}
         b = {name: theirs.get(f"{label}.{name}") for name in names}
         if any(b[name] is None or b[name].shape != a[name].shape for name in names):
