@@ -3,9 +3,9 @@
 Everything here carries a row axis, with a noise variance per row, so
 that every trial of every sweep point (R rows) advances in lockstep.  The
 per-step state (:class:`StatePrep`) has shape ``(R, ...)``; observations
-and residuals have shape ``(..., R, Q)`` and broadcast over it, so the
-harness scores alice's and eve's packets of one step as a single
-``(2, R, Q)`` batch against the same prediction.
+and residuals have shape ``(..., R, Q)`` and broadcast over it, so
+:func:`filter_step` scores alice's and eve's packets of one step as a
+single ``(2, R, Q)`` batch against the same prediction.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -58,14 +58,6 @@ the tap projections ``s = C^H (u * h)`` that both stages already form
 (the first step) makes ``zc`` vanish at every slope, so nothing anchors
 the slope against a one-bin alias; there the refine also starts one DFT
 bin either side of the grid argmin (:func:`phase_search`).
-
-The statistic and the update need only two things of the residual ``r``
-at the estimated phases: ``r^H Sigma0^{-1} r`` and the mean correction
-``P C^H Sigma0^{-1} r``, which in information form is ``g / s2``.  Both
-follow from ``ctx = C^H r`` and ``g = gs ctx`` (:func:`whitened_quadform`),
-so after one projection of ``r`` nothing per step is Q-dimensional;
-:func:`phase_search` also hands back the ramp at the slope it returns, so
-the residual is de-rotated without recomputing it.
 
 Real forms ``Re(a^H b)`` are summed over float views of the complex
 arrays (:func:`_real_dot`), without forming ``conj(a)``.
@@ -346,7 +338,7 @@ def phase_search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly estimate (offset, slope) for a batch of observations.
 
-    ``h_obs`` has shape ``(..., R, Q)``: any leading axes (the harness
+    ``h_obs`` has shape ``(..., R, Q)``: any leading axes (:func:`filter_step`
     passes the ``(2, R, Q)`` observations of both links) broadcast against
     the ``(R, ...)`` arrays of ``prep``, and the estimates come back with
     shape ``(..., R)``.  A stacked batch gives the same estimates as
@@ -513,3 +505,26 @@ def kalman_update(
     new_mean = mean + g / prep.noise_var[:, None]
     new_cov = np.diagonal(prep.gs, axis1=-2, axis2=-1).real.copy()
     return new_mean, new_cov
+
+
+def filter_step(mean, cov, h_obs, alpha, process_noise, noise_var, tables, slope_points, bound):
+    """One filter step over R rows: predict, search and score both links, update from alice's.
+
+    ``h_obs`` holds the ``(2, R, Q)`` observations, alice in row 0.  Returns the
+    posterior (mean, cov), then per link ``(2, R)`` the statistic ``2 r^H Sigma0^{-1} r``
+    and the phases (offset, slope).  The update needs only ``P C^H Sigma0^{-1} r = g / s2``
+    of the residual ``r``, so both follow from ``ctx = C^H r`` and ``g = gs ctx``
+    (:func:`whitened_quadform`): after one projection of ``r`` nothing per step is
+    Q-dimensional.  ``r`` is de-rotated inside the ramp that :func:`phase_search` hands back.
+    """
+    mean = alpha * mean
+    cov = alpha**2 * np.maximum(cov, 0.0) + process_noise  # drops an update's rounding below 0
+    prep = prepare_state(mean, cov, noise_var, tables)
+    offset, slope, residual = phase_search(h_obs, prep, tables, slope_points, bound)
+    # The residual exp(-j offset) (ramp h) - m, formed in the ramp.
+    np.multiply(residual, h_obs, out=residual)
+    np.multiply(np.exp(-1j * offset)[..., None], residual, out=residual)
+    residual -= prep.m
+    g, quad = whitened_quadform(residual, prep, tables)
+    mean, cov = kalman_update(mean, g[0], prep)
+    return mean, cov, 2.0 * quad, offset, slope

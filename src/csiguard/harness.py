@@ -2,11 +2,10 @@
 
 Protocol per trial (the parallel collection protocol): at every step both
 links evolve, each transmitter gets an independently drawn phase
-distortion and noise, the filter predicts once, phase estimation and the
-test statistic run for the legitimate (alice) and attacker (eve)
-observations against the same predicted state, and only the alice
-observation updates the filter.  Both links travel on one link axis,
-alice in row 0 and eve in row 1, from :func:`csiguard.channel.simulate`
+distortion and noise, and :func:`csiguard._kernels.filter_step` scores the
+legitimate (alice) and attacker (eve) observations against one prediction
+and updates the filter from alice's only.  Both links travel on one link
+axis, alice in row 0 and eve in row 1, from :func:`csiguard.channel.simulate`
 through the kernels to the statistics' last column.
 
 Trials are mutually independent.  Trial ``i`` draws from
@@ -168,8 +167,9 @@ def run_batch(
     with NumericalError.
     """
     cfgs = [cfg] if isinstance(cfg, ScenarioConfig) else list(cfg)
-    if not cfgs:
-        raise ValueError("run_batch needs at least one configuration")
+    rngs = [np.random.default_rng(int(s)) for s in trial_seeds]
+    if not cfgs or not rngs:
+        raise ValueError("run_batch needs at least one configuration and one trial seed")
     base = cfgs[0]
     differing = sorted(
         {
@@ -192,7 +192,6 @@ def run_batch(
     num_steps = base.num_steps
     max_slope = base.resolved_max_slope()
     tables = _kernels.grid_tables(grid, num_paths)
-    rngs = [np.random.default_rng(int(s)) for s in trial_seeds]
     num_trials = len(rngs)
     num_rows = len(cfgs) * num_trials
 
@@ -216,26 +215,18 @@ def run_batch(
 
     per_chain = max(1, _CHAIN_ROWS // num_trials)
     for k, link in enumerate(links, start=1):
-        mean *= alpha
-        cov = alpha**2 * cov + process_noise
         for p in range(0, len(cfgs), per_chain):
             rows = slice(p * num_trials, (p + per_chain) * num_trials)
             # The chain's (2, rows, Q) observations, alice row 0, eve row 1:
             # simulate lays obs out point by point, so one point is a view.
             obs = link.obs[:, p : p + per_chain].reshape(2, -1, num_pilots)
-            prep = _kernels.prepare_state(mean[rows], cov[rows], noise_var[rows], tables)
-            est_offset, est_slope, residual = _kernels.phase_search(
-                obs, prep, tables, base.slope_points, max_slope
+            mean[rows], cov[rows], stat, est_offset, est_slope = _kernels.filter_step(
+                mean[rows], cov[rows], obs, alpha[rows], process_noise[rows], noise_var[rows],
+                tables, base.slope_points, max_slope
             )
-            # The residual exp(-j offset) (ramp obs) - m, formed in the ramp.
-            np.multiply(residual, obs, out=residual)
-            np.multiply(np.exp(-1j * est_offset)[..., None], residual, out=residual)
-            residual -= prep.m
-            g, quad = _kernels.whitened_quadform(residual, prep, tables)
-            lam[rows, k - 1, :] = 2.0 * quad.T
+            lam[rows, k - 1, :] = stat.T
             if collect_phase:
                 phase_est[rows, k - 1] = np.transpose([est_offset, est_slope])
-            mean[rows], cov[rows] = _kernels.kalman_update(mean[rows], g[0], prep)
 
         if with_mag:
             cur_abs = np.abs(link.obs).reshape(2, num_rows, num_pilots)
@@ -253,7 +244,6 @@ def run_batch(
             raise NumericalError(
                 f"trial batch aborted at step {k}: test statistic reached {bad[0]:.3e}"
             )
-        cov = np.maximum(cov, 0.0)
         if collect_mse:
             err = (mean - link.taps[0].reshape(num_rows, num_paths)) @ tables.c_t
             mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots

@@ -668,6 +668,64 @@ class TestSearchRamp:
         assert np.array_equal(ramp, tables.ramp(slope))
 
 
+class TestKernelFilterStep:
+    """_kernels.filter_step, the step run_batch runs on each kernel chain:
+    alice's packets alone drive the state, and the prediction clamps the
+    covariance that the previous update left."""
+
+    @staticmethod
+    def _step(obs, mean, cov, s2, tables):
+        rows = mean.shape[0]
+        profile = make_profile(mean.shape[1], 1e-4, 0.5)
+        alpha = np.full((rows, 1), profile.alpha)
+        process_noise = np.tile(profile.process_noise_diag, (rows, 1))
+        bound = default_slope(tables.dft_size)
+        return _kernels.filter_step(
+            mean, cov, obs, alpha, process_noise, np.full(rows, s2), tables, POINTS, bound
+        )
+
+    @pytest.mark.parametrize(
+        "zero_mean, snr_db",
+        [
+            (False, 10.0),
+            # The first step: the prediction is zero and the alias refines run.
+            (True, 30.0),
+        ],
+    )
+    def test_eve_never_reaches_alice_or_the_state(self, grid114, rng, zero_mean, snr_db):
+        obs, mean, cov, s2, tables = _search_inputs(
+            grid114, snr_db, zero_mean, rng, trials=16, stacked=True
+        )
+        other = obs.copy()
+        other[1] = rng.standard_normal(obs[1].shape) + 1j * rng.standard_normal(obs[1].shape)
+        first = self._step(obs, mean, cov, s2, tables)
+        second = self._step(other, mean, cov, s2, tables)
+        new_mean, new_cov, stat, offset, slope = first
+        assert new_mean.shape == mean.shape and new_cov.shape == cov.shape
+        assert stat.shape == offset.shape == slope.shape == (2, 16)
+        for a, b in zip(first[:2], second[:2]):
+            assert np.array_equal(a, b)
+        for a, b in zip(first[2:], second[2:]):
+            assert np.array_equal(a[0], b[0])
+        assert not np.array_equal(stat[1], second[2][1])
+
+    def test_negative_rounding_in_the_covariance_predicts_as_zero(self, grid114, rng):
+        obs, mean, cov, s2, tables = _search_inputs(
+            grid114, 10.0, False, rng, trials=4, stacked=True
+        )
+        zero, negative = cov.copy(), cov.copy()
+        zero[1, 3] = 0.0
+        negative[1, 3] = -1e-13
+        # Unclamped, the entry would move this row's prediction.
+        profile = make_profile(8, 1e-4, 0.5)
+        noise = profile.process_noise_diag[3]
+        assert profile.alpha**2 * -1e-13 + noise != noise
+        from_zero = self._step(obs, mean, zero, s2, tables)
+        from_negative = self._step(obs, mean, negative, s2, tables)
+        for a, b in zip(from_zero, from_negative):
+            assert np.array_equal(a, b)
+
+
 class TestCoarseWorkspace:
     """phase_search reuses its coarse-stage arrays per shape; no result may
     alias them, and a call must not depend on the calls before it."""

@@ -263,6 +263,14 @@ class TestLockstepPoints:
         with pytest.raises(ConfigError, match=next(iter(change))):
             run_batch([FAST, replace(FAST, snr_db=5.0, **change)], [1, 2])
 
+    def test_empty_points_or_seeds_are_refused(self):
+        with pytest.raises(ValueError, match="configuration"):
+            run_batch([], [1, 2])
+        with pytest.raises(ValueError, match="trial seed"):
+            run_batch(FAST, [])
+        with pytest.raises(ValueError, match="trial seed"):
+            run_batch([FAST, replace(FAST, snr_db=5.0)], [])
+
     def test_draw_order_does_not_depend_on_the_number_of_points(self):
         # After k steps each trial's generator is where a one-point run
         # leaves it, so the documented per-trial draw order still holds.

@@ -53,7 +53,9 @@ def test_sweep_records_one_batch_span_over_every_point_step():
     # perfbench reads the step gaps of a sweep from the prepare_state spans
     # directly under the run_batch span, so the points of a sweep must run
     # inside one run_batch call, one kernel chain per step for all of its
-    # points: here 2 points x 5 steps give 5 spans.
+    # points: here 2 points x 5 steps give 5 spans.  Each kernel of the
+    # filter step must be called through its module attribute, which the
+    # tracer patches, so each records one span per step there too.
     cfg = ScenarioConfig(
         num_steps=5, num_trials=2, num_paths=4, dft_size=32, pilot_spec="first:16",
         slope_points=32,
@@ -70,7 +72,9 @@ def test_sweep_records_one_batch_span_over_every_point_step():
     spans = tracer.spans
     batches = [i for i, span in enumerate(spans) if span[0] == TRACED.BATCH_SPAN]
     assert len(batches) == 1
-    steps = [span for span in spans if span[0] == TRACED.STEP_SPAN]
-    assert len(steps) == 5
-    assert all(span[3] == batches[0] for span in steps)
+    kernels = ("kernels.phase_search", "kernels.whitened_quadform", "kernels.kalman_update")
+    for name in (TRACED.STEP_SPAN, *kernels):
+        steps = [span for span in spans if span[0] == name]
+        assert len(steps) == 5, name
+        assert all(span[3] == batches[0] for span in steps), name
     assert TRACED.summarize(spans)["step_gaps_ms"]
