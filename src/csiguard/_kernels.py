@@ -1,11 +1,11 @@
 """Batched numpy kernels behind the adaptive filter.
 
-Everything here carries a row axis, with a noise variance per row, so
-that every trial of every sweep point (R rows) advances in lockstep.  The
-per-step state (:class:`StatePrep`) has shape ``(R, ...)``; observations
-and residuals have shape ``(..., R, Q)`` and broadcast over it, so
-:func:`filter_step` scores alice's and eve's packets of one step as a
-single ``(2, R, Q)`` batch against the same prediction.
+Every trial of every sweep point advances in lockstep as a row (R rows),
+with one covariance and noise variance per group of consecutive rows, a
+point's (P groups, :func:`prepare_state`).  The per-step state
+(:class:`StatePrep`) is ``(R, ...)``, its Woodbury core ``(P, ...)``;
+observations and residuals are ``(..., R, Q)`` and broadcast over it, so
+:func:`filter_step` scores alice's and eve's packets as one ``(2, R, Q)`` batch.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -214,12 +214,13 @@ class StatePrep:
     ``nu = gs (mu / P) / s2``, held conjugated so that the offset
     coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
     ``nu = 0``.  Observations of shape ``(..., R, Q)`` broadcast against
-    these ``(R, ...)`` arrays.
+    the ``(R, ...)`` arrays; ``gs`` is one matrix per group of R / P
+    consecutive rows (:func:`prepare_state`).
     """
 
-    noise_var: np.ndarray  # (R,) s2 per row (prepare_state also takes a scalar)
-    gs: np.ndarray       # (R, L, L)
-    gs_conj: np.ndarray  # (R, L, L) conj(gs): row vectors s times it give (gs s)^T
+    noise_var: np.ndarray  # (R,) s2 per row, its group's
+    gs: np.ndarray       # (P, L, L)
+    gs_conj: np.ndarray  # (P, L, L) conj(gs): row vectors s times it give (gs s)^T
     m: np.ndarray        # (R, Q) predicted DFT-domain channel C mu
     nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
 
@@ -230,15 +231,30 @@ def prepare_state(
     noise_var: float | np.ndarray,
     tables: GridTables,
 ) -> StatePrep:
+    """The per-step arrays of R predicted rows that share P covariances.
+
+    ``mean`` holds the R rows' predicted taps, ``(R, L)``.  ``cov_diag``
+    holds P diagonal covariances, ``(P, L)``, and ``noise_var`` P noise
+    variances, ``(P,)``, or one scalar for all: group p is the R / P
+    consecutive rows ``p R / P`` to ``(p + 1) R / P - 1``, so P must divide
+    R.  The covariance recursion never reads an observation, so every trial
+    of a sweep point shares one covariance; run_batch lays its rows out
+    point-major and passes one group per point.  P = R gives every row its
+    own covariance.  One Woodbury core is inverted per group, and every
+    product with ``gs`` runs as one GEMM per group on its rows.
+    """
     rows, num_paths = mean.shape
-    s2 = np.full(rows, noise_var, dtype=float)[:, None]      # (R, 1)
+    s2 = np.full(len(cov_diag), noise_var, dtype=float)[:, None, None]  # (P, 1, 1)
     sp = np.sqrt(cov_diag)
     outer = sp[:, :, None] * sp[:, None, :]
-    gs = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2[..., None])
+    gs = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2)
     gs *= outer
+    gs_conj = gs.conj()
     m = mean @ tables.c_t
-    nu = np.matmul(gs, (mean / cov_diag)[..., None])[..., 0] / s2
-    return StatePrep(noise_var=s2[:, 0], gs=gs, gs_conj=gs.conj(), m=m, nu_conj=nu.conj())
+    # nu^T = (mean / P)^T gs^T, one GEMM per group.
+    nu = np.matmul(mean.reshape(len(gs), -1, num_paths) / cov_diag[:, None], gs_conj) / s2
+    return StatePrep(noise_var=s2.ravel().repeat(rows // len(gs)), gs=gs, gs_conj=gs_conj,
+                     m=m, nu_conj=nu.reshape(rows, num_paths).conj())
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -264,7 +280,8 @@ def whitened_quadform(
     """
     s2 = prep.noise_var
     ctx = r @ tables.c_conj                                   # (..., R, L) C^H r
-    g = np.matmul(prep.gs, ctx[..., None])[..., 0]
+    grouped = ctx.shape[:-2] + (len(prep.gs), -1, ctx.shape[-1])
+    g = np.matmul(ctx.reshape(grouped), prep.gs_conj).reshape(ctx.shape)
     return g, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
 
 
@@ -283,7 +300,8 @@ def _candidate_objective(
     """
     s2 = prep.noise_var
     s = (ramp * h) @ tables.c_conj                            # (..., R, L)
-    g = np.matmul(prep.gs, s[..., None])[..., 0]
+    grouped = s.shape[:-2] + (len(prep.gs), -1, s.shape[-1])
+    g = np.matmul(s.reshape(grouped), prep.gs_conj).reshape(s.shape)
     zc = np.einsum("...l,...l->...", s, prep.nu_conj)
     return -_real_dot(s, g) / (s2 * s2) - 2.0 * np.abs(zc), zc
 
@@ -313,7 +331,8 @@ def _slope_derivatives(
     s2sq = prep.noise_var * prep.noise_var
     s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
     zcs = np.matmul(s, prep.nu_conj[..., None])               # (..., R, 3, 1): zc, zc', zc''
-    g = np.matmul(s[..., :2, :], prep.gs_conj)               # rows (G s)^T, (G s')^T
+    grouped = s.shape[:-3] + (len(prep.gs), -1, s.shape[-1])  # one GEMM per group; G s'' unused
+    g = np.matmul(s.reshape(grouped), prep.gs_conj).reshape(s.shape)[..., :2, :]
     quad = np.einsum("...ik,...jk->...ij", s[..., 1:, :].view(np.float64), g.view(np.float64))
     coup = (zcs[..., 1:, :].conj() * zcs[..., :2, :].swapaxes(-1, -2)).real
     abs_zc = np.abs(zcs[..., 0, 0])
@@ -373,11 +392,12 @@ def phase_search(
     # write straight into the buffer; "raise" would gather into a
     # temporary first.  index is always in range.)
     np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
+    s_grouped, g_grouped = (a.reshape(len(prep.gs), -1, a.shape[-1]) for a in (s, g))
     quad = np.empty(h_obs.shape[:-1] + slopes.shape)          # (..., R, G)
     zc = np.empty_like(quad, dtype=np.complex128)
     for link in np.ndindex(h_obs.shape[:-2]):
         proj[link].take(index, axis=-1, out=s, mode="clip")   # (R, G, L)
-        np.matmul(s, prep.gs_conj, out=g)                     # rows s_g @ gs^T = (gs s_g)^T
+        np.matmul(s_grouped, prep.gs_conj, out=g_grouped)     # per group, rows (gs s_g)^T
         quad[link] = _real_dot(s, g)
         np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
     obj = -quad / (s2 * s2)[:, None] - 2.0 * np.abs(zc)
@@ -498,7 +518,7 @@ def kalman_update(
     matrices cancel out of the update.  ``prep.gs`` is the posterior
     covariance ``(P^{-1} + C^H C / s2)^{-1}``, so the mean correction
     ``P C^H Sigma0^{-1} (E^H eps)`` is ``g / s2`` and the new covariance
-    is the diagonal of ``gs``.  Their Woodbury forms cancel to a rounding
+    is the diagonal of ``gs``, ``(P, L)``.  Their Woodbury forms cancel to a rounding
     error once ``s2`` is far below ``P`` (the covariance's can go negative).
     Returns (new_mean, new_cov_diag).
     """
@@ -510,15 +530,17 @@ def kalman_update(
 def filter_step(mean, cov, h_obs, alpha, process_noise, noise_var, tables, slope_points, bound):
     """One filter step over R rows: predict, search and score both links, update from alice's.
 
-    ``h_obs`` holds the ``(2, R, Q)`` observations, alice in row 0.  Returns the
-    posterior (mean, cov), then per link ``(2, R)`` the statistic ``2 r^H Sigma0^{-1} r``
-    and the phases (offset, slope).  The update needs only ``P C^H Sigma0^{-1} r = g / s2``
-    of the residual ``r``, so both follow from ``ctx = C^H r`` and ``g = gs ctx``
-    (:func:`whitened_quadform`): after one projection of ``r`` nothing per step is
-    Q-dimensional.  ``r`` is de-rotated inside the ramp that :func:`phase_search` hands back.
+    ``mean`` is ``(R, L)`` and ``h_obs`` the ``(2, R, Q)`` observations, alice in row 0;
+    ``cov`` and ``process_noise`` are ``(P, L)``, ``alpha`` and ``noise_var`` ``(P,)``, one
+    per group of R / P rows (:func:`prepare_state`).  Returns the posterior (mean, cov),
+    then per link ``(2, R)`` the statistic ``2 r^H Sigma0^{-1} r`` and the phases (offset,
+    slope).  Both follow from ``ctx = C^H r`` and ``g = gs ctx`` of the residual ``r``
+    (:func:`whitened_quadform`, :func:`kalman_update`), so after one projection of ``r``
+    nothing is Q-dimensional; ``r`` is de-rotated inside :func:`phase_search`'s ramp.
     """
-    mean = alpha * mean
-    cov = alpha**2 * np.maximum(cov, 0.0) + process_noise  # drops an update's rounding below 0
+    groups, num_paths = cov.shape
+    mean = (alpha[:, None, None] * mean.reshape(groups, -1, num_paths)).reshape(mean.shape)
+    cov = alpha[:, None] ** 2 * np.maximum(cov, 0.0) + process_noise  # clamps rounding below 0
     prep = prepare_state(mean, cov, noise_var, tables)
     offset, slope, residual = phase_search(h_obs, prep, tables, slope_points, bound)
     # The residual exp(-j offset) (ramp h) - m, formed in the ramp.

@@ -197,13 +197,14 @@ def run_batch(
 
     links = simulate(profiles, tables, noise_vars, max_slope, rngs, num_steps, clone_eve=clone_eve)
 
-    # One filter over the R = P T rows, row p T + t for point p's trial t,
-    # each with its point's AR(1) coefficient, process noise and noise variance.
-    alpha = np.repeat([p.alpha for p in profiles], num_trials)[:, None]
-    process_noise = np.repeat([p.process_noise_diag for p in profiles], num_trials, axis=0)
-    noise_var = np.repeat(noise_vars, num_trials)
+    # One filter over the R = P T rows, row p T + t for point p's trial t.  The
+    # covariance recursion never reads an observation, so a point's trials share
+    # one covariance, from its AR(1) coefficient, process noise and noise variance.
+    alpha = np.array([p.alpha for p in profiles])
+    process_noise = np.array([p.process_noise_diag for p in profiles])
+    noise_var = np.array(noise_vars)
     mean = np.zeros((num_rows, num_paths), dtype=np.complex128)
-    cov = np.tile(profiles[0].pdp, (num_rows, 1))
+    cov = np.tile(profiles[0].pdp, (len(cfgs), 1))
 
     shape = (num_rows, num_steps)
     lam = np.empty((*shape, 2))
@@ -216,13 +217,14 @@ def run_batch(
     per_chain = max(1, _CHAIN_ROWS // num_trials)
     for k, link in enumerate(links, start=1):
         for p in range(0, len(cfgs), per_chain):
+            points = slice(p, p + per_chain)
             rows = slice(p * num_trials, (p + per_chain) * num_trials)
             # The chain's (2, rows, Q) observations, alice row 0, eve row 1:
             # simulate lays obs out point by point, so one point is a view.
-            obs = link.obs[:, p : p + per_chain].reshape(2, -1, num_pilots)
-            mean[rows], cov[rows], stat, est_offset, est_slope = _kernels.filter_step(
-                mean[rows], cov[rows], obs, alpha[rows], process_noise[rows], noise_var[rows],
-                tables, base.slope_points, max_slope
+            obs = link.obs[:, points].reshape(2, -1, num_pilots)
+            mean[rows], cov[points], stat, est_offset, est_slope = _kernels.filter_step(
+                mean[rows], cov[points], obs, alpha[points], process_noise[points],
+                noise_var[points], tables, base.slope_points, max_slope
             )
             lam[rows, k - 1, :] = stat.T
             if collect_phase:

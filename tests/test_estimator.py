@@ -675,9 +675,10 @@ class TestKernelFilterStep:
 
     @staticmethod
     def _step(obs, mean, cov, s2, tables):
+        # One group per row (P = R): the clamp test below sets one row's covariance.
         rows = mean.shape[0]
         profile = make_profile(mean.shape[1], 1e-4, 0.5)
-        alpha = np.full((rows, 1), profile.alpha)
+        alpha = np.full(rows, profile.alpha)
         process_noise = np.tile(profile.process_noise_diag, (rows, 1))
         bound = default_slope(tables.dft_size)
         return _kernels.filter_step(
