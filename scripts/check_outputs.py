@@ -26,7 +26,9 @@ bits, ``--against OTHER_DIR`` (a directory an earlier run wrote) then
 prints one line per shape after the digests: the largest relative
 deviation of ``lam`` and ``mse`` from OTHER_DIR's, the largest absolute
 ``phase_est`` deviation in rad (offsets compared around the circle) and
-the number of kalman decisions that differ.
+the number of kalman decisions that differ.  It exits 1 when a shape flips
+any kalman decision or is missing from OTHER_DIR, so a claim of no flipped
+decision needs no reading by eye.
 
     PYTHONPATH=src python scripts/check_outputs.py OUT_DIR --against OTHER_DIR
 """
@@ -199,7 +201,13 @@ def main(argv) -> int:
         ours.update(saved_arrays(label, batches))
     np.savez(out_dir / "arrays.npz", **ours)
     if theirs is not None:
-        print("\n".join(compare(ours, theirs)))
+        lines = compare(ours, theirs)
+        print("\n".join(lines))
+        failed = [line.split()[0] for line in lines if not line.endswith(" kalman_flips=0")]
+        if failed:
+            print(f"--against: kalman decisions differ or are missing: {', '.join(failed)}",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

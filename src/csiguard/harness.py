@@ -156,7 +156,7 @@ def run_batch(
     of them, and their trials run as the rows of one filter, in kernel
     chains of whole points.  For two or more trials each point's batch is
     bit for bit a one-point run's on the same seeds (one trial: to about
-    1e-9 relative).  Points that differ in anything else are refused with
+    1e-13 relative).  Points that differ in anything else are refused with
     ConfigError.  The filter updates from alice's row only.
 
     ``clone_eve`` is a test hook forcing the attacker channel identical to

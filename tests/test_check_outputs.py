@@ -114,6 +114,34 @@ def test_against_an_earlier_run(script, tmp_path, monkeypatch, capsys):
         assert saved["run_batch_t1.kalman_decisions"].dtype == bool
 
 
+def test_against_fails_on_a_flip_or_a_missing_shape(script, tmp_path, monkeypatch, capsys):
+    # The digest lines and the report print as they do without a flip; the
+    # exit code is 1, and stderr names the shape.
+    monkeypatch.setattr(script, "COMMANDS", ())
+    monkeypatch.setattr(script, "ARRAY_RUNS", (("run_batch_t1", 1, 202, (10.0,)),))
+    first, flipped, missing = tmp_path / "first", tmp_path / "flipped", tmp_path / "missing"
+    assert script.main([str(first)]) == 0
+    digests = capsys.readouterr().out
+    with np.load(first / "arrays.npz") as npz:
+        saved = dict(npz)
+    saved["run_batch_t1.kalman_decisions"][0, 0, 5, 1] ^= True
+    flipped.mkdir()
+    np.savez(flipped / "arrays.npz", **saved)
+    missing.mkdir()
+    np.savez(missing / "arrays.npz", other=np.zeros(1))
+    assert script.main([str(tmp_path / "a"), "--against", str(flipped)]) == 1
+    out = capsys.readouterr()
+    assert out.out == digests + (
+        "run_batch_t1 against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        " phase_est max_abs=0.000e+00 rad kalman_flips=1\n"
+    )
+    assert "run_batch_t1" in out.err
+    assert script.main([str(tmp_path / "b"), "--against", str(missing)]) == 1
+    out = capsys.readouterr()
+    assert out.out.endswith("run_batch_t1 against: missing from OTHER_DIR or of another shape\n")
+    assert "run_batch_t1" in out.err
+
+
 def test_against_needs_a_saved_run(script, tmp_path, capsys):
     assert script.main([str(tmp_path / "out"), "--against", str(tmp_path / "none")]) == 2
     assert "--against: cannot read" in capsys.readouterr().err

@@ -727,6 +727,66 @@ class TestKernelFilterStep:
             assert np.array_equal(a, b)
 
 
+class TestRowGroups:
+    """Rows that share a covariance and a noise variance, one group of
+    consecutive rows per sweep point, give what the same rows give with a
+    covariance and a noise variance each (P = R)."""
+
+    GROUPS, TRIALS = 4, 16
+
+    def _outputs(self, obs, mean, cov, s2, tables):
+        """prep, then (offset, slope) and the statistics (quad, new mean, new cov per row)."""
+        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        offset, slope, _ = _kernels.phase_search(
+            obs, prep, tables, POINTS, default_slope(tables.dft_size)
+        )
+        g, quad = _kernels.whitened_quadform(obs, prep, tables)
+        new_mean, new_cov = _kernels.kalman_update(mean, g[0], prep)
+        new_cov = new_cov.repeat(len(mean) // len(new_cov), axis=0)
+        return prep, (offset, slope), (quad, new_mean, new_cov)
+
+    def _agree(self, grouped, per_row):
+        (_, (offset, slope), stats), (_, (offset1, slope1), stats1) = grouped, per_row
+        turn = np.abs(offset - offset1)
+        phases_ok = (
+            np.minimum(turn, 2.0 * np.pi - turn).max() <= 1e-12
+            and np.abs(slope - slope1).max() <= 1e-12
+        )
+        return phases_ok and all(
+            np.all(np.abs(a - b) <= 1e-12 * np.abs(b)) for a, b in zip(stats, stats1)
+        )
+
+    @pytest.mark.parametrize("snr_db", [10.0, 60.0])
+    def test_groups_equal_per_row_covariances(self, grid114, rng, snr_db):
+        # Four points at snr_db + 0, 5, 10 and 15 dB, each with a covariance
+        # of its own, stacked point-major as run_batch stacks them.
+        points = [
+            _search_inputs(grid114, snr_db + step, False, rng, trials=self.TRIALS, stacked=True)
+            for step in (0.0, 5.0, 10.0, 15.0)
+        ]
+        tables = points[0][-1]
+        obs = np.concatenate([p[0] for p in points], axis=1)
+        mean = np.concatenate([p[1] for p in points])
+        cov = np.stack([p[2][0] * 2.0**i for i, p in enumerate(points)])    # (P, L)
+        s2 = np.array([p[3] for p in points])                              # (P,)
+        rows_cov, rows_s2 = cov.repeat(self.TRIALS, axis=0), s2.repeat(self.TRIALS)
+        grouped = self._outputs(obs, mean, cov, s2, tables)
+        per_row = self._outputs(obs, mean, rows_cov, rows_s2, tables)
+        assert grouped[0].gs.shape == (self.GROUPS, 8, 8)
+        assert per_row[0].gs.shape == (self.GROUPS * self.TRIALS, 8, 8)
+        assert np.array_equal(grouped[0].noise_var, rows_s2)
+        assert self._agree(grouped, per_row)
+
+        # Rows laid out trial-major pair each group's gs with other groups'
+        # rows, and the check above sees it.
+        order = np.arange(len(mean)).reshape(self.GROUPS, -1).T.ravel()
+        mixed = self._outputs(obs[:, order], mean[order], cov, s2, tables)
+        mixed_per_row = self._outputs(
+            obs[:, order], mean[order], rows_cov[order], rows_s2[order], tables
+        )
+        assert not self._agree(mixed, mixed_per_row)
+
+
 class TestCoarseWorkspace:
     """phase_search reuses its coarse-stage arrays per shape; no result may
     alias them, and a call must not depend on the calls before it."""

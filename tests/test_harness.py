@@ -225,14 +225,16 @@ class TestLockstepPoints:
     )
     def test_kernel_chains_hold_whole_points(self, monkeypatch, chain_rows, chains):
         # Three points of two trials: each chain holds as many whole points
-        # as fit in _CHAIN_ROWS rows, at least one, and a point's batch is
-        # still bit for bit its one-point run.
-        searched = []
+        # as fit in _CHAIN_ROWS rows, at least one, with one covariance (one
+        # Woodbury core) per point, and a point's batch is still bit for bit
+        # its one-point run.
+        searched, cores = [], []
         phase_search = _kernels.phase_search
 
-        def recording_search(h_obs, *args):
+        def recording_search(h_obs, prep, *args):
             searched.append(h_obs.shape[1])
-            return phase_search(h_obs, *args)
+            cores.append(prep.gs.shape[0])
+            return phase_search(h_obs, prep, *args)
 
         monkeypatch.setattr(harness, "_CHAIN_ROWS", chain_rows)
         monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
@@ -241,6 +243,8 @@ class TestLockstepPoints:
         cfgs = [replace(LOCKSTEP, snr_db=v) for v in (0.0, 10.0, 20.0)]
         batches = run_batch(cfgs, seeds, **opts)
         assert searched == chains * LOCKSTEP.num_steps
+        # One core per point: [1, 1, 1], [2, 1], [3] and [3] per step.
+        assert cores == [rows // LOCKSTEP.num_trials for rows in chains] * LOCKSTEP.num_steps
         for cfg, batch in zip(cfgs, batches):
             single = run_batch(cfg, seeds, **opts)
             for name in ("lam", "mag", "mag_threshold", "phase_est", "mse"):
