@@ -24,7 +24,8 @@ The script also saves those arrays, with each shape's kalman decisions,
 to ``OUT_DIR/arrays.npz``.  For a change that moves results in their last
 bits, ``--against OTHER_DIR`` (a directory an earlier run wrote) then
 prints one line per shape after the digests: the largest relative
-deviation of ``lam`` and ``mse`` from OTHER_DIR's, the largest absolute
+deviation of ``lam``, ``mag`` and ``mse`` from OTHER_DIR's (NaN on both
+sides counts as equal, NaN on one side reads inf), the largest absolute
 ``phase_est`` deviation in rad (offsets compared around the circle) and
 the number of kalman decisions that differ.  It exits 1 when a shape flips
 any kalman decision or is missing from OTHER_DIR, so a claim of no flipped
@@ -132,6 +133,7 @@ def compare(ours, theirs) -> list[str]:
         flips = np.count_nonzero(a["kalman_decisions"] != b["kalman_decisions"])
         lines.append(
             f"{label} against: lam max_rel={_max_rel(a['lam'], b['lam']):.3e}"
+            f" mag max_rel={_max_rel(a['mag'], b['mag']):.3e}"
             f" mse max_rel={_max_rel(a['mse'], b['mse']):.3e}"
             f" phase_est max_abs={float(phase.max(initial=0.0)):.3e} rad kalman_flips={flips}"
         )

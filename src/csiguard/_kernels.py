@@ -7,6 +7,15 @@ point's (P groups, :func:`prepare_state`).  The per-step state
 observations and residuals are ``(..., R, Q)`` and broadcast over it, so
 :func:`filter_step` scores alice's and eve's packets as one ``(2, R, Q)`` batch.
 
+The filter runs in blocks of K consecutive steps (:class:`Block`).  What
+reads no filter state, the covariance recursion with its Woodbury cores
+and the coarse grid's covariance term below, is formed once per block by
+:func:`block_terms`; each step's :func:`filter_step` keeps what reads the
+state: the prediction ``m``, the coupling ``nu`` and ``zc``, the argmin,
+Newton, the de-rotation and the mean update.  A one-step block does the
+work of one step in the same order, and the terms do not depend on K,
+bit for bit.
+
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
 
@@ -203,19 +212,100 @@ def slope_tables(
 
 
 @dataclass(eq=False)
+class Block:
+    """The terms of K consecutive filter steps over R rows that read no filter state.
+
+    A Kalman filter's covariance recursion never reads a measurement, and
+    neither does the coarse grid's covariance term ``Re(s_g^H gs s_g)``,
+    so :func:`block_terms` forms them for a whole block of steps at once.
+    ``cov``, ``gs`` and ``posterior`` hold one entry per step and group
+    (:func:`prepare_state`).  The gathered tap projections ``s`` and the
+    coarse terms ``quad`` cover the block's steps after the first: step 0
+    is scored link by link in :func:`phase_search`, as its ``zc`` is
+    cheapest right after its ``quad``, which keeps a one-step block's
+    working set to one link's.  ``proj`` is a shared workspace
+    (:func:`_coarse_workspace`): step 0 must be searched before the next
+    block of the same shape is built.
+    """
+
+    obs: np.ndarray        # (K, ..., R, Q) observations
+    alpha: np.ndarray      # (P,) AR(1) coefficient per group
+    noise_var: np.ndarray  # (R,) s2 per row, its group's
+    cov: np.ndarray        # (K, P, L) predicted diagonal covariance
+    gs: np.ndarray         # (K, P, L, L) Woodbury core of each step (StatePrep.gs)
+    gs_conj: np.ndarray    # (K, P, L, L) conj(gs)
+    posterior: np.ndarray  # (K, P, L) updated diagonal covariance, the diagonal of gs
+    slopes: np.ndarray     # (G,) coarse slope grid, and its index and ramps (slope_tables)
+    index: np.ndarray      # (G, L)
+    ramps: np.ndarray      # (G, Q)
+    proj: np.ndarray       # (K, ..., R, C) obs projected on the lattice ramps
+    s: np.ndarray          # (K - 1, ..., R, G, L) C^H (phi_g * h) of the later steps
+    quad: np.ndarray       # (K - 1, ..., R, G) Re(s_g^H gs s_g) of the later steps
+
+
+def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_points, bound) -> Block:
+    """The state-free terms of the K steps of ``h_obs``, ``(K, ..., R, Q)``.
+
+    ``cov`` is the updated covariance before the block's first step, and
+    ``cov``, ``process_noise`` ``(P, L)``, ``alpha`` ``(P,)`` and
+    ``noise_var`` (``(P,)`` or one scalar) hold one entry per group of
+    R / P consecutive rows (:func:`prepare_state`).  Per step the
+    covariance is predicted, ``alpha**2 max(cov, 0) + process_noise``
+    (the clamp takes rounding below 0 to 0), its Woodbury core inverted,
+    and its update read off the core's diagonal, one step after another.
+    One GEMM projects every step's observations on the lattice ramps of
+    :func:`slope_tables` (the search's ``slope_points`` and ``bound``);
+    for the steps after the first, one gather gives every ``s_g``, one
+    GEMM per step and group ``gs s_g``, and one real dot their ``quad``.
+    Each array is formed by the same operations as in a one-step block,
+    so the terms do not depend on K, bit for bit.  Callers that hold a
+    predicted covariance P pass a zero ``cov``, with P as the process noise.
+    """
+    steps, rows = h_obs.shape[0], h_obs.shape[-2]
+    groups, num_paths = cov.shape
+    s2 = np.full(groups, noise_var, dtype=float)[:, None, None]  # (P, 1, 1)
+    prior = np.empty((steps, groups, num_paths))
+    gs = np.empty((steps, groups, num_paths, num_paths), dtype=np.complex128)
+    posterior = np.empty_like(prior)
+    for k in range(steps):
+        cov = alpha[:, None] ** 2 * np.maximum(cov, 0.0) + process_noise
+        sp = np.sqrt(cov)
+        outer = sp[:, :, None] * sp[:, None, :]
+        gs[k] = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2)
+        gs[k] *= outer
+        prior[k] = cov
+        cov = posterior[k] = np.diagonal(gs[k], axis1=-2, axis2=-1).real
+    gs_conj = gs.conj()
+
+    slopes, table, index, ramps = slope_tables(tables, slope_points, bound)
+    proj = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)[0]
+    np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
+    # The later steps, all links at once: s[k, ..., r, g, :] = C^H (phi_g * h).
+    # (mode="clip" gathers straight into the new array; index is always in range.)
+    s = proj[1:].take(index, axis=-1, mode="clip")            # (K - 1, ..., R, G, L)
+    lead = (1,) * (h_obs.ndim - 3)                            # the link axes
+    grouped = s.reshape(*s.shape[:-3], groups, rows // groups * len(slopes), num_paths)
+    g = np.matmul(grouped, gs_conj[1:].reshape(steps - 1, *lead, groups, num_paths, num_paths))
+    quad = _real_dot(grouped, g).reshape(s.shape[:-1])
+    return Block(obs=h_obs, alpha=alpha, noise_var=s2.ravel().repeat(rows // groups), cov=prior,
+                 gs=gs, gs_conj=gs_conj, posterior=posterior, slopes=slopes, index=index,
+                 ramps=ramps, proj=proj, s=s, quad=quad)
+
+
+@dataclass(eq=False)
 class StatePrep:
     """Per-step quantities derived from the predicted state batch.
 
     gs is the scaled Woodbury core ``P^{1/2} G^{-1} P^{1/2}`` so that
     ``Sigma0^{-1} x = x/s2 - C (gs (C^H x)) / s2^2``; it is also the
     posterior covariance ``(P^{-1} + C^H C / s2)^{-1}``, from which
-    :func:`kalman_update` reads the new mean and covariance.  With ``m = C mu``
+    :func:`kalman_update` reads the new mean.  With ``m = C mu``
     that makes ``Sigma0^{-1} m = C nu`` for the L-vector
     ``nu = gs (mu / P) / s2``, held conjugated so that the offset
     coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
     ``nu = 0``.  Observations of shape ``(..., R, Q)`` broadcast against
     the ``(R, ...)`` arrays; ``gs`` is one matrix per group of R / P
-    consecutive rows (:func:`prepare_state`).
+    consecutive rows (:func:`prepare_state`), a view of its block's.
     """
 
     noise_var: np.ndarray  # (R,) s2 per row, its group's
@@ -225,35 +315,25 @@ class StatePrep:
     nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
 
 
-def prepare_state(
-    mean: np.ndarray,
-    cov_diag: np.ndarray,
-    noise_var: float | np.ndarray,
-    tables: GridTables,
-) -> StatePrep:
-    """The per-step arrays of R predicted rows that share P covariances.
+def prepare_state(mean: np.ndarray, block: Block, step: int, tables: GridTables) -> StatePrep:
+    """The per-step arrays of R predicted rows at step ``step`` of ``block``.
 
-    ``mean`` holds the R rows' predicted taps, ``(R, L)``.  ``cov_diag``
-    holds P diagonal covariances, ``(P, L)``, and ``noise_var`` P noise
-    variances, ``(P,)``, or one scalar for all: group p is the R / P
-    consecutive rows ``p R / P`` to ``(p + 1) R / P - 1``, so P must divide
-    R.  The covariance recursion never reads an observation, so every trial
-    of a sweep point shares one covariance; run_batch lays its rows out
-    point-major and passes one group per point.  P = R gives every row its
-    own covariance.  One Woodbury core is inverted per group, and every
-    product with ``gs`` runs as one GEMM per group on its rows.
+    ``mean`` holds the R rows' predicted taps, ``(R, L)``.  The block holds
+    P covariances per step: group p is the R / P consecutive rows ``p R / P``
+    to ``(p + 1) R / P - 1``, so P must divide R.  The covariance recursion
+    never reads an observation, so every trial of a sweep point shares one
+    covariance; run_batch lays its rows out point-major and passes one
+    group per point.  P = R gives every row its own covariance.  Only
+    ``m`` and ``nu`` read the state; the Woodbury core is the block's, and
+    every product with it runs as one GEMM per group on its rows.
     """
     rows, num_paths = mean.shape
-    s2 = np.full(len(cov_diag), noise_var, dtype=float)[:, None, None]  # (P, 1, 1)
-    sp = np.sqrt(cov_diag)
-    outer = sp[:, :, None] * sp[:, None, :]
-    gs = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2)
-    gs *= outer
-    gs_conj = gs.conj()
+    cov, gs_conj = block.cov[step], block.gs_conj[step]
     m = mean @ tables.c_t
     # nu^T = (mean / P)^T gs^T, one GEMM per group.
-    nu = np.matmul(mean.reshape(len(gs), -1, num_paths) / cov_diag[:, None], gs_conj) / s2
-    return StatePrep(noise_var=s2.ravel().repeat(rows // len(gs)), gs=gs, gs_conj=gs_conj,
+    grouped = mean.reshape(len(cov), -1, num_paths)
+    nu = np.matmul(grouped / cov[:, None], gs_conj) / block.noise_var.reshape(len(cov), -1, 1)
+    return StatePrep(noise_var=block.noise_var, gs=block.gs[step], gs_conj=gs_conj,
                      m=m, nu_conj=nu.reshape(rows, num_paths).conj())
 
 
@@ -348,29 +428,53 @@ def _slope_derivatives(
 PHASE_PARAMETERS = 2
 
 
-def phase_search(
-    h_obs: np.ndarray,
-    prep: StatePrep,
-    tables: GridTables,
-    slope_points: int,
-    bound: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jointly estimate (offset, slope) for a batch of observations.
+def _coarse_terms(block: Block, step: int, prep: StatePrep) -> tuple[np.ndarray, np.ndarray]:
+    """(quad, zc) of every grid slope at step ``step`` of ``block``, each ``(..., R, G)``.
 
-    ``h_obs`` has shape ``(..., R, Q)``: any leading axes (:func:`filter_step`
-    passes the ``(2, R, Q)`` observations of both links) broadcast against
-    the ``(R, ...)`` arrays of ``prep``, and the estimates come back with
-    shape ``(..., R)``.  A stacked batch gives the same estimates as
-    separate calls.  Returns (offset, slope, ramp), where ``ramp`` is
-    ``tables.ramp(slope)``, shape ``(..., R, Q)``, bit for bit: it is the
-    ramp of the final objective, recomputed only on rows where Newton
-    moved the slope but the grid slope scored better; it is fresh.
+    ``quad = Re(s_g^H gs s_g)`` and ``zc = nu^H s_g`` for ``s_g = C^H (phi_g * h)``.
+    After the first step ``quad`` and ``s_g`` are the block's, and only ``zc``,
+    one product with ``nu``, reads the state.  Step 0 gathers ``s_g`` from the
+    block's projection link by link and forms each link's ``zc`` right
+    after its ``quad``.  (mode="clip" lets take write straight into the
+    buffer; "raise" would gather into a temporary first.  index is always in range.)
+    """
+    if step:
+        zc = np.matmul(block.s[step - 1], prep.nu_conj[..., None])[..., 0]
+        return block.quad[step - 1], zc
+    proj = block.proj[0]
+    s, g = _coarse_workspace(block.obs.shape, proj.shape[-1], block.index.shape)[1:]
+    s_grouped, g_grouped = (a.reshape(len(prep.gs), -1, a.shape[-1]) for a in (s, g))
+    quad = np.empty(proj.shape[:-1] + block.slopes.shape)    # (..., R, G)
+    zc = np.empty_like(quad, dtype=np.complex128)
+    for link in np.ndindex(proj.shape[:-2]):
+        proj[link].take(block.index, axis=-1, out=s, mode="clip")  # (R, G, L)
+        np.matmul(s_grouped, prep.gs_conj, out=g_grouped)     # per group, rows (gs s_g)^T
+        quad[link] = _real_dot(s, g)
+        np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
+    return quad, zc
+
+
+def phase_search(
+    block: Block, step: int, prep: StatePrep, tables: GridTables
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jointly estimate (offset, slope) for the observations at step ``step`` of ``block``.
+
+    The observations ``block.obs[step]`` have shape ``(..., R, Q)``: any
+    leading axes (:func:`filter_step` passes the ``(2, R, Q)`` observations
+    of both links) broadcast against the ``(R, ...)`` arrays of ``prep``,
+    and the estimates come back with shape ``(..., R)``.  A stacked batch
+    gives the same estimates as separate calls.  Returns (offset, slope,
+    ramp), where ``ramp`` is ``tables.ramp(slope)``, shape ``(..., R, Q)``,
+    bit for bit: it is the ramp of the final objective, recomputed only on
+    rows where Newton moved the slope but the grid slope scored better; it
+    is fresh.
 
     Minimizes the whitened residual energy, less a constant per row
     (:func:`_candidate_objective`), with the offset profiled out in closed
-    form.  The slope is first the argmin of the grid of
+    form.  The slope is first the argmin of the block's grid of
     :func:`slope_tables` (the harness passes ``search.slope_points`` and
-    the drawn slope range ``phase.max_slope``), scored by one GEMM.
+    the drawn slope range ``phase.max_slope``), scored from the block's
+    lattice projection (:func:`_coarse_terms`).
     It then takes three Newton steps on the exact derivatives
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
     clipped to the grid cells on either side of the grid argmin and skipped
@@ -383,23 +487,8 @@ def phase_search(
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     s2 = prep.noise_var
-    slopes, table, index, ramps = slope_tables(tables, slope_points, bound)
-    proj, s, g = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
-
-    # Coarse grid, all candidates at once: one GEMM projects h on every
-    # lattice ramp; link by link, s[r, g, :] = C^H (phi_g * h) is gathered
-    # from its columns and zc[..., g] = nu^H s_g.  (mode="clip" lets take
-    # write straight into the buffer; "raise" would gather into a
-    # temporary first.  index is always in range.)
-    np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
-    s_grouped, g_grouped = (a.reshape(len(prep.gs), -1, a.shape[-1]) for a in (s, g))
-    quad = np.empty(h_obs.shape[:-1] + slopes.shape)          # (..., R, G)
-    zc = np.empty_like(quad, dtype=np.complex128)
-    for link in np.ndindex(h_obs.shape[:-2]):
-        proj[link].take(index, axis=-1, out=s, mode="clip")   # (R, G, L)
-        np.matmul(s_grouped, prep.gs_conj, out=g_grouped)     # per group, rows (gs s_g)^T
-        quad[link] = _real_dot(s, g)
-        np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
+    h_obs, slopes, ramps = block.obs[step], block.slopes, block.ramps
+    quad, zc = _coarse_terms(block, step, prep)
     obj = -quad / (s2 * s2)[:, None] - 2.0 * np.abs(zc)
 
     last = len(slopes) - 1
@@ -461,20 +550,22 @@ def phase_search(
 def _coarse_workspace(
     obs_shape: tuple[int, ...], num_columns: int, index_shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The complex arrays that :func:`phase_search`'s coarse stage reuses for one shape.
+    """The complex arrays that the coarse stage reuses for one block shape.
 
-    For ``h_obs`` of shape ``obs_shape = (..., R, Q)``, a lattice table of
-    C = ``num_columns`` columns and a gather index of shape
+    For a block of observations of shape ``obs_shape = (K, ..., R, Q)``, a
+    lattice table of C = ``num_columns`` columns and a gather index of shape
     ``index_shape = (G, L)``, returns (proj, s, g):
 
-    * proj ``(..., R, C)``: h projected on the lattice ramps, all links in
-      one GEMM (one link of one row would round differently);
-    * s and g ``(R, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T``, one link.
+    * proj ``(K, ..., R, C)``: h projected on the lattice ramps, every step
+      and link in one GEMM (:func:`block_terms`; one link of one row would
+      round differently);
+    * s and g ``(R, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T`` of one
+      link at the block's first step (:func:`_coarse_terms`).
 
     Allocated afresh, arrays of these sizes (about 0.5 MB each at R = 64)
     go back to the system when freed and page-fault again on the next
     step (glibc malloc's mmap and trim thresholds).  Reusing them means
-    that phase_search must not run in two threads at once.
+    that blocks must not be built or searched in two threads at once.
     """
     proj = np.empty((*obs_shape[:-1], num_columns), dtype=np.complex128)
     s = np.empty((obs_shape[-2], *index_shape), dtype=np.complex128)
@@ -508,45 +599,41 @@ def _wrap_offset(theta: np.ndarray) -> np.ndarray:
     return np.where(theta >= np.pi, -np.pi, theta)
 
 
-def kalman_update(
-    mean: np.ndarray, g: np.ndarray, prep: StatePrep
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement update in the de-rotated frame, in information form.
+def kalman_update(mean: np.ndarray, g: np.ndarray, prep: StatePrep) -> np.ndarray:
+    """Mean update in the de-rotated frame, in information form.
 
     ``g = gs C^H (E^H eps)``, shape ``(R, L)``, comes from
     :func:`whitened_quadform` on the de-rotated residual; the phase
     matrices cancel out of the update.  ``prep.gs`` is the posterior
     covariance ``(P^{-1} + C^H C / s2)^{-1}``, so the mean correction
-    ``P C^H Sigma0^{-1} (E^H eps)`` is ``g / s2`` and the new covariance
-    is the diagonal of ``gs``, ``(P, L)``.  Their Woodbury forms cancel to a rounding
-    error once ``s2`` is far below ``P`` (the covariance's can go negative).
-    Returns (new_mean, new_cov_diag).
+    ``P C^H Sigma0^{-1} (E^H eps)`` is ``g / s2``.  The new covariance, the
+    diagonal of ``gs``, reads no data: :func:`block_terms` keeps it.  (Its
+    Woodbury form cancels to a rounding error once ``s2`` is far below
+    ``P``, and can go negative.)  Returns the new mean.
     """
-    new_mean = mean + g / prep.noise_var[:, None]
-    new_cov = np.diagonal(prep.gs, axis1=-2, axis2=-1).real.copy()
-    return new_mean, new_cov
+    return mean + g / prep.noise_var[:, None]
 
 
-def filter_step(mean, cov, h_obs, alpha, process_noise, noise_var, tables, slope_points, bound):
-    """One filter step over R rows: predict, search and score both links, update from alice's.
+def filter_step(mean, block, step, tables):
+    """Step ``step`` of ``block`` over R rows: predict, search and score both links, update from alice's.
 
-    ``mean`` is ``(R, L)`` and ``h_obs`` the ``(2, R, Q)`` observations, alice in row 0;
-    ``cov`` and ``process_noise`` are ``(P, L)``, ``alpha`` and ``noise_var`` ``(P,)``, one
-    per group of R / P rows (:func:`prepare_state`).  Returns the posterior (mean, cov),
-    then per link ``(2, R)`` the statistic ``2 r^H Sigma0^{-1} r`` and the phases (offset,
-    slope).  Both follow from ``ctx = C^H r`` and ``g = gs ctx`` of the residual ``r``
-    (:func:`whitened_quadform`, :func:`kalman_update`), so after one projection of ``r``
-    nothing is Q-dimensional; ``r`` is de-rotated inside :func:`phase_search`'s ramp.
+    ``mean`` is the ``(R, L)`` updated mean of the step before, and the
+    block's observations at this step ``(2, R, Q)``, alice in row 0
+    (:func:`block_terms`, which also holds the step's covariance).  Returns
+    the updated mean, then per link ``(2, R)`` the statistic
+    ``2 r^H Sigma0^{-1} r`` and the phases (offset, slope).  Both follow
+    from ``ctx = C^H r`` and ``g = gs ctx`` of the residual ``r``
+    (:func:`whitened_quadform`, :func:`kalman_update`), so after one
+    projection of ``r`` nothing is Q-dimensional; ``r`` is de-rotated
+    inside :func:`phase_search`'s ramp.
     """
-    groups, num_paths = cov.shape
-    mean = (alpha[:, None, None] * mean.reshape(groups, -1, num_paths)).reshape(mean.shape)
-    cov = alpha[:, None] ** 2 * np.maximum(cov, 0.0) + process_noise  # clamps rounding below 0
-    prep = prepare_state(mean, cov, noise_var, tables)
-    offset, slope, residual = phase_search(h_obs, prep, tables, slope_points, bound)
+    groups, num_paths = block.cov.shape[1:]
+    mean = (block.alpha[:, None, None] * mean.reshape(groups, -1, num_paths)).reshape(mean.shape)
+    prep = prepare_state(mean, block, step, tables)
+    offset, slope, residual = phase_search(block, step, prep, tables)
     # The residual exp(-j offset) (ramp h) - m, formed in the ramp.
-    np.multiply(residual, h_obs, out=residual)
+    np.multiply(residual, block.obs[step], out=residual)
     np.multiply(np.exp(-1j * offset)[..., None], residual, out=residual)
     residual -= prep.m
     g, quad = whitened_quadform(residual, prep, tables)
-    mean, cov = kalman_update(mean, g[0], prep)
-    return mean, cov, 2.0 * quad, offset, slope
+    return kalman_update(mean, g[0], prep), 2.0 * quad, offset, slope

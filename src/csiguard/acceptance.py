@@ -214,14 +214,19 @@ def criterion_6_phase_recovery() -> CriterionResult:
     rngs = [np.random.default_rng(derive_trial_seed(777, i)) for i in range(packets)]
     [link] = simulate([profile], tables, [noise_var], max_slope, rngs, 1)
 
-    cov = np.tile(profile.process_noise_diag, (packets, 1))
-    prep = _kernels.prepare_state(link.taps[0, 0], cov, noise_var, tables)
-    est_offset, est_slope, _ = _kernels.phase_search(
-        link.obs[0, 0], prep, tables, slope_points, max_slope
+    # A one-step block of alice's packets, one covariance per packet: one
+    # step of process noise from a zero covariance.
+    zero = np.zeros((packets, 8))
+    block = _kernels.block_terms(
+        link.obs[:, 0, 0], zero, np.full(packets, profile.alpha),
+        np.tile(profile.process_noise_diag, (packets, 1)), noise_var, tables,
+        slope_points, max_slope,
     )
+    prep = _kernels.prepare_state(link.taps[0, 0, 0], block, 0, tables)
+    est_offset, est_slope, _ = _kernels.phase_search(block, 0, prep, tables)
 
-    offset_err = np.abs((est_offset - link.offset[0] + np.pi) % (2 * np.pi) - np.pi)
-    slope_err = np.abs(est_slope - link.slope[0])
+    offset_err = np.abs((est_offset - link.offset[0, 0] + np.pi) % (2 * np.pi) - np.pi)
+    slope_err = np.abs(est_slope - link.slope[0, 0])
     tol = PHASE_RECOVERY_TOLERANCE
     hit = np.mean((offset_err <= tol) & (slope_err <= tol))
     checks = [
@@ -238,7 +243,8 @@ def criterion_7_scalar_kalman() -> CriterionResult:
     """Single-tap, single-pilot filter equals the textbook scalar recursion.
 
     The filter is the batched kernel path of every Monte Carlo run
-    (prepare_state, whitened_quadform, kalman_update) at identity phase.
+    (block_terms' covariance recursion, then prepare_state,
+    whitened_quadform and kalman_update per step) at identity phase.
     """
     t0 = time.perf_counter()
     profile = make_profile(1, 0.05, 0.0)
@@ -257,19 +263,23 @@ def criterion_7_scalar_kalman() -> CriterionResult:
         observations.append(h + w)
 
     tables = _kernels.grid_tables(grid, 1)
+    # Every step in one block: (steps, 1 row, 1 pilot).  No phase is
+    # searched, so the block's slope lattice is the smallest one.
+    obs = np.array(observations)[:, None, None]
+    block = _kernels.block_terms(
+        obs, profile.pdp[None, :], np.array([profile.alpha]),
+        profile.process_noise_diag[None, :], noise_var, tables, 2, np.pi,
+    )
     state_mean = np.zeros((1, 1), dtype=np.complex128)
-    state_cov = profile.pdp[None, :]
     means = np.empty(steps, dtype=np.complex128)
-    variances = np.empty(steps)
-    for k, y in enumerate(observations):
+    for k in range(steps):
         state_mean = profile.alpha * state_mean
-        state_cov = profile.alpha**2 * state_cov + profile.process_noise_diag
-        prep = _kernels.prepare_state(state_mean, state_cov, noise_var, tables)
-        residual = np.array([[y]]) - prep.m
+        prep = _kernels.prepare_state(state_mean, block, k, tables)
+        residual = obs[k] - prep.m
         g, _ = _kernels.whitened_quadform(residual, prep, tables)
-        state_mean, state_cov = _kernels.kalman_update(state_mean, g, prep)
+        state_mean = _kernels.kalman_update(state_mean, g, prep)
         means[k] = state_mean[0, 0]
-        variances[k] = state_cov[0, 0]
+    variances = block.posterior[:, 0, 0]
 
     # Independent textbook recursion.
     mean, var = 0.0 + 0.0j, 1.0

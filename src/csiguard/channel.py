@@ -76,12 +76,13 @@ def make_profile(num_paths: int, normalized_doppler: float, pdp_decay: float) ->
 
 
 class Link(NamedTuple):
-    """Both links of every point at one step, batched over trials.
+    """Both links of every point at K consecutive steps, batched over trials.
 
-    The fields lead with the (alice, eve) link axis, alice in row 0 and
-    eve in row 1: taps (2, P, T, L) is the true impulse response at each
-    of P points, obs (2, P, T, Q) its distorted, noisy pilot observation,
-    and offset, slope (2, T) the phase distortion, which all points share.
+    The fields lead with the step axis, then the (alice, eve) link axis,
+    alice in row 0 and eve in row 1: taps (K, 2, P, T, L) is the true
+    impulse response at each of P points, obs (K, 2, P, T, Q) its
+    distorted, noisy pilot observation, and offset, slope (K, 2, T) the
+    phase distortion, which all points share.
     """
 
     taps: np.ndarray
@@ -117,9 +118,11 @@ def simulate(
     The generative model of every Monte Carlo run.  ``profiles`` and
     ``noise_vars`` hold one channel profile and one noise variance per
     point; the profiles must share their taps' number and powers (the
-    points of a sweep differ only in SNR or Doppler).  Each step yields
-    one :class:`Link` whose taps and observations carry a point axis
-    after the link axis, points in order, alice in row 0 and eve in row 1.
+    points of a sweep differ only in SNR or Doppler).  Each block of K
+    consecutive steps (below) yields one :class:`Link` whose fields lead
+    with the block's step axis, and whose taps and observations carry a
+    point axis after the link axis, points in order, alice in row 0 and
+    eve in row 1.
 
     At every point both links are AR(1) channels with that point's
     profile, started at their stationary law.  At each step each link gets
@@ -165,8 +168,10 @@ def simulate(
     Each generator fills its rows of two draw blocks, ``(K, T, 4L + 4Q)``
     normal and ``(K, T, 4)`` uniform, allocated once and refilled every
     block.  Each block's taps, observations, offsets and slopes go into
-    fresh ``(K, ...)`` arrays, and each yielded Link is a view of one
-    step of them, never of the draw blocks.  While suspended at a yield
+    fresh ``(K, ...)`` arrays, which the yielded Link holds, never views
+    of the draw blocks; the last block holds the steps left over, fewer
+    than K.  :func:`csiguard.harness.run_batch` runs the filter's
+    state-free terms once per yielded block.  While suspended at a yield
     the generator holds the two draw blocks, the current block's arrays
     and its phase factor: on the default grid about 0.4 MB at one trial
     (K = 32) and 0.75 MB at T = 64 (K = 1), 250 KB of it the draw blocks.
@@ -235,5 +240,4 @@ def simulate(
         np.multiply(phase[:, :, None], obs, out=obs)
         obs.real += noise_scale * noise[0]
         obs.imag += noise_scale * noise[1]
-        for i in range(k):
-            yield Link(block_taps[i], obs[i], offset[i], slope[i])
+        yield Link(block_taps, obs, offset, slope)

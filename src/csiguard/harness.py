@@ -159,6 +159,15 @@ def run_batch(
     1e-13 relative).  Points that differ in anything else are refused with
     ConfigError.  The filter updates from alice's row only.
 
+    The work that reads no filter state runs once per block of steps that
+    simulate yields (32 at one trial, one from 17 rows up) and kernel
+    chain: :func:`csiguard._kernels.block_terms` runs the covariance
+    recursion and scores the coarse grid's covariance term, and the
+    magnitude statistic is formed for the whole block.  Each step then
+    runs :func:`csiguard._kernels.filter_step` per chain, and the checks
+    below run as each step ends, naming it.  The results do not depend on
+    the block length, bit for bit.
+
     ``clone_eve`` is a test hook forcing the attacker channel identical to
     the legitimate one (the indistinguishable-hypothesis case); the
     attacker still gets independent noise and phase draws (see
@@ -215,40 +224,69 @@ def run_batch(
     mse = np.empty(shape) if collect_mse else None
 
     per_chain = max(1, _CHAIN_ROWS // num_trials)
-    for k, link in enumerate(links, start=1):
-        for p in range(0, len(cfgs), per_chain):
-            points = slice(p, p + per_chain)
-            rows = slice(p * num_trials, (p + per_chain) * num_trials)
-            # The chain's (2, rows, Q) observations, alice row 0, eve row 1:
-            # simulate lays obs out point by point, so one point is a view.
-            obs = link.obs[:, points].reshape(2, -1, num_pilots)
-            mean[rows], cov[points], stat, est_offset, est_slope = _kernels.filter_step(
-                mean[rows], cov[points], obs, alpha[points], process_noise[points],
-                noise_var[points], tables, base.slope_points, max_slope
-            )
-            lam[rows, k - 1, :] = stat.T
-            if collect_phase:
-                phase_est[rows, k - 1] = np.transpose([est_offset, est_slope])
-
+    chains = [
+        (slice(p, p + per_chain), slice(p * num_trials, (p + per_chain) * num_trials))
+        for p in range(0, len(cfgs), per_chain)
+    ]
+    start = 0
+    for link in links:
+        # One simulate block of K steps.  Each chain's block stage runs just
+        # before the chain's first step: a one-step block runs as one step
+        # did, and a block's first step reads the shared projection
+        # workspace before the next chain's block stage refills it.
+        num = len(link.obs)
+        blocks = [None] * len(chains)
         if with_mag:
-            cur_abs = np.abs(link.obs).reshape(2, num_rows, num_pilots)
-            if k > 1:
-                mag[:, k - 1, :] = magnitude_diff_statistic(cur_abs, prev_alice_abs).T
-            prev_alice_abs = cur_abs[0]
+            # Both links' packets against alice's of the step before, steps
+            # by rows; the run's first step has none (its statistic stays NaN).
+            cur_abs = np.abs(link.obs).reshape(num, 2, num_rows, num_pilots)
+            prev_abs = cur_abs[:-1, 0] if not start else np.concatenate(
+                [prev_alice_abs[None], cur_abs[:-1, 0]]
+            )
+            first = num - len(prev_abs)
+            diff = magnitude_diff_statistic(
+                cur_abs[first:].transpose(1, 0, 2, 3).reshape(2, -1, num_pilots),
+                prev_abs.reshape(-1, num_pilots),
+            )
+            mag[:, start + first : start + num] = diff.reshape(2, -1, num_rows).transpose(2, 1, 0)
+            prev_alice_abs = cur_abs[-1, 0]
         if collect_phase:
-            phase_true[:, k - 1] = np.transpose([link.offset, link.slope])
-        if np.any(cov < -1e-12):
-            raise NumericalError(
-                f"trial batch aborted at step {k}: updated covariance reached {cov.min():.3e}"
-            )
-        bad = lam[:, k - 1][~(np.isfinite(lam[:, k - 1]) & (lam[:, k - 1] >= 0.0))]
-        if bad.size:
-            raise NumericalError(
-                f"trial batch aborted at step {k}: test statistic reached {bad[0]:.3e}"
-            )
-        if collect_mse:
-            err = (mean - link.taps[0].reshape(num_rows, num_paths)) @ tables.c_t
-            mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
+            phase_true[:, start : start + num] = np.stack(
+                [link.offset, link.slope], axis=-1
+            ).transpose(2, 0, 1, 3)
+
+        for i in range(num):
+            k = start + i + 1
+            for c, (points, rows) in enumerate(chains):
+                if not i:
+                    # The chain's (K, 2, rows, Q) observations, alice row 0, eve row 1:
+                    # simulate lays obs out point by point, so one point is a view.
+                    obs = link.obs[:, :, points].reshape(num, 2, -1, num_pilots)
+                    blocks[c] = _kernels.block_terms(
+                        obs, cov[points], alpha[points], process_noise[points],
+                        noise_var[points], tables, base.slope_points, max_slope
+                    )
+                mean[rows], stat, est_offset, est_slope = _kernels.filter_step(
+                    mean[rows], blocks[c], i, tables
+                )
+                cov[points] = blocks[c].posterior[i]
+                lam[rows, k - 1, :] = stat.T
+                if collect_phase:
+                    phase_est[rows, k - 1] = np.transpose([est_offset, est_slope])
+
+            if np.any(cov < -1e-12):
+                raise NumericalError(
+                    f"trial batch aborted at step {k}: updated covariance reached {cov.min():.3e}"
+                )
+            bad = lam[:, k - 1][~(np.isfinite(lam[:, k - 1]) & (lam[:, k - 1] >= 0.0))]
+            if bad.size:
+                raise NumericalError(
+                    f"trial batch aborted at step {k}: test statistic reached {bad[0]:.3e}"
+                )
+            if collect_mse:
+                err = (mean - link.taps[i, 0].reshape(num_rows, num_paths)) @ tables.c_t
+                mse[:, k - 1] = np.einsum("tq,tq->t", err.conj(), err).real / num_pilots
+        start += num
 
     kalman_threshold = threshold(
         base.nominal_false_alarm, num_pilots, fitted_params=_kernels.PHASE_PARAMETERS

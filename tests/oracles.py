@@ -19,8 +19,8 @@ to every row.  :func:`slope_derivatives` is the Newton stage's derivative
 pass term by term, which the kernels read off one Gram product; the two
 agree to rounding.  :func:`simulate_by_step` is the generative model of
 ``csiguard.channel.simulate`` built one step at a time, with every step's
-arithmetic on that step's draws alone; ``simulate`` builds blocks of
-steps and must match it bit for bit.
+arithmetic on that step's draws alone; ``simulate`` builds and yields
+blocks of steps, and :func:`steps_of` of them must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -248,8 +248,13 @@ def _by_link(block: np.ndarray, n: int) -> np.ndarray:
     return block.reshape(len(block), 2, 2, n).transpose(2, 1, 0, 3)
 
 
+def steps_of(links):
+    """The one-step Links of the blocks that ``csiguard.channel.simulate`` yields, in order."""
+    return [Link(*(field[i] for field in link)) for link in links for i in range(len(link.obs))]
+
+
 def simulate_by_step(profiles, tables, noise_vars, max_slope, rngs, num_steps, *, clone_eve=False):
-    """Yield what ``csiguard.channel.simulate`` yields, building one step at a time.
+    """Yield what :func:`steps_of` makes of ``csiguard.channel.simulate``, one step at a time.
 
     Draws in the documented per-generator order: the stationary start,
     then per step one ``standard_normal(4L + 4Q)`` and one ``uniform(size=4)``
@@ -437,8 +442,15 @@ def filter_step(
         d = PhaseDistortion(0.0, 0.0)
     else:
         tables = _kernels.grid_tables(grid, len(pred.mean))
-        prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-        offset, slope, _ = _kernels.phase_search(values[None], prep, tables, slope_points, bound)
+        # A one-step block whose predicted covariance is pred's: one step of
+        # process noise pred.cov_diag from a zero covariance.
+        cov = pred.cov_diag[None]
+        block = _kernels.block_terms(
+            values[None, None], np.zeros_like(cov), np.ones(1), cov, noise_var, tables,
+            slope_points, bound,
+        )
+        prep = _kernels.prepare_state(pred.mean[None], block, 0, tables)
+        offset, slope, _ = _kernels.phase_search(block, 0, prep, tables)
         d = PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
     b = phase_diagonal(d, grid)[:, None] * partial_dft(grid, len(pred.mean))
     residual = values - b @ pred.mean

@@ -6,7 +6,7 @@ from csiguard.channel import ChannelProfile, Link, make_profile, simulate
 from csiguard.numerics import bessel_j0
 from csiguard.observation import PilotGrid
 
-from oracles import bessel_j0_first_zero, bessel_j0_series, simulate_by_step
+from oracles import bessel_j0_first_zero, bessel_j0_series, simulate_by_step, steps_of
 
 # J0(2 pi fd Ts) from the series oracle.
 ALPHA_AT_1E4 = 0.9999999013039584
@@ -26,7 +26,7 @@ def simulate_links(
     tables = _kernels.grid_tables(grid, profile.num_paths)
     rngs = [np.random.default_rng(s) for s in seeds]
     links = simulate([profile], tables, [noise_var], max_slope, rngs, steps, clone_eve=clone_eve)
-    return [link._replace(taps=link.taps[:, 0], obs=link.obs[:, 0]) for link in links]
+    return [link._replace(taps=link.taps[:, 0], obs=link.obs[:, 0]) for link in steps_of(links)]
 
 
 def split(link):
@@ -237,7 +237,7 @@ DEFAULT_TABLES = _kernels.grid_tables(
 
 
 def block_run(num_trials, num_points, steps, model=simulate, clone_eve=False):
-    """(Links, generators) of ``steps`` steps of ``model`` at T trials and P points."""
+    """(what ``model`` yields, generators) for ``steps`` steps at T trials and P points."""
     profiles = [make_profile(8, d, 0.5) for d in (1e-4, 1e-2, 1e-3)[:num_points]]
     noise_vars = [0.1, 1.0, 0.01][:num_points]
     rngs = [np.random.default_rng([20, t]) for t in range(num_trials)]
@@ -258,10 +258,14 @@ class TestBlocks:
     @pytest.mark.parametrize("num_trials, num_points", BLOCK_SHAPES)
     def test_every_field_matches_the_step_oracle(self, num_trials, num_points, clone_eve):
         for steps in block_counts(num_trials, num_points):
-            links, _ = block_run(num_trials, num_points, steps, clone_eve=clone_eve)
+            blocks, _ = block_run(num_trials, num_points, steps, clone_eve=clone_eve)
             expected, _ = block_run(
                 num_trials, num_points, steps, simulate_by_step, clone_eve=clone_eve
             )
+            # One Link per block of K steps, the last holding what is left.
+            k = max(1, channel._BLOCK_ROWS // (num_trials * num_points))
+            assert [len(b.obs) for b in blocks] == [min(k, steps - i) for i in range(0, steps, k)]
+            links = steps_of(blocks)
             assert len(links) == len(expected) == steps
             for k, (link, ref) in enumerate(zip(links, expected)):
                 for name, got, want in zip(Link._fields, link, ref):
@@ -272,7 +276,7 @@ class TestBlocks:
     def test_generators_make_exactly_the_documented_draws(self, num_trials, num_points):
         for steps in [0, *block_counts(num_trials, num_points)]:
             links, rngs = block_run(num_trials, num_points, steps)
-            assert len(links) == steps
+            assert len(steps_of(links)) == steps
             for t, rng in enumerate(rngs):
                 fresh = np.random.default_rng([20, t])
                 fresh.standard_normal(4 * 8)
@@ -288,7 +292,7 @@ class TestBlocks:
         rngs = [np.random.default_rng(3)]
         links = simulate([profile], DEFAULT_TABLES, [0.1], 0.19, rngs, steps)
         kept = [(link, [field.copy() for field in link]) for link in links]
-        assert len(kept) == steps
+        assert sum(len(link.obs) for link, _ in kept) == steps
         for link, copies in kept:
             for field, copy in zip(link, copies):
                 assert np.array_equal(bits(field), bits(copy))

@@ -74,14 +74,14 @@ def test_compare_reports_largest_deviations(script):
                   [np.pi - 2e-10, 0.25 + 1e-12], [True, True, False])
     [line] = script.compare(ours, theirs)
     # The offsets at -pi and just below pi are 2e-10 rad apart around the circle.
-    lam, mse, phase = (float(f.split("=")[1]) for f in line.split() if "max_" in f)
+    lam, mag, mse, phase = (float(f.split("=")[1]) for f in line.split() if "max_" in f)
     assert line.startswith("run against: ") and line.endswith(" rad kalman_flips=2")
     assert lam == pytest.approx(3e-12, rel=1e-3) and mse == pytest.approx(5e-13, rel=1e-3)
-    assert phase == pytest.approx(2e-10, rel=1e-3)
+    assert phase == pytest.approx(2e-10, rel=1e-3) and mag == 0.0
     # Equal arrays, NaNs at the same places, and a zero that stays zero read 0.
     same = _saved([[np.nan, 0.0]], [0.0, 2.0], [-np.pi, 0.25], [True, False, True])
     assert script.compare(same, same) == [
-        "run against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        "run against: lam max_rel=0.000e+00 mag max_rel=0.000e+00 mse max_rel=0.000e+00"
         " phase_est max_abs=0.000e+00 rad kalman_flips=0"
     ]
     # A zero that moves, or a NaN on one side only, is infinitely far; a
@@ -90,6 +90,22 @@ def test_compare_reports_largest_deviations(script):
     assert script._max_rel(np.array([np.nan, 1.0]), np.array([2.0, 1.0])) == np.inf
     assert script._max_rel(np.array([2.0, 1.0]), np.array([np.nan, 1.0])) == np.inf
     assert script.compare(ours, {}) == ["run against: missing from OTHER_DIR or of another shape"]
+
+
+def test_compare_reports_the_magnitude_statistic(script):
+    # mag is NaN at every trial's first step: NaN on both sides is equal,
+    # NaN on one side is infinitely far, and a moved value reads relative.
+    def saved(mag):
+        return _saved([[1.0]], [1.0], [0.0], [False]) | {"run.mag": np.asarray(mag)}
+
+    theirs = saved([[np.nan, 0.5, 2.0]])
+    ours = saved([[np.nan, 0.5, 2.0 * (1 + 4e-13)]])
+    [line] = script.compare(ours, theirs)
+    mag = float(line.split(" mag max_rel=")[1].split()[0])
+    assert mag == pytest.approx(4e-13, rel=1e-3)
+    assert " mag max_rel=0.000e+00 " in script.compare(theirs, theirs)[0]
+    assert " mag max_rel=inf " in script.compare(saved([[0.1, 0.5, 2.0]]), theirs)[0]
+    assert " mag max_rel=inf " in script.compare(theirs, saved([[0.1, 0.5, 2.0]]))[0]
 
 
 def test_against_an_earlier_run(script, tmp_path, monkeypatch, capsys):
@@ -103,7 +119,8 @@ def test_against_an_earlier_run(script, tmp_path, monkeypatch, capsys):
     assert script.main([str(second), "--against", str(first)]) == 0
     out = capsys.readouterr().out
     assert out == digests + (
-        "run_batch_t1 against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        "run_batch_t1 against: lam max_rel=0.000e+00 mag max_rel=0.000e+00"
+        " mse max_rel=0.000e+00"
         " phase_est max_abs=0.000e+00 rad kalman_flips=0\n"
     )
     with np.load(second / "arrays.npz") as saved:
@@ -132,7 +149,8 @@ def test_against_fails_on_a_flip_or_a_missing_shape(script, tmp_path, monkeypatc
     assert script.main([str(tmp_path / "a"), "--against", str(flipped)]) == 1
     out = capsys.readouterr()
     assert out.out == digests + (
-        "run_batch_t1 against: lam max_rel=0.000e+00 mse max_rel=0.000e+00"
+        "run_batch_t1 against: lam max_rel=0.000e+00 mag max_rel=0.000e+00"
+        " mse max_rel=0.000e+00"
         " phase_est max_abs=0.000e+00 rad kalman_flips=1\n"
     )
     assert "run_batch_t1" in out.err

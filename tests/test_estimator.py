@@ -42,11 +42,23 @@ def _random_obs(rng, grid):
     return rng.standard_normal(q) + 1j * rng.standard_normal(q)
 
 
+def _one_step(obs, mean, cov, noise_var, tables, bound=None):
+    """(block, prep): the one-step block of ``obs`` whose predicted covariance
+    is ``cov`` (one step of process noise ``cov`` from a zero covariance), on
+    the default slope grid, and its state at the predicted ``mean``."""
+    bound = default_slope(tables.dft_size) if bound is None else bound
+    block = _kernels.block_terms(
+        obs[None], np.zeros_like(cov), np.ones(len(cov)), cov, noise_var, tables, POINTS, bound
+    )
+    return block, _kernels.prepare_state(mean, block, 0, tables)
+
+
 def _estimate(obs, pred, grid, noise_var, bound):
     """Phase pair of one observation: phase_search on a one-row batch."""
     tables = _kernels.grid_tables(grid, len(pred.mean))
-    prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], noise_var, tables)
-    offset, slope, _ = _kernels.phase_search(obs[None], prep, tables, POINTS, bound)
+    block, prep = _one_step(obs[None], pred.mean[None], pred.cov_diag[None], noise_var, tables,
+                            bound)
+    offset, slope, _ = _kernels.phase_search(block, 0, prep, tables)
     return PhaseDistortion(offset=float(offset[0]), slope=float(slope[0]))
 
 
@@ -134,7 +146,7 @@ class TestProfiledObjectiveAgainstDense:
         obs = _random_obs(rng, grid114)
         s2 = 0.25
         tables = _kernels.grid_tables(grid114, num_paths)
-        prep = _kernels.prepare_state(pred.mean[None], pred.cov_diag[None], s2, tables)
+        _, prep = _one_step(obs[None], pred.mean[None], pred.cov_diag[None], s2, tables)
         # The objective leaves out h^H h / s2 + m^H Sigma0^{-1} m, the same at every slope.
         c = partial_dft(grid114, num_paths)
         sigma0 = (c * pred.cov_diag) @ c.conj().T + s2 * np.eye(grid114.num_pilots)
@@ -243,9 +255,9 @@ def _search_inputs(grid, snr_db, zero_mean, rng, trials=40, num_paths=8, stacked
 
 
 def _search_batch(grid, snr_db, zero_mean, rng, **options):
-    """(obs, prep, tables) of :func:`_search_inputs`."""
+    """(block, prep, tables): the one-step block of :func:`_search_inputs`."""
     obs, mean, cov, s2, tables = _search_inputs(grid, snr_db, zero_mean, rng, **options)
-    return obs, _kernels.prepare_state(mean, cov, s2, tables), tables
+    return (*_one_step(obs, mean, cov, s2, tables), tables)
 
 
 def _profiled_objective(obs, prep, tables):
@@ -277,10 +289,11 @@ def _check_derivatives(obs, prep, tables, x):
     assert np.allclose(d2, fd2, rtol=1e-6, atol=0)
 
 
-def _check_no_worse_than_fine_sweep(obs, prep, grid, tables):
+def _check_no_worse_than_fine_sweep(block, prep, grid, tables):
     """phase_search stays in its bracket and scores no worse than a 1001-point sweep of it."""
     bound = default_slope(grid.dft_size)
-    _, est_slope, _ = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+    obs = block.obs[0]
+    _, est_slope, _ = _kernels.phase_search(block, 0, prep, tables)
     f = _profiled_objective(obs, prep, tables)
     slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
     grid_obj = np.stack([f(np.full(obs.shape[:-1], x)) for x in slopes], axis=-1)
@@ -301,15 +314,15 @@ class TestNewtonStage:
     def test_derivatives_match_central_differences(self, grid114, rng, zero_mean):
         # With a zero predicted mean, zc vanishes at every slope and the
         # derivatives must drop its terms rather than divide by |zc| = 0.
-        obs, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
+        block, prep, tables = _search_batch(grid114, 10.0, zero_mean, rng, trials=8)
         bound = default_slope(grid114.dft_size)
-        _check_derivatives(obs, prep, tables, rng.uniform(-bound, bound, 8))
+        _check_derivatives(block.obs[0], prep, tables, rng.uniform(-bound, bound, 8))
 
     @pytest.mark.parametrize("zero_mean", [False, True])
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
     def test_no_worse_than_fine_sweep_of_bracket(self, grid114, rng, snr_db, zero_mean):
-        obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
-        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables)
+        block, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng)
+        _check_no_worse_than_fine_sweep(block, prep, grid114, tables)
 
     @pytest.mark.parametrize("snr_db", [0.0, 10.0, 60.0])
     def test_gram_form_matches_term_by_term(self, grid114, rng, snr_db):
@@ -321,7 +334,7 @@ class TestNewtonStage:
         # largest |f'| and |f''|.
         obs, mean, cov, s2, tables = _search_inputs(grid114, snr_db, False, rng, stacked=True)
         mean[::2] = 0.0
-        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        _, prep = _one_step(obs, mean, cov, s2, tables)
         bound = default_slope(grid114.dft_size)
         ramp = tables.ramp(rng.uniform(-bound, bound, obs.shape[:-1]))
         got = _kernels._slope_derivatives(ramp, obs, prep, tables)
@@ -332,10 +345,10 @@ class TestNewtonStage:
     def test_stacked_link_axis(self, grid114, rng):
         # Alice's and eve's packets as one (2, T, Q) batch against alice's
         # prediction, as run_batch scores them.
-        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=8, stacked=True)
+        block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=8, stacked=True)
         bound = default_slope(grid114.dft_size)
-        _check_derivatives(obs, prep, tables, rng.uniform(-bound, bound, (2, 8)))
-        _check_no_worse_than_fine_sweep(obs, prep, grid114, tables)
+        _check_derivatives(block.obs[0], prep, tables, rng.uniform(-bound, bound, (2, 8)))
+        _check_no_worse_than_fine_sweep(block, prep, grid114, tables)
 
 
 class TestLinkAxisAndTables:
@@ -344,16 +357,19 @@ class TestLinkAxisAndTables:
 
     @pytest.mark.parametrize("trials", [1, 3, 16, 64])
     def test_stacked_equals_separate_calls(self, grid114, rng, trials):
-        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=trials, stacked=True)
-        bound = default_slope(grid114.dft_size)
-        searched = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        obs, mean, cov, s2, tables = _search_inputs(
+            grid114, 10.0, False, rng, trials=trials, stacked=True
+        )
+        block, prep = _one_step(obs, mean, cov, s2, tables)
+        searched = _kernels.phase_search(block, 0, prep, tables)
         g, quad = _kernels.whitened_quadform(obs, prep, tables)
         offset, slope, ramp = searched
         assert offset.shape == slope.shape == quad.shape == (2, trials)
         assert ramp.shape == obs.shape
         assert g.shape == (2, trials, 8)
         for link in (0, 1):
-            one_searched = _kernels.phase_search(obs[link], prep, tables, POINTS, bound)
+            one_block, one_prep = _one_step(obs[link], mean, cov, s2, tables)
+            one_searched = _kernels.phase_search(one_block, 0, one_prep, tables)
             one_g, one_quad = _kernels.whitened_quadform(obs[link], prep, tables)
             for stacked, one in zip(searched, one_searched):
                 assert np.array_equal(stacked[link], one)
@@ -371,20 +387,19 @@ class TestLinkAxisAndTables:
             for snr_db in snrs
         ]
         tables = points[0][-1]
-        bound = default_slope(grid114.dft_size)
         obs = np.concatenate([p[0] for p in points], axis=1)
         mean, cov = (np.concatenate([p[i] for p in points]) for i in (1, 2))
         noise_var = np.repeat([p[3] for p in points], trials)
-        prep = _kernels.prepare_state(mean, cov, noise_var, tables)
-        searched = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        block, prep = _one_step(obs, mean, cov, noise_var, tables)
+        searched = _kernels.phase_search(block, 0, prep, tables)
         whitened = _kernels.whitened_quadform(obs, prep, tables)
         assert np.array_equal(prep.noise_var, noise_var)
         for i, (p_obs, p_mean, p_cov, s2, _) in enumerate(points):
             rows = slice(i * trials, (i + 1) * trials)
-            one_prep = _kernels.prepare_state(p_mean, p_cov, s2, tables)
+            one_block, one_prep = _one_step(p_obs, p_mean, p_cov, s2, tables)
             for name in ("gs", "m", "nu_conj"):
                 assert np.array_equal(getattr(prep, name)[rows], getattr(one_prep, name)), name
-            one_searched = _kernels.phase_search(p_obs, one_prep, tables, POINTS, bound)
+            one_searched = _kernels.phase_search(one_block, 0, one_prep, tables)
             one_whitened = _kernels.whitened_quadform(p_obs, one_prep, tables)
             for stacked, one in zip((*searched, *whitened), (*one_searched, *one_whitened)):
                 assert np.array_equal(stacked[:, rows], one)
@@ -494,7 +509,7 @@ class TestPrepareState:
         s2 = 10.0 ** (-snr_db / 10.0)
         mean = (rng.standard_normal((3, num_paths)) + 1j * rng.standard_normal((3, num_paths))) / 2
         cov = 0.3 * np.abs(rng.standard_normal((3, num_paths))) + 1e-3
-        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        _, prep = _one_step(np.zeros((3, grid114.num_pilots)), mean, cov, s2, tables)
         assert prep.nu_conj.shape == (3, num_paths)
         # Sigma0's condition number grows as 1 / s2, and so do both forms' errors.
         tol = 1e-13 / s2
@@ -518,7 +533,8 @@ class TestPrepareState:
         shape = (trials, num_paths)
         mean = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
         cov = prior * (1.0 + 0.5 * rng.random(shape))
-        nu = _kernels.prepare_state(mean, cov, s2, tables).nu_conj.conj()
+        nu = _one_step(np.zeros((trials, grid114.num_pilots)), mean, cov, s2, tables)[1]
+        nu = nu.nu_conj.conj()
         with mpmath.workdps(50):
             cm = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in c])
             chc = cm.H * cm
@@ -534,8 +550,9 @@ class TestPrepareState:
 
     def test_zero_mean_gives_zero_coupling(self, grid114):
         tables = _kernels.grid_tables(grid114, 8)
-        prep = _kernels.prepare_state(
-            np.zeros((3, 8), dtype=np.complex128), np.full((3, 8), 0.1), 0.1, tables
+        _, prep = _one_step(
+            np.zeros((3, grid114.num_pilots)), np.zeros((3, 8), dtype=np.complex128),
+            np.full((3, 8), 0.1), 0.1, tables,
         )
         assert not prep.nu_conj.any()
 
@@ -557,7 +574,6 @@ class TestWhitenedQuadform:
         mean = (rng.standard_normal((trials, num_paths))
                 + 1j * rng.standard_normal((trials, num_paths))) / 2
         cov = 0.3 * np.abs(rng.standard_normal((trials, num_paths))) + 1e-3
-        prep = _kernels.prepare_state(mean, cov, s2, tables)
         # Innovation-sized residuals for both links: C x with x ~ CN(0, P), plus noise.
         shape = (2, trials, num_paths)
         x = np.sqrt(cov / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -565,6 +581,7 @@ class TestWhitenedQuadform:
         r = x @ c.T + np.sqrt(s2 / 2) * (
             rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
         )
+        _, prep = _one_step(r, mean, cov, s2, tables)
         g, quad = _kernels.whitened_quadform(r, prep, tables)
         assert g.shape == shape
         assert quad.shape == (2, trials)
@@ -610,10 +627,10 @@ class TestKalmanUpdate:
         r = x @ c.T + np.sqrt(s2 / 2) * (
             rng.standard_normal(noise_shape) + 1j * rng.standard_normal(noise_shape)
         )
-        prep = _kernels.prepare_state(mean, cov, s2, tables)
+        block, prep = _one_step(r, mean, cov, s2, tables)
         g, _ = _kernels.whitened_quadform(r, prep, tables)
-        new_mean, new_cov = _kernels.kalman_update(mean, g, prep)
-        assert np.array_equal(new_cov, np.diagonal(prep.gs, axis1=1, axis2=2).real)
+        new_mean = _kernels.kalman_update(mean, g, prep)
+        assert np.array_equal(block.posterior[0], np.diagonal(prep.gs, axis1=1, axis2=2).real)
         for t in range(trials):
             expected = self._reference(c, mean[t], cov[t], r[t], s2)
             correction = np.abs(expected - mean[t]).max()
@@ -635,9 +652,9 @@ class TestSearchRamp:
         ],
     )
     def test_ramp_is_ramp_of_returned_slope(self, grid114, rng, zero_mean, snr_db):
-        obs, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng, trials=64, stacked=True)
-        bound = default_slope(grid114.dft_size)
-        _, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        block, prep, tables = _search_batch(grid114, snr_db, zero_mean, rng, trials=64, stacked=True)
+        bound, obs = default_slope(grid114.dft_size), block.obs[0]
+        _, slope, ramp = _kernels.phase_search(block, 0, prep, tables)
         assert np.array_equal(ramp, tables.ramp(slope))
 
         f = _profiled_objective(obs, prep, tables)
@@ -660,9 +677,9 @@ class TestSearchRamp:
             return np.full(shape, 1e3), np.ones(shape)
 
         monkeypatch.setattr(_kernels, "_slope_derivatives", to_bracket_end)
-        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=16, stacked=True)
+        block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=16, stacked=True)
         bound = default_slope(grid114.dft_size)
-        _, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        _, slope, ramp = _kernels.phase_search(block, 0, prep, tables)
         slopes = _kernels.slope_tables(tables, POINTS, bound)[0]
         assert np.all(np.isin(slope, slopes))
         assert np.array_equal(ramp, tables.ramp(slope))
@@ -681,9 +698,11 @@ class TestKernelFilterStep:
         alpha = np.full(rows, profile.alpha)
         process_noise = np.tile(profile.process_noise_diag, (rows, 1))
         bound = default_slope(tables.dft_size)
-        return _kernels.filter_step(
-            mean, cov, obs, alpha, process_noise, np.full(rows, s2), tables, POINTS, bound
+        block = _kernels.block_terms(
+            obs[None], cov, alpha, process_noise, np.full(rows, s2), tables, POINTS, bound
         )
+        mean, stat, offset, slope = _kernels.filter_step(mean, block, 0, tables)
+        return mean, block.posterior[0], stat, offset, slope
 
     @pytest.mark.parametrize(
         "zero_mean, snr_db",
@@ -727,6 +746,45 @@ class TestKernelFilterStep:
             assert np.array_equal(a, b)
 
 
+class TestBlockTerms:
+    """block_terms forms a block's state-free terms at once: each step's
+    covariance, Woodbury core and coarse-grid terms are those of a one-step
+    block started from the covariance the step before left, bit for bit."""
+
+    def test_block_equals_one_step_blocks(self, grid114, rng):
+        # 3 steps x 2 links x 4 groups of 2 rows, at fd Ts = 0.05, so that
+        # the covariance, and with it the core, moves at every step.
+        steps, groups, trials, num_paths = 3, 4, 2, 8
+        tables = _kernels.grid_tables(grid114, num_paths)
+        profile = make_profile(num_paths, 0.05, 0.5)
+        rows = groups * trials
+        shape = (steps, 2, rows, grid114.num_pilots)
+        obs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        means = rng.standard_normal((steps, rows, num_paths)) + 1j * rng.standard_normal(
+            (steps, rows, num_paths)
+        )
+        cov = np.stack([profile.pdp * 2.0**-p for p in range(groups)])
+        model = (np.full(groups, profile.alpha), np.tile(profile.process_noise_diag, (groups, 1)),
+                 np.array([0.01, 0.1, 1.0, 0.3]), tables, POINTS, default_slope(128))
+
+        def terms(block, step, mean):
+            prep = _kernels.prepare_state(mean, block, step, tables)
+            quad, zc = _kernels._coarse_terms(block, step, prep)
+            return [a.copy() for a in (block.gs[step], block.posterior[step], quad, zc)]
+
+        block = _kernels.block_terms(obs, cov, *model)
+        assert block.s.shape == (steps - 1, 2, rows, *block.index.shape)
+        got = [terms(block, k, means[k]) for k in range(steps)]
+        for k in range(steps):
+            one = _kernels.block_terms(obs[k : k + 1], cov, *model)
+            expected = terms(one, 0, means[k])
+            for name, a, b in zip(("gs", "posterior", "quad", "zc"), got[k], expected):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (k, name)
+            cov = one.posterior[0]
+        # The steps' cores differ, so pairing a step with another's would show.
+        assert not np.array_equal(got[1][0], got[2][0])
+
+
 class TestRowGroups:
     """Rows that share a covariance and a noise variance, one group of
     consecutive rows per sweep point, give what the same rows give with a
@@ -736,13 +794,11 @@ class TestRowGroups:
 
     def _outputs(self, obs, mean, cov, s2, tables):
         """prep, then (offset, slope) and the statistics (quad, new mean, new cov per row)."""
-        prep = _kernels.prepare_state(mean, cov, s2, tables)
-        offset, slope, _ = _kernels.phase_search(
-            obs, prep, tables, POINTS, default_slope(tables.dft_size)
-        )
+        block, prep = _one_step(obs, mean, cov, s2, tables)
+        offset, slope, _ = _kernels.phase_search(block, 0, prep, tables)
         g, quad = _kernels.whitened_quadform(obs, prep, tables)
-        new_mean, new_cov = _kernels.kalman_update(mean, g[0], prep)
-        new_cov = new_cov.repeat(len(mean) // len(new_cov), axis=0)
+        new_mean = _kernels.kalman_update(mean, g[0], prep)
+        new_cov = block.posterior[0].repeat(len(mean) // len(cov), axis=0)
         return prep, (offset, slope), (quad, new_mean, new_cov)
 
     def _agree(self, grouped, per_row):
@@ -792,36 +848,40 @@ class TestCoarseWorkspace:
     alias them, and a call must not depend on the calls before it."""
 
     def test_outputs_survive_later_calls(self, grid114, rng):
-        bound = default_slope(grid114.dft_size)
-        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=64, stacked=True)
-        other_obs, other_prep, _ = _search_batch(grid114, 0.0, False, rng, trials=64, stacked=True)
-        one_obs, one_prep, _ = _search_batch(grid114, 10.0, False, rng, trials=1, stacked=True)
+        inputs = [
+            _search_inputs(grid114, snr_db, False, rng, trials=trials, stacked=True)
+            for snr_db, trials in ((10.0, 64), (0.0, 64), (10.0, 1))
+        ]
 
-        offset, slope, ramp = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        def search(obs, mean, cov, s2, tables):
+            block, prep = _one_step(obs, mean, cov, s2, tables)
+            return _kernels.phase_search(block, 0, prep, tables)
+
+        offset, slope, ramp = search(*inputs[0])
         first = (offset.copy(), slope.copy(), ramp.copy())
-        other = _kernels.phase_search(other_obs, other_prep, tables, POINTS, bound)
+        other = search(*inputs[1])
         assert not np.array_equal(other[1], first[1])
         assert np.array_equal(offset, first[0])
         assert np.array_equal(slope, first[1])
         assert np.array_equal(ramp, first[2])
 
-        _kernels.phase_search(one_obs, one_prep, tables, POINTS, bound)
-        again = _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        search(*inputs[2])
+        again = search(*inputs[0])
         for a, b in zip(again, first):
             assert np.array_equal(a, b)
 
-
     def test_coarse_arrays_hold_one_link(self, grid114, rng):
-        # The coarse stage scores the (2, R, Q) batch one link at a time, so
+        # The first step scores the (2, R, Q) batch one link at a time, so
         # its two (R, G, L) arrays are not doubled for the link axis; only
         # the small projection covers both links, in one GEMM.
-        obs, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=5, stacked=True)
+        block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=5, stacked=True)
         bound = default_slope(grid114.dft_size)
-        _kernels.phase_search(obs, prep, tables, POINTS, bound)
+        _kernels.phase_search(block, 0, prep, tables)
         _, table, index, _ = _kernels.slope_tables(tables, POINTS, bound)
-        proj, s, g = _kernels._coarse_workspace(obs.shape, table.shape[1], index.shape)
+        proj, s, g = _kernels._coarse_workspace(block.obs.shape, table.shape[1], index.shape)
         assert s.shape == g.shape == (5, *index.shape)
-        assert proj.shape == (2, 5, table.shape[1])
+        assert proj.shape == (1, 2, 5, table.shape[1])
+        assert block.s.shape == (0, 2, 5, *index.shape)
 
 
 class TestTieRule:
@@ -855,13 +915,11 @@ class TestTieRule:
     def test_all_tied_gives_zero_pair(self, grid114):
         # A zero observation scores every slope and offset the same.
         tables = _kernels.grid_tables(grid114, 8)
-        prep = _kernels.prepare_state(
-            np.full((3, 8), 0.5 + 0.5j), np.full((3, 8), 0.1), 0.1, tables
-        )
         obs = np.zeros((2, 3, grid114.num_pilots), dtype=np.complex128)
-        offset, slope, _ = _kernels.phase_search(
-            obs, prep, tables, POINTS, default_slope(grid114.dft_size)
+        block, prep = _one_step(
+            obs, np.full((3, 8), 0.5 + 0.5j), np.full((3, 8), 0.1), 0.1, tables
         )
+        offset, slope, _ = _kernels.phase_search(block, 0, prep, tables)
         assert np.array_equal(offset, np.zeros((2, 3)))
         assert np.array_equal(slope, np.zeros((2, 3)))
 

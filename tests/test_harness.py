@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csiguard import _kernels, harness
+from csiguard import _kernels, channel, harness
 from csiguard.channel import make_profile, simulate
 from csiguard.config import ScenarioConfig, config_hash
 from csiguard.detector import threshold
-from csiguard.errors import CalibrationError, ConfigError
+from csiguard.errors import CalibrationError, ConfigError, NumericalError
 from csiguard.harness import (
     RocResult,
     SweepResult,
@@ -29,7 +29,7 @@ from csiguard.harness import (
 from csiguard.numerics import chi2_quantile
 from csiguard.observation import snr_to_noise_var
 
-from oracles import filter_step, init_state, residual_statistic
+from oracles import filter_step, init_state, residual_statistic, steps_of
 
 # Small, fast scenario used by most harness tests.
 FAST = ScenarioConfig(
@@ -231,10 +231,10 @@ class TestLockstepPoints:
         searched, cores = [], []
         phase_search = _kernels.phase_search
 
-        def recording_search(h_obs, prep, *args):
-            searched.append(h_obs.shape[1])
+        def recording_search(block, step, prep, tables):
+            searched.append(block.obs.shape[2])
             cores.append(prep.gs.shape[0])
-            return phase_search(h_obs, prep, *args)
+            return phase_search(block, step, prep, tables)
 
         monkeypatch.setattr(harness, "_CHAIN_ROWS", chain_rows)
         monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
@@ -284,9 +284,9 @@ class TestLockstepPoints:
         states = []
         for points in (profiles[:1], profiles):
             rngs = [np.random.default_rng(s) for s in seeds]
-            links = simulate(points, tables, [0.1] * len(points), 0.2, rngs, 5)
-            for _ in range(5):
-                assert next(links).obs.shape[1] == len(points)
+            blocks = list(simulate(points, tables, [0.1] * len(points), 0.2, rngs, 5))
+            assert sum(len(block.obs) for block in blocks) == 5
+            assert all(block.obs.shape[2] == len(points) for block in blocks)
             states.append([rng.bit_generator.state for rng in rngs])
         assert states[0] == states[1]
 
@@ -391,16 +391,21 @@ class TestCollectPhase:
         noise_var = snr_to_noise_var(cfg.snr_db)
         tables = _kernels.grid_tables(grid, profile.num_paths)
         rngs = [np.random.default_rng(s) for s in seeds]
-        link = next(simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs, 1))
+        [link] = steps_of(
+            simulate([profile], tables, [noise_var], cfg.resolved_max_slope(), rngs, 1)
+        )
         cov = np.tile(profile.alpha**2 * profile.pdp + profile.process_noise_diag, (2, 1))
-        prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), cov,
-                                      noise_var, tables)
         for col in (0, 1):
             assert np.array_equal(batch.phase_true[:, 0, col, 0], link.offset[col])
             assert np.array_equal(batch.phase_true[:, 0, col, 1], link.slope[col])
-            offset, slope, _ = _kernels.phase_search(
-                link.obs[col, 0], prep, tables, cfg.slope_points, cfg.resolved_max_slope()
+            # A one-step block predicted from a zero covariance with process noise cov.
+            block = _kernels.block_terms(
+                link.obs[None, col, 0], np.zeros_like(cov), np.ones(2), cov, noise_var, tables,
+                cfg.slope_points, cfg.resolved_max_slope(),
             )
+            prep = _kernels.prepare_state(np.zeros((2, profile.num_paths), complex), block, 0,
+                                          tables)
+            offset, slope, _ = _kernels.phase_search(block, 0, prep, tables)
             assert np.array_equal(batch.phase_est[:, 0, col, 0], offset)
             assert np.array_equal(batch.phase_est[:, 0, col, 1], slope)
 
@@ -408,19 +413,19 @@ class TestCollectPhase:
 class TestLinkAxis:
     def test_search_gets_the_yielded_observations(self, monkeypatch):
         # With one point per kernel chain, run_batch hands each point's
-        # (2, T, Q) block of the yielded (2, P, T, Q) observations to the
+        # (2, T, Q) block of the yielded (K, 2, P, T, Q) observations to the
         # phase search as a view, with no stacking copy between.
         yielded, searched = [], []
         phase_search = _kernels.phase_search
 
         def recording_simulate(*args, **kwargs):
             for link in simulate(*args, **kwargs):
-                yielded.append(link.obs)
+                yielded.extend(link.obs)
                 yield link
 
-        def recording_search(h_obs, *args):
-            searched.append(h_obs)
-            return phase_search(h_obs, *args)
+        def recording_search(block, step, *args):
+            searched.append(block.obs[step])
+            return phase_search(block, step, *args)
 
         monkeypatch.setattr(harness, "simulate", recording_simulate)
         monkeypatch.setattr(harness._kernels, "phase_search", recording_search)
@@ -434,6 +439,70 @@ class TestLinkAxis:
             assert obs.shape == (2, 2, 2, cfg.pilot_grid().num_pilots)
             for p, h_obs in enumerate(searched[2 * k : 2 * k + 2]):
                 assert np.shares_memory(h_obs, obs[:, p])
+
+
+class TestSimulateBlocks:
+    """run_batch runs the filter's state-free terms once per simulate block
+    (at one trial 32 steps, at three 10): the results are bit for bit those
+    of one-step blocks, and each step is still checked as it ends."""
+
+    @pytest.mark.parametrize("num_trials", [1, 3])
+    def test_blocks_equal_one_step_blocks(self, monkeypatch, num_trials):
+        # 202 steps, the fewest that calibrate the magnitude baseline, end
+        # in a partial block at both trial counts (6 x 32 + 10, 20 x 10 + 2).
+        cfg = replace(FAST, num_steps=202, detectors=("kalman", "magnitude_diff"))
+        seeds = [derive_trial_seed(cfg.seed, i) for i in range(num_trials)]
+        opts = dict(collect_phase=True, collect_mse=True)
+        blocks = run_batch(cfg, seeds, **opts)
+        monkeypatch.setattr(channel, "_BLOCK_ROWS", 1)
+        steps = run_batch(cfg, seeds, **opts)
+        for name in ("lam", "mag", "phase_est", "mse"):
+            a, b = getattr(blocks, name), getattr(steps, name)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    CHECKED = replace(FAST, num_trials=1)
+
+    def _abort(self, monkeypatch, negative_statistic_at, negative_covariance_at):
+        """(NumericalError message, searches run) of a one-trial batch whose
+        statistic goes negative at one step and covariance at another."""
+        searches = []
+        phase_search, quadform, block_terms = (
+            _kernels.phase_search, _kernels.whitened_quadform, _kernels.block_terms
+        )
+
+        def counting_search(*args):
+            searches.append(None)
+            return phase_search(*args)
+
+        def negative_quadform(r, prep, tables):
+            g, quad = quadform(r, prep, tables)
+            return g, -1.0 - np.abs(quad) if len(searches) == negative_statistic_at else quad
+
+        def negative_covariance(h_obs, *args):
+            block = block_terms(h_obs, *args)
+            assert len(h_obs) == channel._BLOCK_ROWS                  # steps 1 to 32
+            block.posterior[negative_covariance_at - 1, 0, 2] = -1e-9
+            return block
+
+        monkeypatch.setattr(_kernels, "phase_search", counting_search)
+        monkeypatch.setattr(_kernels, "whitened_quadform", negative_quadform)
+        monkeypatch.setattr(_kernels, "block_terms", negative_covariance)
+        with pytest.raises(NumericalError) as failure:
+            run_batch(self.CHECKED, [derive_trial_seed(self.CHECKED.seed, 0)])
+        return str(failure.value), len(searches)
+
+    def test_negative_statistic_names_its_step(self, monkeypatch):
+        # Step 5 of a 32-step block fails on its statistic before step 9's
+        # covariance is checked, and before step 6 runs.
+        message, searches = self._abort(monkeypatch, 5, 9)
+        assert message.startswith("trial batch aborted at step 5: test statistic reached -")
+        assert searches == 5
+
+    def test_negative_covariance_names_its_step(self, monkeypatch):
+        # At step 7 the covariance check comes before the statistic's.
+        message, searches = self._abort(monkeypatch, 7, 7)
+        assert message == "trial batch aborted at step 7: updated covariance reached -1.000e-09"
+        assert searches == 7
 
 
 class TestDefaultSlopeRange:
@@ -467,7 +536,7 @@ class TestRunnerAgainstPublicOps:
         rngs = [np.random.default_rng(seed)]
         links = simulate([profile], tables, [noise_var], max_slope, rngs, cfg.num_steps)
         state = init_state(profile)
-        for k, link in enumerate(links, start=1):
+        for k, link in enumerate(steps_of(links), start=1):
             alice_obs, eve_obs = link.obs[:, 0, 0]
             # Eve is scored against the same prediction but never updates it.
             _, _, eps_eve, sigma_eve = filter_step(
