@@ -220,7 +220,8 @@ class Block:
     so :func:`block_terms` forms them for a whole block of steps at once.
     ``cov``, ``gs`` and ``posterior`` hold one entry per step and group
     (:func:`prepare_state`).  The gathered tap projections ``s`` and the
-    coarse terms ``quad`` cover the block's steps after the first: step 0
+    coarse terms ``quad`` cover the block's steps after the first (None
+    in a one-step block): step 0
     is scored link by link in :func:`phase_search`, as its ``zc`` is
     cheapest right after its ``quad``, which keeps a one-step block's
     working set to one link's.  ``proj`` is a shared workspace
@@ -239,8 +240,8 @@ class Block:
     index: np.ndarray      # (G, L)
     ramps: np.ndarray      # (G, Q)
     proj: np.ndarray       # (K, ..., R, C) obs projected on the lattice ramps
-    s: np.ndarray          # (K - 1, ..., R, G, L) C^H (phi_g * h) of the later steps
-    quad: np.ndarray       # (K - 1, ..., R, G) Re(s_g^H gs s_g) of the later steps
+    s: np.ndarray | None     # (K - 1, ..., R, G, L) C^H (phi_g * h) of the later steps
+    quad: np.ndarray | None  # (K - 1, ..., R, G) Re(s_g^H gs s_g) of the later steps
 
 
 def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_points, bound) -> Block:
@@ -267,11 +268,12 @@ def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_point
     prior = np.empty((steps, groups, num_paths))
     gs = np.empty((steps, groups, num_paths, num_paths), dtype=np.complex128)
     posterior = np.empty_like(prior)
+    eye = np.eye(num_paths)[None]
     for k in range(steps):
         cov = alpha[:, None] ** 2 * np.maximum(cov, 0.0) + process_noise
         sp = np.sqrt(cov)
         outer = sp[:, :, None] * sp[:, None, :]
-        gs[k] = np.linalg.inv(np.eye(num_paths)[None] + outer * tables.chc[None] / s2)
+        gs[k] = np.linalg.inv(eye + outer * tables.chc[None] / s2)
         gs[k] *= outer
         prior[k] = cov
         cov = posterior[k] = np.diagonal(gs[k], axis1=-2, axis2=-1).real
@@ -281,12 +283,14 @@ def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_point
     proj = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)[0]
     np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
     # The later steps, all links at once: s[k, ..., r, g, :] = C^H (phi_g * h).
-    # (mode="clip" gathers straight into the new array; index is always in range.)
-    s = proj[1:].take(index, axis=-1, mode="clip")            # (K - 1, ..., R, G, L)
-    lead = (1,) * (h_obs.ndim - 3)                            # the link axes
-    grouped = s.reshape(*s.shape[:-3], groups, rows // groups * len(slopes), num_paths)
-    g = np.matmul(grouped, gs_conj[1:].reshape(steps - 1, *lead, groups, num_paths, num_paths))
-    quad = _real_dot(grouped, g).reshape(s.shape[:-1])
+    # (A one-step block has none; its empty arrays cost sweep-sized runs 2%.)
+    s = quad = None
+    if steps > 1:
+        s = proj[1:].take(index, axis=-1)                     # (K - 1, ..., R, G, L)
+        lead = (1,) * (h_obs.ndim - 3)                        # the link axes
+        grouped = s.reshape(*s.shape[:-3], groups, -1, num_paths)
+        g = np.matmul(grouped, gs_conj[1:].reshape(steps - 1, *lead, groups, num_paths, num_paths))
+        quad = _real_dot(grouped, g).reshape(s.shape[:-1])
     return Block(obs=h_obs, alpha=alpha, noise_var=s2.ravel().repeat(rows // groups), cov=prior,
                  gs=gs, gs_conj=gs_conj, posterior=posterior, slopes=slopes, index=index,
                  ramps=ramps, proj=proj, s=s, quad=quad)
