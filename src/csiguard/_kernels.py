@@ -220,13 +220,12 @@ class Block:
     so :func:`block_terms` forms them for a whole block of steps at once.
     ``cov``, ``gs`` and ``posterior`` hold one entry per step and group
     (:func:`prepare_state`).  The gathered tap projections ``s`` and the
-    coarse terms ``quad`` cover the block's steps after the first (None
-    in a one-step block): step 0
-    is scored link by link in :func:`phase_search`, as its ``zc`` is
-    cheapest right after its ``quad``, which keeps a one-step block's
-    working set to one link's.  ``proj`` is a shared workspace
-    (:func:`_coarse_workspace`): step 0 must be searched before the next
-    block of the same shape is built.
+    coarse terms ``quad`` cover the block's steps after the first (None in
+    a one-step block): step 0 is scored link by link in :func:`phase_search`,
+    as its ``zc`` is cheapest right after its ``quad``, which keeps a
+    one-step block's working set to one link's.  ``proj`` is a shared
+    workspace (:func:`_coarse_workspace`): step 0 must be searched before
+    the next block of the same shape is built.
     """
 
     obs: np.ndarray        # (K, ..., R, Q) observations
@@ -283,7 +282,8 @@ def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_point
     proj = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)[0]
     np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
     # The later steps, all links at once: s[k, ..., r, g, :] = C^H (phi_g * h).
-    # (A one-step block has none; its empty arrays cost sweep-sized runs 2%.)
+    # A one-step block has none: running the stage on empty arrays cost
+    # 64-row runs about 2% of their process time.
     s = quad = None
     if steps > 1:
         s = proj[1:].take(index, axis=-1)                     # (K - 1, ..., R, G, L)
