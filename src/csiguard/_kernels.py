@@ -8,13 +8,15 @@ observations and residuals are ``(..., R, Q)`` and broadcast over it, so
 :func:`filter_step` scores alice's and eve's packets as one ``(2, R, Q)`` batch.
 
 The filter runs in blocks of K consecutive steps (:class:`Block`).  What
-reads no filter state, the covariance recursion with its Woodbury cores
-and the coarse grid's covariance term below, is formed once per block by
-:func:`block_terms`; each step's :func:`filter_step` keeps what reads the
-state: the prediction ``m``, the coupling ``nu`` and ``zc``, the argmin,
-Newton, the de-rotation and the mean update.  A one-step block does the
-work of one step in the same order, and the terms do not depend on K,
-bit for bit.
+reads no filter state is formed once per block by :func:`block_terms`:
+the covariance recursion with its Woodbury cores, the noise variance's
+forms that a step divides by, and the coarse grid's covariance term
+below; the grid, its ramps and the Newton brackets are cached per grid
+(:func:`slope_tables`).  Each step's :func:`filter_step` forms only what
+reads the state: the prediction ``m``, the coupling ``nu`` and ``zc``, the
+argmin, Newton, the de-rotation, the score and the mean update.  A
+one-step block does the work of one step in the same order, and the
+terms do not depend on K, bit for bit.
 
 The algebra exploits two structural facts to avoid any dense Q x Q work
 per candidate distortion:
@@ -48,10 +50,11 @@ runs over the slope axis only, in two stages:
   ``(ramp * h) @ C3`` against ``C3 = conj(C) * [1, -1j q, -q^2]``
   (:attr:`GridTables.c3`), giving ``s`` and its first two slope derivatives,
   whose real forms are entries of two 2 x 2 Gram products
-  (:func:`_slope_derivatives`); the first step takes the grid point's exact
-  ramp from :func:`slope_tables`.  Leaving the slope at grid resolution
-  would leak into the offset estimate through the slope-offset coupling of
-  the likelihood.  Three steps usually bring the slope within 1e-10 rad of
+  (:func:`_slope_derivatives`), and the step is the ratio of two of their
+  sums, with the derivatives' common factor -2 left out; the first step
+  takes the grid point's exact ramp from :func:`slope_tables`.  Leaving
+  the slope at grid resolution would leak into the offset estimate through
+  the slope-offset coupling of the likelihood.  Three steps usually bring the slope within 1e-10 rad of
   the minimizer, but not always: against ten steps from the same grid point
   (default grid, 17,920 searches per SNR) they ended up to 1.4e-5 rad away
   at 10 dB and up to 1.8e-4 rad at 60 dB, where the minimizer lay
@@ -76,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +176,9 @@ def _ceil(x: float) -> int:
 @functools.lru_cache(maxsize=16)
 def slope_tables(
     tables: GridTables, num_points: int, bound: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coarse slope grid on the slope lattice: (slopes, lattice table, gather index, grid ramps).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse slope grid on the slope lattice: (slopes, lattice table, gather index, grid ramps,
+    Newton brackets).
 
     The grid is ``j * delta`` for ``|j| <= ceil(bound / delta)``, with
     ``delta = 2 pi / (k M)`` and ``k = ceil(pi (num_points - 1) / (bound M))``
@@ -193,8 +198,11 @@ def slope_tables(
     Tap 0 holds the largest steps, so columns ``index[0, 0]:`` are ``x``
     projected on each grid ramp; row g of the ``(G, Q)`` grid ramps is column
     ``index[g, 0]``, the direct ``exp(-1j slopes[g] q)`` (not
-    :meth:`GridTables.ramp`'s product).  The cache is keyed on the identity
-    of ``tables``, which :func:`grid_tables` returns once per (grid, channel length).
+    :meth:`GridTables.ramp`'s product).  Column g of the ``(2, G)`` brackets
+    holds the slopes one grid point either side of ``slopes[g]``, clipped to
+    the grid: the interval that Newton from grid point g searches.  The
+    cache is keyed on the identity of ``tables``, which :func:`grid_tables`
+    returns once per (grid, channel length).
     """
     k = max(1, _ceil(np.pi * (num_points - 1) / (bound * tables.dft_size)))
     delta = 2.0 * np.pi / (k * tables.dft_size)
@@ -206,9 +214,11 @@ def slope_tables(
     index = index.reshape(len(j), -1)
     table = np.exp(-1j * np.outer(tables.q, steps * delta))
     ramps = table.T[index[:, 0]]                              # (G, Q) exp(-1j slopes[g] q)
-    for a in (slopes, table, index, ramps):
+    g = np.arange(len(j))
+    brackets = slopes[np.stack([np.maximum(g - 1, 0), np.minimum(g + 1, len(j) - 1)])]
+    for a in (slopes, table, index, ramps, brackets):
         a.setflags(write=False)
-    return slopes, table, index, ramps
+    return slopes, table, index, ramps, brackets
 
 
 @dataclass(eq=False)
@@ -216,31 +226,36 @@ class Block:
     """The terms of K consecutive filter steps over R rows that read no filter state.
 
     A Kalman filter's covariance recursion never reads a measurement, and
-    neither does the coarse grid's covariance term ``Re(s_g^H gs s_g)``,
-    so :func:`block_terms` forms them for a whole block of steps at once.
+    neither does the coarse grid's covariance term ``-Re(s_g^H gs s_g) / s2^2``,
+    so :func:`block_terms` forms them for a whole block of steps at once,
+    with the noise-variance forms that each step divides by.
     ``cov``, ``gs`` and ``posterior`` hold one entry per step and group
     (:func:`prepare_state`).  The gathered tap projections ``s`` and the
-    coarse terms ``quad`` cover the block's steps after the first (None in
+    coarse terms ``term`` cover the block's steps after the first (None in
     a one-step block): step 0 is scored link by link in :func:`phase_search`,
-    as its ``zc`` is cheapest right after its ``quad``, which keeps a
-    one-step block's working set to one link's.  ``proj`` is a shared
-    workspace (:func:`_coarse_workspace`): step 0 must be searched before
-    the next block of the same shape is built.
+    as its ``zc`` is cheapest right after its term, which keeps a
+    one-step block's working set to one link's.  ``workspace`` is shared by
+    every block of the same shape (:func:`_coarse_workspace`) and records
+    the block that filled its projection last: searching step 0 after
+    another block of the same shape was built raises RuntimeError.
     """
 
     obs: np.ndarray        # (K, ..., R, Q) observations
-    alpha: np.ndarray      # (P,) AR(1) coefficient per group
+    alpha: np.ndarray      # (P, 1, 1) AR(1) coefficient per group
     noise_var: np.ndarray  # (R,) s2 per row, its group's
+    s2sq: np.ndarray       # (R,) s2**2 per row
+    s2_groups: np.ndarray  # (P, 1, 1) s2 per group
     cov: np.ndarray        # (K, P, L) predicted diagonal covariance
     gs: np.ndarray         # (K, P, L, L) Woodbury core of each step (StatePrep.gs)
     gs_conj: np.ndarray    # (K, P, L, L) conj(gs)
     posterior: np.ndarray  # (K, P, L) updated diagonal covariance, the diagonal of gs
-    slopes: np.ndarray     # (G,) coarse slope grid, and its index and ramps (slope_tables)
+    slopes: np.ndarray     # (G,) coarse slope grid, and its index, ramps and brackets (slope_tables)
     index: np.ndarray      # (G, L)
     ramps: np.ndarray      # (G, Q)
-    proj: np.ndarray       # (K, ..., R, C) obs projected on the lattice ramps
+    brackets: np.ndarray   # (2, G)
+    workspace: _Workspace  # proj (K, ..., R, C): obs projected on the lattice ramps
     s: np.ndarray | None     # (K - 1, ..., R, G, L) C^H (phi_g * h) of the later steps
-    quad: np.ndarray | None  # (K - 1, ..., R, G) Re(s_g^H gs s_g) of the later steps
+    term: np.ndarray | None  # (K - 1, ..., R, G) -Re(s_g^H gs s_g) / s2^2 of the later steps
 
 
 def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_points, bound) -> Block:
@@ -256,10 +271,11 @@ def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_point
     One GEMM projects every step's observations on the lattice ramps of
     :func:`slope_tables` (the search's ``slope_points`` and ``bound``);
     for the steps after the first, one gather gives every ``s_g``, one
-    GEMM per step and group ``gs s_g``, and one real dot their ``quad``.
-    Each array is formed by the same operations as in a one-step block,
-    so the terms do not depend on K, bit for bit.  Callers that hold a
-    predicted covariance P pass a zero ``cov``, with P as the process noise.
+    GEMM per step and group ``gs s_g``, and one real dot and one division
+    their ``term``.  Each array is formed by the same operations as in a
+    one-step block, so the terms do not depend on K, bit for bit.  Callers
+    that hold a predicted covariance P pass a zero ``cov``, with P as the
+    process noise.
     """
     steps, rows = h_obs.shape[0], h_obs.shape[-2]
     groups, num_paths = cov.shape
@@ -277,23 +293,28 @@ def block_terms(h_obs, cov, alpha, process_noise, noise_var, tables, slope_point
         prior[k] = cov
         cov = posterior[k] = np.diagonal(gs[k], axis1=-2, axis2=-1).real
     gs_conj = gs.conj()
+    row_s2 = s2.ravel().repeat(rows // groups)
+    s2sq = row_s2 * row_s2
 
-    slopes, table, index, ramps = slope_tables(tables, slope_points, bound)
-    proj = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)[0]
-    np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=proj.reshape(-1, proj.shape[-1]))
+    slopes, table, index, ramps, brackets = slope_tables(tables, slope_points, bound)
+    ws = _coarse_workspace(h_obs.shape, table.shape[1], index.shape)
+    np.matmul(h_obs.reshape(-1, h_obs.shape[-1]), table, out=ws.proj.reshape(-1, table.shape[1]))
     # The later steps, all links at once: s[k, ..., r, g, :] = C^H (phi_g * h).
     # A one-step block has none: running the stage on empty arrays cost
     # 64-row runs about 2% of their process time.
-    s = quad = None
+    s = term = None
     if steps > 1:
-        s = proj[1:].take(index, axis=-1)                     # (K - 1, ..., R, G, L)
+        s = ws.proj[1:].take(index, axis=-1)                  # (K - 1, ..., R, G, L)
         lead = (1,) * (h_obs.ndim - 3)                        # the link axes
         grouped = s.reshape(*s.shape[:-3], groups, -1, num_paths)
         g = np.matmul(grouped, gs_conj[1:].reshape(steps - 1, *lead, groups, num_paths, num_paths))
-        quad = _real_dot(grouped, g).reshape(s.shape[:-1])
-    return Block(obs=h_obs, alpha=alpha, noise_var=s2.ravel().repeat(rows // groups), cov=prior,
-                 gs=gs, gs_conj=gs_conj, posterior=posterior, slopes=slopes, index=index,
-                 ramps=ramps, proj=proj, s=s, quad=quad)
+        term = -_real_dot(grouped, g).reshape(s.shape[:-1]) / s2sq[:, None]
+    block = Block(obs=h_obs, alpha=alpha[:, None, None], noise_var=row_s2, s2sq=s2sq,
+                  s2_groups=s2, cov=prior, gs=gs, gs_conj=gs_conj, posterior=posterior,
+                  slopes=slopes, index=index, ramps=ramps, brackets=brackets, workspace=ws,
+                  s=s, term=term)
+    ws.filled_by = weakref.ref(block)
+    return block
 
 
 @dataclass(eq=False)
@@ -306,17 +327,21 @@ class StatePrep:
     :func:`kalman_update` reads the new mean.  With ``m = C mu``
     that makes ``Sigma0^{-1} m = C nu`` for the L-vector
     ``nu = gs (mu / P) / s2``, held conjugated so that the offset
-    coupling is ``zc = s @ nu_conj``.  A zero predicted mean gives exactly
-    ``nu = 0``.  Observations of shape ``(..., R, Q)`` broadcast against
-    the ``(R, ...)`` arrays; ``gs`` is one matrix per group of R / P
-    consecutive rows (:func:`prepare_state`), a view of its block's.
+    coupling is ``zc = s @ nu_conj``, and as the column ``nu_col`` that
+    stacked projections ``(..., R, n, L)`` multiply.  A zero predicted mean
+    gives exactly ``nu = 0``.  Observations of shape ``(..., R, Q)``
+    broadcast against the ``(R, ...)`` arrays; ``gs`` is one matrix per
+    group of R / P consecutive rows (:func:`prepare_state`), a view of its
+    block's, and only ``m`` and ``nu`` are formed per step.
     """
 
     noise_var: np.ndarray  # (R,) s2 per row, its group's
+    s2sq: np.ndarray     # (R,) s2**2 per row
     gs: np.ndarray       # (P, L, L)
     gs_conj: np.ndarray  # (P, L, L) conj(gs): row vectors s times it give (gs s)^T
     m: np.ndarray        # (R, Q) predicted DFT-domain channel C mu
     nu_conj: np.ndarray  # (R, L) conj(nu), Sigma0^{-1} m = C nu
+    nu_col: np.ndarray   # (R, L, 1) nu_conj[..., None]
 
 
 def prepare_state(mean: np.ndarray, block: Block, step: int, tables: GridTables) -> StatePrep:
@@ -328,17 +353,19 @@ def prepare_state(mean: np.ndarray, block: Block, step: int, tables: GridTables)
     never reads an observation, so every trial of a sweep point shares one
     covariance; run_batch lays its rows out point-major and passes one
     group per point.  P = R gives every row its own covariance.  Only
-    ``m`` and ``nu`` read the state; the Woodbury core is the block's, and
-    every product with it runs as one GEMM per group on its rows.
+    ``m`` and ``nu`` read the state; the Woodbury core and the noise
+    variance's forms are the block's, and every product with the core runs
+    as one GEMM per group on its rows.
     """
     rows, num_paths = mean.shape
     cov, gs_conj = block.cov[step], block.gs_conj[step]
     m = mean @ tables.c_t
     # nu^T = (mean / P)^T gs^T, one GEMM per group.
     grouped = mean.reshape(len(cov), -1, num_paths)
-    nu = np.matmul(grouped / cov[:, None], gs_conj) / block.noise_var.reshape(len(cov), -1, 1)
-    return StatePrep(noise_var=block.noise_var, gs=block.gs[step], gs_conj=gs_conj,
-                     m=m, nu_conj=nu.reshape(rows, num_paths).conj())
+    nu_conj = (np.matmul(grouped / cov[:, None], gs_conj) / block.s2_groups).reshape(
+        rows, num_paths).conj()
+    return StatePrep(noise_var=block.noise_var, s2sq=block.s2sq, gs=block.gs[step],
+                     gs_conj=gs_conj, m=m, nu_conj=nu_conj, nu_col=nu_conj[..., None])
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -362,11 +389,10 @@ def whitened_quadform(
     ``r^H Sigma0^{-1} r = ||r||^2/s2 - Re(ctx^H g)/s2^2``, ``(..., R)``,
     with the energy ``||r||^2`` summed from ``r`` itself.
     """
-    s2 = prep.noise_var
     ctx = r @ tables.c_conj                                   # (..., R, L) C^H r
     grouped = ctx.shape[:-2] + (len(prep.gs), -1, ctx.shape[-1])
     g = np.matmul(ctx.reshape(grouped), prep.gs_conj).reshape(ctx.shape)
-    return g, _real_dot(r, r) / s2 - _real_dot(ctx, g) / (s2 * s2)
+    return g, _real_dot(r, r) / prep.noise_var - _real_dot(ctx, g) / prep.s2sq
 
 
 def _candidate_objective(
@@ -382,18 +408,17 @@ def _candidate_objective(
     Returns (f, zc) with zc the conjugate of the offset coupling term; the
     optimal offset is angle(zc).
     """
-    s2 = prep.noise_var
     s = (ramp * h) @ tables.c_conj                            # (..., R, L)
     grouped = s.shape[:-2] + (len(prep.gs), -1, s.shape[-1])
     g = np.matmul(s.reshape(grouped), prep.gs_conj).reshape(s.shape)
     zc = np.einsum("...l,...l->...", s, prep.nu_conj)
-    return -_real_dot(s, g) / (s2 * s2) - 2.0 * np.abs(zc), zc
+    return -_real_dot(s, g) / prep.s2sq - 2.0 * np.abs(zc), zc
 
 
 def _slope_derivatives(
     ramp: np.ndarray, h: np.ndarray, prep: StatePrep, tables: GridTables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First and second slope derivatives of :func:`_candidate_objective`.
+    """(a, b) with ``f' = -2 a`` and ``f'' = -2 b`` for :func:`_candidate_objective`.
 
     With ``u = ramp``, ``u' = -1j q u`` and ``u'' = -q^2 u``, so
     ``s = C^H (u h)`` and ``zc = nu^H s`` have the exact derivatives
@@ -406,24 +431,25 @@ def _slope_derivatives(
       - 2 [(|zc'|^2 + Re(conj(zc) zc'')) / |zc| - Re(conj(zc) zc')^2 / |zc|^3]``
 
     with ``G = prep.gs``.  One GEMM against ``tables.c3`` gives s, s', s'' and
-    one product with ``prep.nu_conj`` zc, zc', zc''.  Entry (i, j) of two real
+    one product with ``prep.nu_col`` zc, zc', zc''.  Entry (i, j) of two real
     2 x 2 Gram products is ``Re(s_(i+1)^H G s_j)`` (float views of [s', s'']
     times the rows G s, G s', so no ``conj``) and ``Re(conj(zc_(i+1)) zc_j)``:
-    f' reads (0, 0) of each, f'' (1, 0) + (0, 1).  Where ``zc = 0`` (a zero
-    predicted mean makes it vanish for every slope) the coupling terms are dropped.
+    a reads (0, 0) of each, b (1, 0) + (0, 1).  The factor -2 is left to the
+    caller: the Newton step ``f' / f''`` is ``a / b``, exactly, as scaling
+    by -2 is.  Where ``zc = 0`` (a zero predicted mean makes it vanish for
+    every slope) the coupling terms are dropped.
     """
-    s2sq = prep.noise_var * prep.noise_var
     s = ((ramp * h) @ tables.c3).reshape(ramp.shape[:-1] + (3, -1))  # (..., R, 3, L)
-    zcs = np.matmul(s, prep.nu_conj[..., None])               # (..., R, 3, 1): zc, zc', zc''
+    zcs = np.matmul(s, prep.nu_col)                           # (..., R, 3, 1): zc, zc', zc''
     grouped = s.shape[:-3] + (len(prep.gs), -1, s.shape[-1])  # one GEMM per group; G s'' unused
     g = np.matmul(s.reshape(grouped), prep.gs_conj).reshape(s.shape)[..., :2, :]
     quad = np.einsum("...ik,...jk->...ij", s[..., 1:, :].view(np.float64), g.view(np.float64))
     coup = (zcs[..., 1:, :].conj() * zcs[..., :2, :].swapaxes(-1, -2)).real
     abs_zc = np.abs(zcs[..., 0, 0])
     inv = np.divide(1.0, abs_zc, out=np.zeros(abs_zc.shape), where=abs_zc > 0.0)
-    gram = quad / s2sq[:, None, None] + coup * inv[..., None, None]  # (..., R, 2, 2)
+    gram = quad / prep.s2sq[:, None, None] + coup * inv[..., None, None]  # (..., R, 2, 2)
     dabs = coup[..., 0, 0] * inv                              # d|zc|/dx; 0 where zc = 0
-    return -2.0 * gram[..., 0, 0], -2.0 * (gram[..., 1, 0] + gram[..., 0, 1] - dabs * dabs * inv)
+    return gram[..., 0, 0], gram[..., 1, 0] + gram[..., 0, 1] - dabs * dabs * inv
 
 
 # Real parameters phase_search fits on each packet: the phase offset and
@@ -433,29 +459,39 @@ PHASE_PARAMETERS = 2
 
 
 def _coarse_terms(block: Block, step: int, prep: StatePrep) -> tuple[np.ndarray, np.ndarray]:
-    """(quad, zc) of every grid slope at step ``step`` of ``block``, each ``(..., R, G)``.
+    """(term, zc) of every grid slope at step ``step`` of ``block``, each ``(..., R, G)``.
 
-    ``quad = Re(s_g^H gs s_g)`` and ``zc = nu^H s_g`` for ``s_g = C^H (phi_g * h)``.
-    After the first step ``quad`` and ``s_g`` are the block's, and only ``zc``,
-    one product with ``nu``, reads the state.  Step 0 gathers ``s_g`` from the
-    block's projection link by link and forms each link's ``zc`` right
-    after its ``quad``.  (mode="clip" lets take write straight into the
-    buffer; "raise" would gather into a temporary first.  index is always in range.)
+    ``term = -Re(s_g^H gs s_g) / s2^2`` and ``zc = nu^H s_g`` for
+    ``s_g = C^H (phi_g * h)``.  After the first step ``term`` and ``s_g``
+    are the block's, and only ``zc``, one product with ``nu``, reads the
+    state.  Step 0 gathers ``s_g`` from the block's projection link by link,
+    forms each link's ``zc`` right after its real dot, and then the term by
+    the block's operations; it raises RuntimeError if another block has
+    filled the shared projection since.  (mode="clip" lets take write
+    straight into the buffer; "raise" would gather into a temporary first.
+    index is always in range.)
     """
     if step:
-        zc = np.matmul(block.s[step - 1], prep.nu_conj[..., None])[..., 0]
-        return block.quad[step - 1], zc
-    proj = block.proj[0]
-    s, g = _coarse_workspace(block.obs.shape, proj.shape[-1], block.index.shape)[1:]
+        zc = np.matmul(block.s[step - 1], prep.nu_col)[..., 0]
+        return block.term[step - 1], zc
+    ws = block.workspace
+    if ws.filled_by() is not block:
+        raise RuntimeError(
+            "the coarse projection holds another block's observations: search a block's "
+            "first step before the next block of its shape is built"
+        )
+    proj, s, g = ws.proj[0], ws.s, ws.g
     s_grouped, g_grouped = (a.reshape(len(prep.gs), -1, a.shape[-1]) for a in (s, g))
-    quad = np.empty(proj.shape[:-1] + block.slopes.shape)    # (..., R, G)
-    zc = np.empty_like(quad, dtype=np.complex128)
+    term = np.empty(proj.shape[:-1] + block.slopes.shape)    # (..., R, G)
+    zc = np.empty_like(term, dtype=np.complex128)
     for link in np.ndindex(proj.shape[:-2]):
         proj[link].take(block.index, axis=-1, out=s, mode="clip")  # (R, G, L)
         np.matmul(s_grouped, prep.gs_conj, out=g_grouped)     # per group, rows (gs s_g)^T
-        quad[link] = _real_dot(s, g)
-        np.matmul(s, prep.nu_conj[..., None], out=zc[link][..., None])
-    return quad, zc
+        term[link] = _real_dot(s, g)
+        np.matmul(s, prep.nu_col, out=zc[link][..., None])
+    np.negative(term, out=term)
+    term /= block.s2sq[:, None]
+    return term, zc
 
 
 def phase_search(
@@ -478,46 +514,45 @@ def phase_search(
     form.  The slope is first the argmin of the block's grid of
     :func:`slope_tables` (the harness passes ``search.slope_points`` and
     the drawn slope range ``phase.max_slope``), scored from the block's
-    lattice projection (:func:`_coarse_terms`).
+    coarse terms (:func:`_coarse_terms`).
     It then takes three Newton steps on the exact derivatives
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
-    clipped to the grid cells on either side of the grid argmin and skipped
-    where the second derivative is not positive.  The refined slope is
-    kept only where it scores no worse than the grid argmin.  Where the
+    clipped to the grid point's brackets and skipped where the second
+    derivative is not positive.  The refined slope is
+    kept only where it scores no worse than the grid argmin; where every
+    row keeps it, the refine returns at once.  Where the
     whole batch's prediction is zero, the refine also starts from the grid
     points one DFT bin either side of the argmin, and the lowest of the
     three objectives wins.  The offset is recovered in closed form at the
     final slope.  Exact objective ties on
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
-    s2 = prep.noise_var
     h_obs, slopes, ramps = block.obs[step], block.slopes, block.ramps
-    quad, zc = _coarse_terms(block, step, prep)
-    obj = -quad / (s2 * s2)[:, None] - 2.0 * np.abs(zc)
-
-    last = len(slopes) - 1
+    term, zc = _coarse_terms(block, step, prep)
+    obj = term - 2.0 * np.abs(zc)
     # Flat index of each row's grid point 0 in obj and zc.
-    row_start = np.arange(0, obj.size, len(slopes)).reshape(obj.shape[:-1])
+    row_start = block.workspace.row_start
 
     def refine(idx):
         """(objective, slope, zc, ramp) after Newton from grid point idx, no worse than it."""
         x0 = slopes[idx]
-        lo = slopes[np.maximum(idx - 1, 0)]
-        hi = slopes[np.minimum(idx + 1, last)]
+        lo, hi = block.brackets.take(idx, axis=1)
         x = x0
         for n in range(_NEWTON_STEPS):
             # Step 1 reads x0's exact ramp; each ramp is freed before the next is built.
-            d1, d2 = _slope_derivatives(
+            a, b = _slope_derivatives(
                 tables.ramp(x) if n else ramps.take(idx, axis=0), h_obs, prep, tables
             )
-            step = np.divide(d1, d2, out=np.zeros(d1.shape), where=d2 > 0.0)
+            # f' / f'' = a / b; where f'' = -2 b is not positive, no step.
+            step = np.divide(a, b, out=np.zeros(a.shape), where=b < 0.0)
             x = np.minimum(np.maximum(x - step, lo), hi)
         u = tables.ramp(x)
         f_star, zc_star = _candidate_objective(u, h_obs, prep, tables)
         flat = row_start + idx
         f_grid = obj.take(flat)
-        zc_grid = zc.take(flat)
         keep = f_star <= f_grid
+        if keep.all():
+            return f_star, x, zc_star, u
         # Rows that fall back to the grid slope after Newton moved need its
         # ramp; ramp works row by row, so this matches ramp of the returned
         # slope.  (Most fallback rows are ones Newton never moved.)
@@ -527,7 +562,7 @@ def phase_search(
         return (
             np.where(keep, f_star, f_grid),
             np.where(keep, x, x0),
-            np.where(keep, zc_star, zc_grid),
+            np.where(keep, zc_star, zc.take(flat)),
             u,
         )
 
@@ -539,6 +574,7 @@ def phase_search(
         # one-tap cyclic delay, and at high SNR the true lobe can be too
         # narrow for its grid point to beat that alias lobe's.  Refine from
         # one bin (k lattice cells) either side too and keep the lowest.
+        last = len(slopes) - 1
         k = round(2.0 * np.pi / (tables.dft_size * (slopes[1] - slopes[0])))
         for start in (np.maximum(idx - k, 0), np.minimum(idx + k, last)):
             f_alias, slope_alias, zc_alias, u_alias = refine(start)
@@ -550,30 +586,46 @@ def phase_search(
     return _wrap_offset(np.angle(zc_best)), slope, u_best
 
 
+@dataclass(eq=False)
+class _Workspace:
+    """The arrays that the coarse stage reuses for one block shape (:func:`_coarse_workspace`)."""
+
+    proj: np.ndarray       # (K, ..., R, C) h projected on the lattice ramps
+    s: np.ndarray          # (R, G, L) C^H (phi_g * h) of one link at step 0
+    g: np.ndarray          # (R, G, L) (gs s_g)^T of one link at step 0
+    row_start: np.ndarray  # (..., R) flat index of each row's grid point 0 in (..., R, G)
+    filled_by: weakref.ref | None = None  # the Block whose observations proj holds
+
+
 @functools.lru_cache(maxsize=4)
 def _coarse_workspace(
     obs_shape: tuple[int, ...], num_columns: int, index_shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The complex arrays that the coarse stage reuses for one block shape.
+) -> _Workspace:
+    """The arrays that the coarse stage reuses for one block shape.
 
     For a block of observations of shape ``obs_shape = (K, ..., R, Q)``, a
     lattice table of C = ``num_columns`` columns and a gather index of shape
-    ``index_shape = (G, L)``, returns (proj, s, g):
+    ``index_shape = (G, L)``:
 
     * proj ``(K, ..., R, C)``: h projected on the lattice ramps, every step
       and link in one GEMM (:func:`block_terms`; one link of one row would
       round differently);
     * s and g ``(R, G, L)``: ``C^H (phi_g * h)`` and ``(gs s_g)^T`` of one
-      link at the block's first step (:func:`_coarse_terms`).
+      link at the block's first step (:func:`_coarse_terms`);
+    * row_start ``(..., R)``, read-only: where each row's grid scores start
+      in the flattened ``(..., R, G)`` scores (:func:`phase_search`).
 
-    Allocated afresh, arrays of these sizes (about 0.5 MB each at R = 64)
-    go back to the system when freed and page-fault again on the next
-    step (glibc malloc's mmap and trim thresholds).  Reusing them means
+    Allocated afresh, complex arrays of these sizes (about 0.5 MB each at
+    R = 64) go back to the system when freed and page-fault again on the
+    next step (glibc malloc's mmap and trim thresholds).  Reusing them means
     that blocks must not be built or searched in two threads at once.
     """
     proj = np.empty((*obs_shape[:-1], num_columns), dtype=np.complex128)
     s = np.empty((obs_shape[-2], *index_shape), dtype=np.complex128)
-    return proj, s, np.empty_like(s)
+    rows = obs_shape[1:-1]
+    row_start = np.arange(0, math.prod(rows) * index_shape[0], index_shape[0]).reshape(rows)
+    row_start.setflags(write=False)
+    return _Workspace(proj=proj, s=s, g=np.empty_like(s), row_start=row_start)
 
 
 def _argmin_with_ties(obj: np.ndarray, slopes: np.ndarray, zc: np.ndarray) -> np.ndarray:
@@ -632,7 +684,7 @@ def filter_step(mean, block, step, tables):
     inside :func:`phase_search`'s ramp.
     """
     groups, num_paths = block.cov.shape[1:]
-    mean = (block.alpha[:, None, None] * mean.reshape(groups, -1, num_paths)).reshape(mean.shape)
+    mean = (block.alpha * mean.reshape(groups, -1, num_paths)).reshape(mean.shape)
     prep = prepare_state(mean, block, step, tables)
     offset, slope, residual = phase_search(block, step, prep, tables)
     # The residual exp(-j offset) (ramp h) - m, formed in the ramp.

@@ -481,16 +481,21 @@ def write_csv(result, path, cfg: ScenarioConfig) -> None:
         ]
     else:
         header = ["k", "truth", "detector", "statistic", "threshold", "decision"]
-        rows = [
-            [_fmt(k), truth, det, _fmt(stat), _fmt(thr), dec]
+        # csv.writer's lines as one string: no records field needs quoting,
+        # and .9g formats the float statistic and threshold as _fmt does.
+        rows = "".join(
+            f"{k},{truth},{det},{stat:.9g},{thr:.9g},{dec}\r\n"
             for k, truth, det, stat, thr, dec in result
-        ]
+        )
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            if isinstance(rows, str):
+                fh.write(rows)
+            else:
+                writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

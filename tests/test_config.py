@@ -101,11 +101,12 @@ class TestScenarioConfig:
             tables = _kernels.grid_tables(cfg.pilot_grid(), cfg.num_paths)
             grids.append(_kernels.slope_tables(tables, points, cfg.resolved_max_slope()))
         assert config_from_mapping({"search.slope_points": "2"}).slope_points == 2
-        for slopes, table, index, ramps in grids[1:]:
+        for slopes, table, index, ramps, brackets in grids[1:]:
             assert np.array_equal(slopes, grids[0][0])
             assert np.array_equal(table, grids[0][1])
             assert np.array_equal(index, grids[0][2])
             assert np.array_equal(ramps, grids[0][3])
+            assert np.array_equal(brackets, grids[0][4])
         assert grids[0][0][1] - grids[0][0][0] == pytest.approx(2 * np.pi / 128)
 
     def test_lattice_finer_than_main_lobe(self):

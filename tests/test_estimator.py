@@ -275,7 +275,7 @@ def _profiled_objective(obs, prep, tables):
 
 def _check_derivatives(obs, prep, tables, x):
     """Analytic f', f'' against Richardson-extrapolated central differences."""
-    d1, d2 = _kernels._slope_derivatives(tables.ramp(x), obs, prep, tables)
+    d1, d2 = (-2.0 * d for d in _kernels._slope_derivatives(tables.ramp(x), obs, prep, tables))
     f = _profiled_objective(obs, prep, tables)
 
     def differences(step):
@@ -337,7 +337,7 @@ class TestNewtonStage:
         _, prep = _one_step(obs, mean, cov, s2, tables)
         bound = default_slope(grid114.dft_size)
         ramp = tables.ramp(rng.uniform(-bound, bound, obs.shape[:-1]))
-        got = _kernels._slope_derivatives(ramp, obs, prep, tables)
+        got = [-2.0 * d for d in _kernels._slope_derivatives(ramp, obs, prep, tables)]
         expected = oracle_slope_derivatives(ramp, obs, prep, tables)
         for d, o in zip(got, expected):
             assert np.all(np.abs(d - o) <= 1e-12 * np.abs(o).max(axis=-1, keepdims=True))
@@ -417,11 +417,16 @@ class TestLinkAxisAndTables:
     def test_grid_ramps_are_the_grid_slopes_ramps(self, grid, num_paths, bound, points):
         # Row g of the grid ramps, which the first Newton step starts from,
         # is the ramp at grid slope g; it is read-only, as it is cached.
+        # Column g of the brackets is the slopes either side of it, clipped
+        # to the grid.
         tables = _kernels.grid_tables(grid, num_paths)
-        slopes, _, _, ramps = _kernels.slope_tables(tables, points, bound)
+        slopes, _, _, ramps, brackets = _kernels.slope_tables(tables, points, bound)
         assert ramps.shape == (len(slopes), len(tables.q)) and not ramps.flags.writeable
         for expected in (np.exp(-1j * np.outer(slopes, tables.q)), tables.ramp(slopes)):
             assert np.allclose(ramps, expected, rtol=0, atol=1e-14)
+        assert not brackets.flags.writeable
+        assert np.array_equal(brackets[0], np.concatenate([slopes[:1], slopes[:-1]]))
+        assert np.array_equal(brackets[1], np.concatenate([slopes[1:], slopes[-1:]]))
 
     def test_ramp_takes_leading_axes(self, grid114, rng):
         tables = _kernels.grid_tables(grid114, 8)
@@ -438,7 +443,7 @@ class TestLinkAxisAndTables:
         c = partial_dft(grid114, 8)
         h = _random_obs(rng, grid114)
         for bound in (0.2, default_slope(grid114.dft_size), 1e-4):
-            slopes, table, index, _ = _kernels.slope_tables(tables, POINTS, bound)
+            slopes, table, index, *_ = _kernels.slope_tables(tables, POINTS, bound)
             proj = h @ table
             s = np.take(proj, index, axis=-1)
             assert s.shape == (len(slopes), 8)
@@ -673,8 +678,9 @@ class TestSearchRamp:
         # than the grid argmin: those rows return the grid slope, and the
         # ramp must follow it rather than the point Newton reached.
         def to_bracket_end(ramp, h, prep, tables):
+            # f' = 2e3 and f'' = 2: a Newton step of +1e3 rad, clipped.
             shape = ramp.shape[:-1]
-            return np.full(shape, 1e3), np.ones(shape)
+            return np.full(shape, -1e3), -np.ones(shape)
 
         monkeypatch.setattr(_kernels, "_slope_derivatives", to_bracket_end)
         block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=16, stacked=True)
@@ -769,8 +775,8 @@ class TestBlockTerms:
 
         def terms(block, step, mean):
             prep = _kernels.prepare_state(mean, block, step, tables)
-            quad, zc = _kernels._coarse_terms(block, step, prep)
-            return [a.copy() for a in (block.gs[step], block.posterior[step], quad, zc)]
+            term, zc = _kernels._coarse_terms(block, step, prep)
+            return [a.copy() for a in (block.gs[step], block.posterior[step], term, zc)]
 
         block = _kernels.block_terms(obs, cov, *model)
         assert block.s.shape == (steps - 1, 2, rows, *block.index.shape)
@@ -778,7 +784,7 @@ class TestBlockTerms:
         for k in range(steps):
             one = _kernels.block_terms(obs[k : k + 1], cov, *model)
             expected = terms(one, 0, means[k])
-            for name, a, b in zip(("gs", "posterior", "quad", "zc"), got[k], expected):
+            for name, a, b in zip(("gs", "posterior", "term", "zc"), got[k], expected):
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (k, name)
             cov = one.posterior[0]
         # The steps' cores differ, so pairing a step with another's would show.
@@ -870,6 +876,28 @@ class TestCoarseWorkspace:
         for a, b in zip(again, first):
             assert np.array_equal(a, b)
 
+    def test_a_block_built_over_the_workspace_refuses_its_first_step(self, grid114, rng):
+        # Blocks of one shape share one projection workspace, so once a
+        # second block is built the first one's step 0 would score the
+        # second's observations: it raises instead.  Its later steps read
+        # the block's own arrays and still search, bit for bit.
+        obs, mean, cov, s2, tables = _search_inputs(grid114, 10.0, False, rng, trials=4,
+                                                    stacked=True)
+        model = (np.ones(len(cov)), cov, s2, tables, POINTS, default_slope(grid114.dft_size))
+        steps = np.stack([obs, obs[::-1]])                    # step 1 swaps the links
+        first = _kernels.block_terms(steps, np.zeros_like(cov), *model)
+        prep0, prep1 = (_kernels.prepare_state(mean, first, k, tables) for k in (0, 1))
+        step1 = _kernels.phase_search(first, 1, prep1, tables)
+
+        second = _kernels.block_terms(steps[::-1], np.zeros_like(cov), *model)
+        assert second.workspace is first.workspace
+        with pytest.raises(RuntimeError, match="another block's observations"):
+            _kernels.phase_search(first, 0, prep0, tables)
+        for a, b in zip(_kernels.phase_search(first, 1, prep1, tables), step1):
+            assert np.array_equal(a, b)
+        # The block built last searches its first step.
+        _kernels.phase_search(second, 0, _kernels.prepare_state(mean, second, 0, tables), tables)
+
     def test_coarse_arrays_hold_one_link(self, grid114, rng):
         # The first step scores the (2, R, Q) batch one link at a time, so
         # its two (R, G, L) arrays are not doubled for the link axis; only
@@ -877,11 +905,12 @@ class TestCoarseWorkspace:
         block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=5, stacked=True)
         bound = default_slope(grid114.dft_size)
         _kernels.phase_search(block, 0, prep, tables)
-        _, table, index, _ = _kernels.slope_tables(tables, POINTS, bound)
-        proj, s, g = _kernels._coarse_workspace(block.obs.shape, table.shape[1], index.shape)
-        assert s.shape == g.shape == (5, *index.shape)
-        assert proj.shape == (1, 2, 5, table.shape[1])
-        assert block.s is None and block.quad is None
+        _, table, index, *_ = _kernels.slope_tables(tables, POINTS, bound)
+        ws = _kernels._coarse_workspace(block.obs.shape, table.shape[1], index.shape)
+        assert ws is block.workspace
+        assert ws.s.shape == ws.g.shape == (5, *index.shape)
+        assert ws.proj.shape == (1, 2, 5, table.shape[1])
+        assert block.s is None and block.term is None
 
 
 class TestTieRule:

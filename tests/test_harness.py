@@ -1,3 +1,4 @@
+import csv
 import platform
 import sys
 import warnings
@@ -462,9 +463,11 @@ class TestSimulateBlocks:
 
     CHECKED = replace(FAST, num_trials=1)
 
-    def _abort(self, monkeypatch, negative_statistic_at, negative_covariance_at):
+    def _abort(self, monkeypatch, bad_statistic_at, negative_covariance_at,
+               bad=lambda quad: -1.0 - np.abs(quad)):
         """(NumericalError message, searches run) of a one-trial batch whose
-        statistic goes negative at one step and covariance at another."""
+        statistic turns ``bad`` (negative by default) at one step and whose
+        covariance goes negative at another."""
         searches = []
         phase_search, quadform, block_terms = (
             _kernels.phase_search, _kernels.whitened_quadform, _kernels.block_terms
@@ -476,7 +479,7 @@ class TestSimulateBlocks:
 
         def negative_quadform(r, prep, tables):
             g, quad = quadform(r, prep, tables)
-            return g, -1.0 - np.abs(quad) if len(searches) == negative_statistic_at else quad
+            return g, bad(quad) if len(searches) == bad_statistic_at else quad
 
         def negative_covariance(h_obs, *args):
             block = block_terms(h_obs, *args)
@@ -496,6 +499,13 @@ class TestSimulateBlocks:
         # covariance is checked, and before step 6 runs.
         message, searches = self._abort(monkeypatch, 5, 9)
         assert message.startswith("trial batch aborted at step 5: test statistic reached -")
+        assert searches == 5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_statistic_that_is_not_finite_names_its_step(self, monkeypatch, value):
+        # A NaN or +inf statistic fails the finite check, not the sign check.
+        message, searches = self._abort(monkeypatch, 5, 9, lambda quad: np.full_like(quad, value))
+        assert message == f"trial batch aborted at step 5: test statistic reached {value:.3e}"
         assert searches == 5
 
     def test_negative_covariance_names_its_step(self, monkeypatch):
@@ -687,6 +697,28 @@ class TestCsv:
         assert len(again.points) == 2
         assert again.points[0][0] == "kalman"
         assert again.points[0][1] == pytest.approx(250.0)
+
+    def test_records_bytes_are_the_csv_writers(self, tmp_path):
+        # The records are written as one string; the file is byte for byte
+        # what csv.writer writes with _fmt, for every float form.
+        records = trial_records(FAST, derive_trial_seed(FAST.seed, 0))
+        records += [
+            (41, "eve", "magnitude_diff", stat, thr, "H0")
+            for stat, thr in [(np.nan, 1.5), (np.inf, -0.0), (1e-300, 123456789012.0),
+                              (0.1 + 0.2, 5e-324), (-np.inf, 2.0**70)]
+        ]
+        path = tmp_path / "records.csv"
+        write_csv(records, path, FAST)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_header(FAST) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(["k", "truth", "detector", "statistic", "threshold", "decision"])
+            writer.writerows(
+                [harness._fmt(k), truth, det, harness._fmt(stat), harness._fmt(thr), dec]
+                for k, truth, det, stat, thr, dec in records
+            )
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_records_round_trip(self, tmp_path):
         records = trial_records(FAST, derive_trial_seed(FAST.seed, 0))
