@@ -690,6 +690,29 @@ class TestSearchRamp:
         assert np.all(np.isin(slope, slopes))
         assert np.array_equal(ramp, tables.ramp(slope))
 
+    def test_rows_keep_or_fall_back_on_their_own(self, grid114, rng, monkeypatch):
+        # Newton driven to the bracket end on eve's rows only: they fall back
+        # to the grid slope, as when every row is, while alice's rows keep
+        # Newton's slope, as when none is.
+        block, prep, tables = _search_batch(grid114, 10.0, False, rng, trials=16, stacked=True)
+        derivatives = _kernels._slope_derivatives
+
+        def search(to_bracket_end):
+            def patched(ramp, h, prep, tables):
+                a, b = derivatives(ramp, h, prep, tables)
+                a[to_bracket_end], b[to_bracket_end] = -1e3, -1.0
+                return a, b
+
+            monkeypatch.setattr(_kernels, "_slope_derivatives", patched)
+            return _kernels.phase_search(block, 0, prep, tables)
+
+        none, eve, both = (search(links) for links in ([], [1], [0, 1]))
+        assert not np.array_equal(none[1][1], both[1][1])
+        for a, b in zip(eve, none):
+            assert np.array_equal(a[0], b[0])
+        for a, b in zip(eve, both):
+            assert np.array_equal(a[1], b[1])
+
 
 class TestKernelFilterStep:
     """_kernels.filter_step, the step run_batch runs on each kernel chain:
