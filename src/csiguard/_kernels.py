@@ -518,13 +518,12 @@ def phase_search(
     It then takes three Newton steps on the exact derivatives
     (:func:`_slope_derivatives`, one GEMM against ``tables.c3`` each), each
     clipped to the grid point's brackets and skipped where the second
-    derivative is not positive.  The refined slope is
-    kept only where it scores no worse than the grid argmin; where every
-    row keeps it, the refine returns at once.  Where the
-    whole batch's prediction is zero, the refine also starts from the grid
-    points one DFT bin either side of the argmin, and the lowest of the
-    three objectives wins.  The offset is recovered in closed form at the
-    final slope.  Exact objective ties on
+    derivative is not positive.  The refined slope is kept only where it
+    scores no worse than the grid argmin; where every row keeps it, the
+    refine returns at once.  Where the whole batch's prediction is zero,
+    the refine also starts from the grid points one DFT bin either side of
+    the argmin, and the lowest of the three objectives wins.  The offset is
+    recovered in closed form at the final slope.  Exact objective ties on
     the grid resolve toward the smaller |slope|, then the smaller |offset|.
     """
     h_obs, slopes, ramps = block.obs[step], block.slopes, block.ramps
