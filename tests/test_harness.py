@@ -477,7 +477,7 @@ class TestSimulateBlocks:
             searches.append(None)
             return phase_search(*args)
 
-        def negative_quadform(r, prep, tables):
+        def bad_quadform(r, prep, tables):
             g, quad = quadform(r, prep, tables)
             return g, bad(quad) if len(searches) == bad_statistic_at else quad
 
@@ -488,7 +488,7 @@ class TestSimulateBlocks:
             return block
 
         monkeypatch.setattr(_kernels, "phase_search", counting_search)
-        monkeypatch.setattr(_kernels, "whitened_quadform", negative_quadform)
+        monkeypatch.setattr(_kernels, "whitened_quadform", bad_quadform)
         monkeypatch.setattr(_kernels, "block_terms", negative_covariance)
         with pytest.raises(NumericalError) as failure:
             run_batch(self.CHECKED, [derive_trial_seed(self.CHECKED.seed, 0)])
